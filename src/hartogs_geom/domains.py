@@ -13,18 +13,22 @@ the fourth type, vector) realizations:
 Products are supported everywhere; the generic norm of a product is the
 product of the factor norms.  Norm evaluation is polymorphic over plain
 complex coordinates and jet-valued coordinates, so the same code path feeds
-both membership tests and metric differentiation.
+both membership tests and jet differentiation.  `log_norm_derivatives`
+gives the derivatives of log N up to order three in closed form: through
+the Bergman operator A = I - Z Z* for types I-III, where Z = sum z_k E_k is
+linear in the coordinates, and through the explicit polynomial for type IV.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .jets import Jet
-from .numerics import DomainViolation, det, is_positive_definite
+from .numerics import Derivatives, DomainViolation, det, is_positive_definite
 
 __all__ = [
     "DomainSpec",
@@ -231,6 +235,38 @@ class DomainSpec:
                 a[i, j] = (1.0 - s) if i == j else -s
         return a
 
+    # -- closed-form derivatives of log N ----------------------------------------
+
+    def log_norm_derivatives(self, coords, x=None, y=None) -> Derivatives:
+        """Derivatives of L = log N at an interior point, in closed form.
+
+        `x` and `y` are optional direction matrices (dim x p, dim x q) for
+        the contracted second and third derivatives; see `Derivatives`.
+        Raises DomainViolation when the point lies outside the domain.
+        """
+        z = np.asarray(coords, dtype=np.complex128)
+        self._check_len(z)
+        if self.kind == "IV":
+            return _type_iv_log_norm(z, x, y)
+        if self.kind != "product":
+            return _matrix_log_norm(self, z, x, y)
+        # log N is a sum over the factors: block-diagonal tensors
+        levi = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        parts, pos = [], 0
+        for f in self.factors:
+            rows = slice(pos, pos + f.dim)
+            sub = (None, None) if x is None else (x[rows], y[rows])
+            parts.append(f.log_norm_derivatives(z[rows], *sub))
+            levi[rows, rows] = parts[-1].levi
+            pos += f.dim
+        value = sum(part.value for part in parts)
+        grad = np.concatenate([part.grad for part in parts])
+        if x is None:
+            return Derivatives(value, grad, levi)
+        hess = sum(part.hess for part in parts)
+        third = np.concatenate([part.third for part in parts], axis=2)
+        return Derivatives(value, grad, levi, x, y, hess, third)
+
     # -- membership and generic norm ------------------------------------------
 
     def contains(self, coords, margin: float = 0.0) -> bool:
@@ -331,6 +367,81 @@ class DomainSpec:
         if kind == "product":
             return cls.product(*(cls.from_json(p) for p in obj["params"]))
         return cls(kind, tuple(int(p) for p in obj["params"]))
+
+
+# -- closed-form log-norm tensors ------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _unit_matrices(spec: DomainSpec) -> np.ndarray:
+    """E_k = matrix_realization(e_k), stacked as (dim, m, n); Z = sum z_k E_k."""
+    e = np.stack([spec.matrix_realization(u) for u in np.eye(spec.dim)])
+    e.flags.writeable = False
+    return e
+
+
+def _trace_against(k: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """tr(E_l* K) for every l, over the leading axes of a stack of K."""
+    lead = k.shape[:-2]
+    out = k.reshape(-1, e[0].size) @ e.reshape(len(e), -1).conj().T
+    return out.reshape(*lead, len(e))
+
+
+def _matrix_log_norm(spec: DomainSpec, z, x, y) -> Derivatives:
+    """Types I-III: L = c log det A, A = I - Z Z*, c = 1/2 for type II else 1.
+
+    With R = A^-1 and P_i = R E_i Z*, the derivatives follow from
+    dR = R (dA) R: L_i = -c tr P_i, L_ij = -c tr(P_i P_j) and
+    L_{i lbar} = -c tr(E_l* R E_i S) with S = I + Z* R Z = (I - Z* Z)^-1.
+    """
+    e = _unit_matrices(spec)
+    c = 0.5 if spec.kind == "II" else 1.0
+    zm = np.tensordot(z, e, 1)
+    zh = zm.conj().T
+    a = np.eye(len(zm)) - zm @ zh
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise DomainViolation("I - Z Z* is not positive definite (outside domain)") from None
+    value = 2.0 * c * float(np.sum(np.log(np.diagonal(chol).real)))
+    r = np.linalg.inv(a)
+    re = r @ e
+    grad = -c * np.trace(re @ zh, axis1=1, axis2=2)
+    s = np.eye(zm.shape[1]) + zh @ r @ zm
+    levi = -c * _trace_against(re @ s, e)
+    if x is None:
+        return Derivatives(value, grad, levi)
+    rex = np.tensordot(x.T, re, 1)  # R X_a, with X_a = sum_i x[i, a] E_i
+    rey = np.tensordot(y.T, re, 1)
+    px, py = rex @ zh, rey @ zh
+    hess = -c * px.reshape(len(px), -1) @ py.transpose(0, 2, 1).reshape(len(py), -1).T
+    # L_{i j lbar} x^i y^j = -c tr(E_l* K) with
+    # K = (P_x P_y + P_y P_x) R Z + P_x R Y + P_y R X
+    pxa, pyb = px[:, None], py[None, :]
+    k = (pxa @ pyb + pyb @ pxa) @ (r @ zm) + pxa @ rey[None, :] + pyb @ rex[:, None]
+    return Derivatives(value, grad, levi, x, y, hess, -c * _trace_against(k, e))
+
+
+def _type_iv_log_norm(z, x, y) -> Derivatives:
+    """Type IV: L = log N with N = 1 + |s|^2 - 2 sum |z_k|^2, s = sum z_k^2.
+
+    N_i = 2 z_i sbar - 2 zbar_i, N_ij = 2 delta_ij sbar,
+    N_{i lbar} = 4 z_i zbar_l - 2 delta_il, N_{i j lbar} = 4 delta_ij zbar_l.
+    """
+    zbar = np.conj(z)
+    sbar = np.conj(z @ z)
+    sq = float(np.vdot(z, z).real)
+    n = 1.0 + abs(sbar) ** 2 - 2.0 * sq
+    if sq >= 1.0 or n <= 0.0:
+        raise DomainViolation("type IV point outside the domain")
+    grad = 2.0 * z * sbar - 2.0 * zbar
+    levi = 4.0 * np.outer(z, zbar) - 2.0 * np.eye(len(z))
+    if x is None:
+        norm = Derivatives(n, grad, levi)
+    else:
+        xy = x.T @ y
+        norm = Derivatives(n, grad, levi, x, y, 2.0 * sbar * xy, 4.0 * xy[:, :, None] * zbar)
+    return norm.compose(np.log(n), 1.0 / n, -1.0 / n**2, 2.0 / n**3)
 
 
 # -- polydisk embeddings ------------------------------------------------------

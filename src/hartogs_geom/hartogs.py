@@ -8,6 +8,11 @@ bounded symmetric domain with generic norm N:
 carrying the Kaehler potential Phi(z, w) = -log(N^mu - |w|^2).  Points are
 stored as single complex vectors with the fiber coordinate last, matching
 the trace/CSV layout used throughout the package.
+
+The potentials differentiate in closed form (`derivatives`): the chain rule
+runs from the base's log-norm tensors through N^mu = exp(mu log N) and
+D = N^mu - |w|^2 to Phi = -log D.  Their jet evaluation (`__call__` on jet
+coordinates) is the generic route and the tests' second route.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .domains import DomainSpec, LinearEmbedding, _is_jet_coords
 from .jets import Jet
-from .numerics import DomainViolation
+from .numerics import Derivatives, DomainViolation
 
 __all__ = [
     "HartogsSpec",
@@ -85,7 +90,7 @@ def h_contains(spec: HartogsSpec, p, margin: float = 0.0) -> bool:
 
 
 class HartogsPotential:
-    """Jet-differentiable handle for Phi(z, w) = -log(N^mu - |w|^2).
+    """Handle for Phi(z, w) = -log(N^mu - |w|^2) with closed-form derivatives.
 
     Calling with plain complex coordinates returns a float; calling with a
     list containing jets returns the jet of Phi.  The fiber coordinate is
@@ -116,6 +121,35 @@ class HartogsPotential:
     def value(self, p) -> float:
         return float(self(np.asarray(p, dtype=np.complex128)))
 
+    def derivatives(self, p, x=None, y=None) -> Derivatives:
+        """Closed-form derivatives of Phi at p (see `Derivatives`).
+
+        Raises DomainViolation when p lies outside the fibration.
+        """
+        p = np.asarray(p, dtype=np.complex128)
+        z, w = _split(self.spec, p)
+        mu = self.spec.mu
+        sub = (None, None) if x is None else (x[:-1], y[:-1])
+        log_n = self.spec.base.log_norm_derivatives(z, *sub)
+        a = np.exp(mu * log_n.value)
+        nmu = log_n.compose(a, mu * a, mu**2 * a, mu**3 * a)
+        # D = N^mu - |w|^2: D_w = -wbar, D_{w wbar} = -1, no other fiber terms
+        d = nmu.value - abs(w) ** 2
+        if d <= 0.0:
+            raise DomainViolation("potential argument non-positive (outside domain)")
+        n = self.n_coords
+        grad = np.append(nmu.grad, -np.conj(w))
+        levi = np.zeros((n, n), dtype=np.complex128)
+        levi[:-1, :-1] = nmu.levi
+        levi[-1, -1] = -1.0
+        if x is None:
+            fiber = Derivatives(d, grad, levi)
+        else:
+            third = np.zeros((x.shape[1], y.shape[1], n), dtype=np.complex128)
+            third[:, :, :-1] = nmu.third
+            fiber = Derivatives(d, grad, levi, x, y, nmu.hess, third)
+        return fiber.compose(-np.log(d), -1.0 / d, 1.0 / d**2, -2.0 / d**3)
+
     def interior_margin(self, p) -> float:
         return fiber_margin(self.spec, p)
 
@@ -143,6 +177,11 @@ class DomainPotential:
 
     def value(self, p) -> float:
         return float(self(np.asarray(p, dtype=np.complex128)))
+
+    def derivatives(self, p, x=None, y=None) -> Derivatives:
+        """Closed-form derivatives of -log N at p (see `Derivatives`)."""
+        log_n = self.spec.log_norm_derivatives(p, x, y)
+        return log_n.compose(-log_n.value, -1.0, 0.0, 0.0)
 
     def interior_margin(self, p) -> float:
         return float(self.spec._norm(p))

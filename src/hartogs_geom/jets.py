@@ -57,7 +57,7 @@ class JetSpace:
     monomial_k) is built once and reused by every jet in the space.
     """
 
-    __slots__ = ("groups", "caps", "total", "ndirs", "monomials", "index", "_table")
+    __slots__ = ("groups", "caps", "total", "ndirs", "monomials", "index", "weights", "_table")
 
     def __init__(self, groups: tuple[int, ...], caps: tuple[int, ...], total: int):
         if len(groups) != len(caps):
@@ -75,6 +75,8 @@ class JetSpace:
         monos.sort(key=lambda m: (sum(m), m))
         self.monomials = monos
         self.index = {m: i for i, m in enumerate(monos)}
+        # weights[i] = prod(e!) over monomials[i]: Taylor coefficient -> derivative
+        self.weights = np.array([math.prod(map(math.factorial, m)) for m in monos], dtype=float)
         self._table = None
 
     def __len__(self) -> int:
@@ -122,13 +124,6 @@ def jet_space(groups: tuple[int, ...], caps: tuple[int, ...], total: int) -> Jet
     return JetSpace(groups, caps, total)
 
 
-def _factorial_weight(mono: tuple[int, ...]) -> float:
-    w = 1.0
-    for e in mono:
-        w *= math.factorial(e)
-    return w
-
-
 class Jet:
     """Truncated Taylor expansion with complex coefficients.
 
@@ -153,7 +148,7 @@ class Jet:
         idx = self.space.index.get(tuple(mono))
         if idx is None:
             raise ValueError(f"monomial {mono} not tracked by this jet space")
-        return complex(self.coeffs[idx]) * _factorial_weight(mono)
+        return complex(self.coeffs[idx]) * self.space.weights[idx]
 
     def conjugate(self) -> "Jet":
         return Jet(self.space, np.conj(self.coeffs))

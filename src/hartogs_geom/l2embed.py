@@ -239,11 +239,7 @@ def series_residual(r: int, mu: float, xi, v_coeffs, order: int) -> np.ndarray:
     for s in range(r):
         acc = np.zeros(deg + 1, dtype=np.complex128)
         for k in range(1, _SERIES_CAP + 1):
-            acc += (
-                mu
-                * amod2[s] ** (k - 1)
-                * _poly_mul(_poly_d2(_poly_pow(vb, k, deg + 2)[: deg + 3]), _poly_pow(v, k - 1, deg), deg)
-            )
+            acc += mu * amod2[s] ** (k - 1) * core[k]
         for a in range(1, _SERIES_CAP + 1):
             for k in _multi_indices(r, _SERIES_CAP - a):
                 if k[s] == 0:

@@ -2,7 +2,10 @@
 
 Everything is computed from a potential handle: any object exposing
 `n_coords` (complex dimension), `__call__(coords)` accepting jet-valued
-coordinates, and `interior_margin(p)` (positive inside the domain).
+coordinates, and `interior_margin(p)` (positive inside the domain).  A
+handle that also provides `derivatives(p, x, y)` (closed-form tensors, see
+`numerics.Derivatives`) supplies the metric and the third-order terms from
+one evaluation; the others, and the order-4 curvature term, go through jets.
 
 Conventions.  The metric tensor is g_{i jbar} = d^2 Phi / dz_i dzbar_j with
 no form factor; Christoffel symbols, geodesics and total geodesy are
@@ -111,11 +114,17 @@ class GeodesicTrace:
             writer.writerow(row)
 
 
-# -- jet plumbing -----------------------------------------------------------------
+# -- derivative plumbing ------------------------------------------------------------
+
+
+def _hermitian(g: np.ndarray) -> np.ndarray:
+    return 0.5 * (g + g.conj().T)
 
 
 def _metric_matrix(pot, p) -> np.ndarray:
-    """g_{i jbar} for all index pairs from one order-2 jet evaluation."""
+    """g_{i jbar} for all index pairs, from the closed form or one order-2 jet."""
+    if hasattr(pot, "derivatives"):
+        return _hermitian(pot.derivatives(p).levi)
     n = pot.n_coords
     space = jet_space((2 * n,), (2,), 2)
     coords = [
@@ -128,7 +137,7 @@ def _metric_matrix(pot, p) -> np.ndarray:
             g[i, j] = wirtinger(f, holo=[(2 * i, 2 * i + 1)], anti=[(2 * j, 2 * j + 1)])
             if j > i:
                 g[j, i] = np.conj(g[i, j])
-    return 0.5 * (g + g.conj().T)
+    return _hermitian(g)
 
 
 def _directional_mixed(pot, p, x, y) -> np.ndarray:
@@ -137,6 +146,8 @@ def _directional_mixed(pot, p, x, y) -> np.ndarray:
     Contracts the holomorphic third-derivative tensor with directions x, y,
     leaving the antiholomorphic slot free: D_l = Phi_{i j lbar} x^i y^j.
     """
+    if hasattr(pot, "derivatives"):
+        return pot.derivatives(p, np.asarray(x)[:, None], np.asarray(y)[:, None]).third[0, 0]
     n = pot.n_coords
     space = jet_space((2, 2, 2 * n), (1, 1, 1), 3)
     coords = []
@@ -160,6 +171,8 @@ def _directional_mixed(pot, p, x, y) -> np.ndarray:
 
 def _directional_second(pot, p, x) -> np.ndarray:
     """D_l = d_s^2 dbar_l Phi(p + s x + delta): the geodesic contraction."""
+    if hasattr(pot, "derivatives"):
+        return _directional_mixed(pot, p, x, x)
     n = pot.n_coords
     space = jet_space((2, 2 * n), (2, 1), 3)
     coords = []
@@ -197,25 +210,35 @@ def _fourth_holomorphic(pot, p, x) -> complex:
     return wirtinger(f, holo=[(0, 1), (2, 3)], anti=[(0, 1), (2, 3)])
 
 
+def _metric_and_third(pot, p, basis):
+    """The metric and third[a, b, l] = Phi_{i j lbar} basis[i, a] basis[j, b].
+
+    One closed-form evaluation when the potential provides it; otherwise an
+    order-2 jet plus one third-order jet per unordered pair of columns.
+    """
+    if hasattr(pot, "derivatives"):
+        t = pot.derivatives(p, basis, basis)
+        # rounding in the closed form breaks the exact (a, b) symmetry
+        return _hermitian(t.levi), 0.5 * (t.third + t.third.transpose(1, 0, 2))
+    k = basis.shape[1]
+    third = np.empty((k, k, pot.n_coords), dtype=np.complex128)
+    for a in range(k):
+        third[a, a] = _directional_second(pot, p, basis[:, a])
+        for b in range(a + 1, k):
+            third[a, b] = third[b, a] = _directional_mixed(pot, p, basis[:, a], basis[:, b])
+    return _metric_matrix(pot, p), third
+
+
 # -- public operations ---------------------------------------------------------------
 
 
 def metric_at(pot, p, cond_limit: float = 1e12) -> MetricData:
     """Metric matrix, inverse, and dg tensor at an interior point."""
     p = np.asarray(p, dtype=np.complex128)
-    n = pot.n_coords
-    g = _metric_matrix(pot, p)
+    g, dg = _metric_and_third(pot, p, np.eye(pot.n_coords, dtype=np.complex128))
     if np.linalg.cond(g) > cond_limit:
         raise ValueError("metric is numerically singular (too close to the boundary)")
-    g_inv = np.linalg.inv(g)
-    dg = np.empty((n, n, n), dtype=np.complex128)
-    eye = np.eye(n, dtype=np.complex128)
-    for i in range(n):
-        for j in range(i, n):
-            d = _directional_mixed(pot, p, eye[i], eye[j])
-            dg[i, j, :] = d
-            dg[j, i, :] = d
-    return MetricData(g=g, g_inv=g_inv, dg=dg)
+    return MetricData(g=g, g_inv=np.linalg.inv(g), dg=dg)
 
 
 def christoffel_at(pot, p) -> Christoffel:
@@ -232,9 +255,8 @@ def hermitian_inner(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
 
 
 def _acceleration(pot, p, v) -> np.ndarray:
-    g = _metric_matrix(pot, p)
-    d = _directional_second(pot, p, v)
-    return -np.linalg.solve(np.conj(g), d)
+    g, d = _metric_and_third(pot, p, v[:, None])
+    return -np.linalg.solve(np.conj(g), d[0, 0])
 
 
 def geodesic_ivp(
@@ -345,20 +367,16 @@ def tg_residual(pot, chart, q) -> float:
     sv = np.linalg.svd(t_basis, compute_uv=False)
     if sv[-1] < 1e-10 * max(1.0, sv[0]):
         raise ValueError("degenerate chart tangent basis")
-    g = _metric_matrix(pot, p)
+    g, third = _metric_and_third(pot, p, t_basis)
     gram = t_basis.T @ g @ np.conj(t_basis)
-    worst = 0.0
-    for ai in range(kdim):
-        for bi in range(ai, kdim):
-            d = _directional_mixed(pot, p, t_basis[:, ai], t_basis[:, bi])
-            v = np.linalg.solve(np.conj(g), d)
-            # normal equations of the g-orthogonal projection onto the span
-            rhs = np.array([hermitian_inner(g, v, t_basis[:, c]) for c in range(kdim)])
-            coef = np.linalg.solve(np.conj(gram), rhs)
-            resid = v - t_basis @ coef
-            norm2 = float(np.real(hermitian_inner(g, resid, resid)))
-            worst = max(worst, math.sqrt(max(norm2, 0.0)))
-    return worst
+    rows, cols = np.triu_indices(kdim)
+    # one column per tangent pair (X, Y): v = Gamma(X, Y)
+    v = np.linalg.solve(np.conj(g), third[rows, cols].T)
+    # normal equations of the g-orthogonal projection onto the span
+    coef = np.linalg.solve(np.conj(gram), (v.T @ g @ np.conj(t_basis)).T)
+    resid = v - t_basis @ coef
+    norm2 = np.real(np.sum(resid * (g @ np.conj(resid)), axis=0))
+    return math.sqrt(max(float(np.max(norm2)), 0.0))
 
 
 def sectional_curvature(pot, p, x) -> float:

@@ -3,21 +3,68 @@
 Determinants work both on plain complex matrices and on object matrices
 whose entries are :class:`~hartogs_geom.jets.Jet` values, so the same
 generic-norm code can be evaluated numerically and differentiated.
+:class:`Derivatives` carries closed-form derivative tensors of a real
+function of complex coordinates through the chain rule.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .jets import Jet
 
-__all__ = ["det", "is_positive_definite", "gen_binomial", "DomainViolation"]
+__all__ = ["det", "is_positive_definite", "gen_binomial", "DomainViolation", "Derivatives"]
 
 
 class DomainViolation(ValueError):
     """A point lies outside the domain required by an operation."""
+
+
+@dataclass(frozen=True)
+class Derivatives:
+    """Closed-form derivatives of a real function F of complex coordinates.
+
+    grad[i] = dF/dz_i and levi[i, l] = d^2F/dz_i dzbar_l; antiholomorphic
+    derivatives are their conjugates because F is real.  Given direction
+    matrices x (d x p) and y (d x q), hess[a, b] = F_ij x[i, a] y[j, b] and
+    third[a, b, l] = F_{i j lbar} x[i, a] y[j, b]; without directions all
+    four are None.  Contracting against directions keeps one direction pair
+    at O(d^2) work instead of materializing the d^3 third-order tensor.
+    """
+
+    value: float
+    grad: np.ndarray
+    levi: np.ndarray
+    x: np.ndarray | None = None
+    y: np.ndarray | None = None
+    hess: np.ndarray | None = None
+    third: np.ndarray | None = None
+
+    def compose(self, f0: float, f1: float, f2: float, f3: float) -> "Derivatives":
+        """Derivatives of phi(F) from phi and its first three derivatives at F."""
+        g = self.grad
+        gbar = np.conj(g)
+        levi = f1 * self.levi + f2 * np.outer(g, gbar)
+        if self.x is None:
+            return Derivatives(f0, f1 * g, levi)
+        fx, fy = self.x.T @ g, self.y.T @ g
+        fxl, fyl = self.x.T @ self.levi, self.y.T @ self.levi
+        fxy = np.outer(fx, fy)
+        hess = f1 * self.hess + f2 * fxy
+        third = (
+            f1 * self.third
+            + f2
+            * (
+                self.hess[:, :, None] * gbar
+                + fxl[:, None, :] * fy[None, :, None]
+                + fyl[None, :, :] * fx[:, None, None]
+            )
+            + f3 * fxy[:, :, None] * gbar
+        )
+        return Derivatives(f0, f1 * g, levi, self.x, self.y, hess, third)
 
 
 def _value(x) -> complex:

@@ -4,8 +4,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hartogs_geom.domains import DomainSpec, LinearEmbedding, polydisk_embedding
+from hartogs_geom.domains import (
+    DomainSpec,
+    LinearEmbedding,
+    polydisk_embedding,
+    product_embedding,
+)
 from hartogs_geom.hartogs import (
     DomainPotential,
     HartogsPotential,
@@ -23,6 +30,7 @@ from hartogs_geom.metric import (
     sectional_curvature,
     tg_residual,
 )
+from hartogs_geom.numerics import DomainViolation
 
 from _oracles import christoffel_fd, metric_fd
 
@@ -326,3 +334,69 @@ class TestFunctionPotential:
         md = metric_at(pot, np.array([0.3 + 0.2j]))
         assert md.g[0, 0] == pytest.approx(1.0)
         assert sectional_curvature(pot, np.array([0.1]), np.array([1.0])) == pytest.approx(0.0)
+
+
+DUAL_ROUTE_SPECS = [
+    DomainSpec.type_i(2, 3),
+    DomainSpec.type_ii(4),
+    DomainSpec.type_iii(3),
+    DomainSpec.type_iv(6),
+    DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2)),
+    DomainSpec.polydisk(2),
+]
+
+
+def _assert_rel_close(got, want, rtol=1e-12):
+    err = float(np.max(np.abs(got - want)))
+    assert err <= rtol * float(np.max(np.abs(want))), err
+
+
+class TestClosedFormRoute:
+    """The closed-form tensors of HartogsPotential against its jet route.
+
+    Wrapping the potential in a FunctionPotential hides `derivatives`, so
+    the metric engine falls back to jets on the same potential function.
+    """
+
+    @pytest.mark.parametrize("spec", DUAL_ROUTE_SPECS, ids=str)
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shrink=st.floats(0.05, 0.8),
+        mu=st.floats(0.3, 3.0),
+    )
+    def test_matches_jets(self, spec, seed, shrink, mu):
+        from hartogs_geom.metric import _directional_mixed, _directional_second, _metric_matrix
+
+        pot = _hartogs(spec, mu)
+        n = pot.n_coords
+        jet = FunctionPotential(pot, n)
+        p = h_sample(pot.spec, shrink, seed)
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        _assert_rel_close(_metric_matrix(pot, p), _metric_matrix(jet, p))
+        _assert_rel_close(_directional_mixed(pot, p, x, y), _directional_mixed(jet, p, x, y))
+        _assert_rel_close(_directional_second(pot, p, x), _directional_second(jet, p, x))
+        _assert_rel_close(metric_at(pot, p).dg, metric_at(jet, p).dg)
+
+    @pytest.mark.parametrize("spec", DUAL_ROUTE_SPECS, ids=str)
+    def test_fiber_outside_raises(self, spec):
+        from hartogs_geom.metric import _metric_matrix
+
+        pot = _hartogs(spec, 1.3)
+        p = h_sample(pot.spec, 0.5, 4)
+        p[-1] = 1.01 * np.sqrt(spec.generic_norm(p[:-1]) ** 1.3)
+        with pytest.raises(DomainViolation):
+            _metric_matrix(pot, p)
+
+    @pytest.mark.parametrize("spec", DUAL_ROUTE_SPECS, ids=str)
+    def test_base_outside_raises(self, spec):
+        # every polydisk coordinate 1.2: ||Z|| > 1, and N = (1 - 1.44)^rank is
+        # positive at even rank, so the sign of N alone would not notice
+        from hartogs_geom.metric import _directional_second
+
+        emb = product_embedding(spec) if spec.kind == "product" else polydisk_embedding(spec)
+        p = np.append(emb(np.full(spec.rank, 1.2)), 0.0)
+        pot = _hartogs(spec, 1.3)
+        with pytest.raises(DomainViolation):
+            _directional_second(pot, p, np.ones(len(p)))
