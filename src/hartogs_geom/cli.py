@@ -37,9 +37,18 @@ from .l2embed import (
     Truncation,
     line_constraints,
     line_deviation,
-    norm_residual,
+    norm_table,
 )
-from .metric import distance_to_span, geodesic_ivp, hermitian_inner, tg_residual, _metric_matrix
+from .l2embed import norm_residual  # noqa: F401 - stays importable as cli.norm_residual
+from .metric import (
+    BOUNDARY_MARGIN,
+    distance_to_span,
+    geodesic_ivp,
+    hermitian_inner,
+    tg_residual,
+    _metric_matrix,
+)
+from .numerics import DomainViolation
 
 DEFAULT_TOLERANCES = {
     "pullback": 1e-12,
@@ -83,6 +92,26 @@ class Check:
     passed: bool
     measured: float
     tolerance: float
+    # sample whose value is `measured`; reported only when the check fails,
+    # and `--seed <seed + worst_index> --samples 1` reproduces it
+    worst_index: int | None = None
+
+    def payload(self) -> dict:
+        out = {
+            "name": self.name,
+            "status": "pass" if self.passed else "fail",
+            "measured": self.measured,
+            "tolerance": self.tolerance,
+        }
+        if not self.passed and self.worst_index is not None:
+            out["worst_index"] = self.worst_index
+        return out
+
+
+def _worst(values) -> tuple[float, int]:
+    """Largest value and the index of its first occurrence."""
+    i = max(range(len(values)), key=values.__getitem__)
+    return values[i], i
 
 
 @dataclass
@@ -101,15 +130,7 @@ class Report:
         out = {
             "command": self.command,
             "config": self.config,
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": "pass" if c.passed else "fail",
-                    "measured": c.measured,
-                    "tolerance": c.tolerance,
-                }
-                for c in self.checks
-            ],
+            "checks": [c.payload() for c in self.checks],
             "overall": "pass" if self.passed else "fail",
         }
         if self.status:
@@ -175,6 +196,8 @@ def _parse_complex_vector(text: str, expected: int | None = None) -> np.ndarray:
         raise ConfigError(f"cannot parse complex vector {text!r}: {exc}") from exc
     if expected is not None and len(vec) != expected:
         raise ConfigError(f"expected {expected} components, got {len(vec)}")
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"non-finite component in {text!r}")
     return vec
 
 
@@ -197,15 +220,15 @@ def cmd_verify_immersion(cfg: RunConfig) -> Report:
 
     with _pool() as pool:
         results = list(pool.map(one, range(cfg.samples)))
-    max_pull = max(r[0] for r in results)
-    max_norm = max(r[1] for r in results)
+    max_pull, i_pull = _worst([r[0] for r in results])
+    max_norm, i_norm = _worst([r[1] for r in results])
     tol = cfg.tolerances["pullback"]
     return Report(
         command="verify-immersion",
         config=cfg.echo(),
         checks=[
-            Check("potential_pullback_identity", max_pull < tol, max_pull, tol),
-            Check("generic_norm_identity", max_norm < tol, max_norm, tol),
+            Check("potential_pullback_identity", max_pull < tol, max_pull, tol, i_pull),
+            Check("generic_norm_identity", max_norm < tol, max_norm, tol, i_norm),
         ],
     )
 
@@ -260,7 +283,7 @@ def cmd_verify_tg(cfg: RunConfig, selector: str, sub_rank: int = 1) -> Report:
 
     with _pool() as pool:
         residuals = list(pool.map(residual, range(cfg.samples)))
-    max_resid = max(residuals)
+    max_resid, i_resid = _worst(residuals)
 
     rng = np.random.default_rng(cfg.seed)
     basis0 = chart.tangent_basis(np.zeros(chart.n_params))
@@ -284,7 +307,7 @@ def cmd_verify_tg(cfg: RunConfig, selector: str, sub_rank: int = 1) -> Report:
         command="verify-tg",
         config=cfg.echo(),
         checks=[
-            Check("tg_residual_max", max_resid < tol_tg, max_resid, tol_tg),
+            Check("tg_residual_max", max_resid < tol_tg, max_resid, tol_tg, i_resid),
             Check("geodesic_confinement_max", max_dev < tol_conf, max_dev, tol_conf),
             Check("geodesic_energy_drift", max_drift < tol_drift, max_drift, tol_drift),
         ],
@@ -294,6 +317,10 @@ def cmd_verify_tg(cfg: RunConfig, selector: str, sub_rank: int = 1) -> Report:
 
 def cmd_geodesic(cfg: RunConfig, p0, v0, T: float, trace_path: str | None) -> Report:
     pot = HartogsPotential(cfg.spec)
+    if not np.any(v0):
+        raise ConfigError("v0 must be nonzero")
+    if pot.interior_margin(p0) < BOUNDARY_MARGIN:
+        raise ConfigError("p0 lies outside the domain or within the boundary margin")
     trace = geodesic_ivp(pot, p0, v0, T, tol=1e-10)
     drift = trace.energy_drift()
     if trace_path:
@@ -381,17 +408,18 @@ def cmd_embed_residual(cfg: RunConfig, point) -> Report:
     base = cfg.spec.base
     if any(f.kind != "I" or f.params != (1, 1) for f in base.irreducible_factors):
         raise ConfigError("embed-residual requires a polydisk base")
-    from .hartogs import h_contains
-
-    if not h_contains(cfg.spec, np.asarray(point, dtype=np.complex128)):
-        raise ConfigError("point lies outside the configured Hartogs domain")
-    r = base.rank
-    mu = cfg.spec.mu
-    table = {}
-    for k in (10, 20, 40, 60):
-        table[k] = norm_residual(r, mu, point, Truncation(k, k))
-    resid = norm_residual(r, mu, point, cfg.truncation)
-    keys = sorted(table)
+    point = np.asarray(point, dtype=np.complex128)
+    try:
+        phi = potential(cfg.spec, point)
+    except DomainViolation as exc:
+        raise ConfigError("point lies outside the configured Hartogs domain") from exc
+    trunc = cfg.truncation
+    keys = (10, 20, 40, 60)
+    # one table sized to the largest truncation answers every smaller one
+    size = Truncation(max(*keys, trunc.k_max), max(*keys, trunc.a_max))
+    norms = norm_table(base.rank, cfg.spec.mu, point[:-1], point[-1], size)
+    table = {k: abs(norms.norm_sq(Truncation(k, k)) - phi) for k in keys}
+    resid = abs(norms.norm_sq(trunc) - phi)
     floor = 1e-14
     monotone = all(
         table[b] < table[a] or table[b] < floor for a, b in zip(keys, keys[1:])
@@ -405,7 +433,7 @@ def cmd_embed_residual(cfg: RunConfig, point) -> Report:
             Check("residual_monotone_decrease", monotone, 0.0 if monotone else 1.0, 0.5),
         ],
         extra={
-            "point": [[float(c.real), float(c.imag)] for c in np.asarray(point, dtype=complex)],
+            "point": [[float(c.real), float(c.imag)] for c in point],
             "convergence_table": {str(k): table[k] for k in keys},
         },
     )
@@ -418,7 +446,8 @@ def _emit(report: Report, args, wall: float) -> int:
     for c in report.checks:
         print(
             f"{'PASS' if c.passed else 'FAIL'} {c.name}: measured={c.measured:.3e} "
-            f"tolerance={c.tolerance:.3e}",
+            f"tolerance={c.tolerance:.3e}"
+            + ("" if c.passed or c.worst_index is None else f" worst_index={c.worst_index}"),
             file=sys.stderr,
         )
     print(f"wall time: {wall:.2f}s", file=sys.stderr)
@@ -494,6 +523,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = _load_config(args)
+        if not np.isfinite(getattr(args, "T", 0.0)):
+            raise ConfigError("T must be finite")
         if args.command == "verify-immersion":
             report = cmd_verify_immersion(cfg)
         elif args.command == "verify-tg":
@@ -511,6 +542,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"bad scan grid: {exc}") from exc
             if not mu_grid or not r_grid:
                 raise ConfigError("scan grid must be nonempty")
+            if any(not mu > 0 for mu in mu_grid):
+                raise ConfigError("scan grid mu values must be positive")
+            if any(r < 1 for r in r_grid):
+                raise ConfigError("scan grid r values must be >= 1")
             report = cmd_linear_scan(cfg, mu_grid, r_grid, args.T)
         elif args.command == "embed-residual":
             point = _parse_complex_vector(args.point, cfg.spec.n_coords)

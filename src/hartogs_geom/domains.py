@@ -276,6 +276,10 @@ class DomainSpec:
         type IV both defining inequalities are required with the margin.
         """
         self._check_len(coords)
+        if self.kind == "I" and self.params == (1, 1):
+            # the disk: I - Z Z* is the 1 x 1 matrix 1 - |z|^2, its own eigenvalue
+            z = complex(coords[0])
+            return 1.0 - (z * z.conjugate()).real > margin
         if self.kind in ("I", "II", "III"):
             return is_positive_definite(self._gram_complement(coords), margin)
         if self.kind == "IV":

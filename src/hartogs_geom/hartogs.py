@@ -73,11 +73,15 @@ def _split(spec: HartogsSpec, p):
 
 
 def fiber_margin(spec: HartogsSpec, p) -> float:
-    """N^mu - |w|^2; positive on the domain, crosses zero at the boundary."""
+    """N^mu - |w|^2; positive on the domain, crosses zero at the boundary.
+
+    Base points outside the domain give a margin <= 0 even where N > 0 (an
+    even number of singular values past 1 leaves N = prod(1 - s^2) positive).
+    """
     z, w = _split(spec, p)
     n = float(spec.base._norm(z))
-    if n <= 0.0:
-        return n - abs(w) ** 2
+    if not spec.base.contains(z):
+        return min(n, 0.0) - abs(w) ** 2
     return n**spec.mu - abs(w) ** 2
 
 
@@ -92,9 +96,10 @@ def h_contains(spec: HartogsSpec, p, margin: float = 0.0) -> bool:
 class HartogsPotential:
     """Handle for Phi(z, w) = -log(N^mu - |w|^2) with closed-form derivatives.
 
-    Calling with plain complex coordinates returns a float; calling with a
-    list containing jets returns the jet of Phi.  The fiber coordinate is
-    the last entry.
+    Calling with plain complex coordinates returns a float and raises
+    DomainViolation outside the domain (spectral membership of the base);
+    calling with a list containing jets returns the jet of Phi.  The fiber
+    coordinate is the last entry.
     """
 
     def __init__(self, spec: HartogsSpec):
@@ -103,8 +108,8 @@ class HartogsPotential:
 
     def __call__(self, coords):
         zs, w = coords[:-1], coords[-1]
-        n = self.spec.base._norm(zs)
         if _is_jet_coords(coords):
+            n = self.spec.base._norm(zs)
             nmu = n**self.spec.mu
             ww = (w * (w.conjugate() if isinstance(w, Jet) else np.conj(w)))
             if isinstance(ww, Jet):
@@ -113,7 +118,10 @@ class HartogsPotential:
             if (arg.value if isinstance(arg, Jet) else arg).real <= 0.0:
                 raise DomainViolation("potential argument non-positive (outside domain)")
             return -(arg.log() if isinstance(arg, Jet) else np.log(arg))
-        arg = float(n) ** self.spec.mu - abs(complex(w)) ** 2
+        # spectral membership: N alone can be positive outside the base
+        if not self.spec.base.contains(zs):
+            raise DomainViolation("base point lies outside the domain")
+        arg = float(self.spec.base._norm(zs)) ** self.spec.mu - abs(complex(w)) ** 2
         if arg <= 0.0:
             raise DomainViolation("potential argument non-positive (outside domain)")
         return -np.log(arg)
@@ -188,9 +196,10 @@ class DomainPotential:
 
 
 def potential(spec: HartogsSpec, p) -> float:
-    """The Kaehler potential value at an interior point."""
-    if not h_contains(spec, p, 0.0):
-        raise DomainViolation("point lies outside the Cartan-Hartogs domain")
+    """The Kaehler potential value at an interior point.
+
+    Raises DomainViolation outside the Cartan-Hartogs domain.
+    """
     return HartogsPotential(spec).value(p)
 
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .domains import DomainSpec
-from .hartogs import HartogsPotential, HartogsSpec, potential
+from .hartogs import HartogsPotential, HartogsSpec, h_contains, potential
 from .metric import distance_to_span, geodesic_ivp
 from .numerics import gen_binomial
 
@@ -39,7 +39,9 @@ __all__ = [
     "GeodesicClass",
     "LineConstraints",
     "LinearGeodesicVerdict",
+    "NormTable",
     "embed",
+    "norm_table",
     "norm_residual",
     "series_residual",
     "line_constraints",
@@ -120,19 +122,29 @@ def _multi_index_array(r: int, k_max: int) -> np.ndarray:
     return np.asarray(_multi_indices(r, k_max), dtype=np.intp)
 
 
+@lru_cache(maxsize=64)
+def _binomial_rows(mu: float, a_max: int, k_max: int) -> np.ndarray:
+    """Read-only rows[a - 1, k] = gen_binomial(mu a, k) for a <= a_max, k <= k_max."""
+    rows = np.array(
+        [[gen_binomial(mu * a, k) for k in range(k_max + 1)] for a in range(1, a_max + 1)]
+    )
+    rows.flags.writeable = False
+    return rows
+
+
 def embed(r: int, mu: float, z, w, trunc: Truncation) -> np.ndarray:
     """Truncated l^2 image of an interior point of the Hartogs polydisk.
 
     Component order: psi_1, ..., psi_r (exponents 1..k_max each), then the
     fiber block over a = 1..a_max with multi-indices sorted by total degree.
+    This is the explicit component route; `norm_table` sums the same squared
+    norms without building the components.
     """
     z = np.asarray(z, dtype=np.complex128)
     w = complex(w)
     if len(z) != r:
         raise ValueError(f"expected {r} base coordinates")
     spec = HartogsSpec(DomainSpec.polydisk(r), mu)
-    from .hartogs import h_contains
-
     if not h_contains(spec, np.append(z, w), 0.0):
         raise ValueError("point lies outside the Hartogs polydisk")
     sqrt_mu = np.sqrt(mu)
@@ -141,13 +153,12 @@ def embed(r: int, mu: float, z, w, trunc: Truncation) -> np.ndarray:
     blocks = [sqrt_mu * zpow[j, 1:] / np.sqrt(kpow[1:]) for j in range(r)]
     kidx = _multi_index_array(r, trunc.k_max)
     wa = w ** np.arange(1, trunc.a_max + 1)
+    binom = _binomial_rows(mu, trunc.a_max, trunc.k_max)
     for a in range(1, trunc.a_max + 1):
         # sqrt of the product of generalized binomials, gathered per column
         mono = np.full(len(kidx), wa[a - 1] / np.sqrt(a), dtype=np.complex128)
         if w != 0.0:
-            root_binom = np.sqrt(
-                np.array([gen_binomial(mu * a, int(k)) for k in kpow])
-            )
+            root_binom = np.sqrt(binom[a - 1])
             for j in range(r):
                 mono = mono * (root_binom * zpow[j])[kidx[:, j]]
         else:
@@ -156,13 +167,70 @@ def embed(r: int, mu: float, z, w, trunc: Truncation) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+@dataclass(frozen=True)
+class NormTable:
+    """Squared l^2 norms of one point's image under every smaller truncation.
+
+    disk[K] is the squared norm of the disk blocks psi_1..psi_r cut at
+    exponent K; fiber[a - 1, K] that of fiber block a over |k| <= K.
+    """
+
+    disk: np.ndarray
+    fiber: np.ndarray
+
+    def norm_sq(self, trunc: Truncation) -> float:
+        """Sum |f|^2 over the components kept by `trunc` (within the table)."""
+        n_a, n_k = self.fiber.shape
+        if trunc.a_max > n_a or trunc.k_max >= n_k:
+            raise ValueError("truncation exceeds the table")
+        return float(self.disk[trunc.k_max] + np.sum(self.fiber[: trunc.a_max, trunc.k_max]))
+
+
+def _truncated_product(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Column-wise product of polynomials (row k holds t^k), cut at their length."""
+    out = np.zeros_like(p)
+    n = len(p)
+    for i in range(n):
+        out[i:] += p[i] * c[: n - i]
+    return out
+
+
+def norm_table(r: int, mu: float, z, w, trunc: Truncation) -> NormTable:
+    """Squared norms of the truncated image of (z, w), summed by total degree.
+
+    With x_j = |z_j|^2, fiber block a contributes (|w|^{2a} / a) times the
+    coefficients of prod_j sum_k gen_binomial(mu a, k) x_j^k up to degree
+    k_max, and disk block j contributes mu x_j^k / k: O(a_max r k_max^2)
+    work instead of one component per multi-index.  The point is not checked
+    for membership.
+    """
+    x = np.abs(np.asarray(z, dtype=np.complex128)) ** 2
+    if len(x) != r:
+        raise ValueError(f"expected {r} base coordinates")
+    kpow = np.arange(trunc.k_max + 1)
+    xpow = x[:, None] ** kpow  # xpow[j, k] = |z_j|^{2k}
+    disk = np.zeros(trunc.k_max + 1)
+    disk[1:] = np.cumsum(mu * np.sum(xpow[:, 1:], axis=0) / kpow[1:])
+    a = np.arange(1, trunc.a_max + 1)
+    binom = _binomial_rows(mu, trunc.a_max, trunc.k_max).T  # binom[k, a - 1]
+    # one column per fiber power a, one row per total degree; the weight
+    # |w|^{2a}/a goes in first, so every coefficient formed is a partial sum
+    # of sum |f|^2 and stays finite however large the binomials grow
+    poly = binom * xpow[0][:, None] * (abs(complex(w)) ** (2 * a) / a)
+    for j in range(1, r):
+        poly = _truncated_product(poly, binom * xpow[j][:, None])
+    return NormTable(disk, np.cumsum(poly, axis=0).T)
+
+
 def norm_residual(r: int, mu: float, p, trunc: Truncation) -> float:
-    """| sum |f_i|^2 - Phi(p) | at the given truncation."""
+    """| sum |f_i|^2 - Phi(p) | at the given truncation.
+
+    Raises ValueError (DomainViolation) when p lies outside the Hartogs
+    polydisk.
+    """
     p = np.asarray(p, dtype=np.complex128)
-    f = embed(r, mu, p[:-1], p[-1], trunc)
-    s = float(np.sum(np.abs(f) ** 2))
-    spec = HartogsSpec(DomainSpec.polydisk(r), mu)
-    return abs(s - potential(spec, p))
+    phi = potential(HartogsSpec(DomainSpec.polydisk(r), mu), p)
+    return abs(norm_table(r, mu, p[:-1], p[-1], trunc).norm_sq(trunc) - phi)
 
 
 # -- residual series of the linear ansatz ----------------------------------------

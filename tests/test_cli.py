@@ -78,6 +78,39 @@ class TestVerifyImmersion:
         assert code == 1
 
 
+class TestWorstIndex:
+    """A failed sample-loop check names the sample that produced `measured`."""
+
+    def _reproduce(self, tmp_path, argv, seed):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        failed = [c for c in json.loads(out.read_text())["checks"] if c["status"] == "fail"]
+        assert failed
+        for check in failed:
+            i = check["worst_index"]
+            main(argv + ["--seed", str(seed + i), "--samples", "1", "--out", str(out)])
+            again = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+            assert again[check["name"]]["measured"] == check["measured"]
+        return failed
+
+    def test_verify_immersion(self, tmp_path):
+        obj = {"spec": {"base": {"kind": "IV", "params": [5]}, "mu": 0.7}, "seed": 7, "samples": 40}
+        cfg = _write_config(tmp_path, obj)
+        argv = ["verify-immersion", "--config", cfg, "--pullback", "1e-300"]
+        failed = self._reproduce(tmp_path, argv, obj["seed"])
+        assert {c["name"] for c in failed} == {"potential_pullback_identity", "generic_norm_identity"}
+        # passing checks carry no index
+        out = tmp_path / "pass.json"
+        assert main(["verify-immersion", "--config", cfg, "--out", str(out)]) == 0
+        assert all("worst_index" not in c for c in json.loads(out.read_text())["checks"])
+
+    def test_verify_tg(self, tmp_path):
+        cfg = _write_config(tmp_path, dict(BASE_CONFIG, samples=6))
+        argv = ["verify-tg", "--config", cfg, "--tg-residual", "1e-300"]
+        failed = self._reproduce(tmp_path, argv, BASE_CONFIG["seed"])
+        assert [c["name"] for c in failed] == ["tg_residual_max"]
+
+
 class TestVerifyTg:
     @pytest.mark.parametrize("selector", ["polydisk", "typeI-polydisk"])
     def test_matrix_base(self, tmp_path, selector):
@@ -168,6 +201,37 @@ class TestGeodesic:
         cfg = _write_config(tmp_path, POLY3_CONFIG)
         assert main(["geodesic", "--config", cfg, "--p0", "0,0", "--v0", "0,1"]) == 2
 
+    def _run(self, tmp_path, p0, v0, spec=None, extra=()):
+        argv = ["geodesic", "--p0", p0, "--v0", v0, "--trace-out", str(tmp_path / "t.csv"), *extra]
+        if spec is not None:
+            argv += ["--config", _write_config(tmp_path, {"spec": spec})]
+        return main(argv)
+
+    def test_zero_velocity_exit_2(self, tmp_path, capsys):
+        assert self._run(tmp_path, "0,0,0,0,0", "0,0,0,0,0") == 2
+        assert "v0" in capsys.readouterr().err
+
+    def test_point_outside_exit_2(self, tmp_path):
+        disk = {"base": {"kind": "I", "params": [1, 1]}, "mu": 1.0}
+        assert self._run(tmp_path, "0.3,2.0", "0,1", disk) == 2
+
+    def test_point_within_boundary_margin_exit_2(self, tmp_path):
+        # N^mu - |w|^2 = 1e-9, inside the domain but below the 1e-7 margin
+        disk = {"base": {"kind": "I", "params": [1, 1]}, "mu": 1.0}
+        assert self._run(tmp_path, "0,0.9999999995", "0,1", disk) == 2
+
+    @pytest.mark.parametrize(
+        "p0,v0,extra",
+        [("nan,0,0,0,0", "1,0,0,0,0", ()), ("0,0,0,0,0", "1,0,0,0,inf", ()),
+         ("0,0,0,0,0", "1,0,0,0,0", ("--T", "nan"))],
+    )
+    def test_non_finite_input_exit_2(self, tmp_path, p0, v0, extra):
+        assert self._run(tmp_path, p0, v0, extra=extra) == 2
+
+    def test_even_crossing_point_exit_2(self, tmp_path):
+        # Z = diag(1.2, 1.2) on the default I(2,2): N = 0.19 > 0 but Z is outside
+        assert self._run(tmp_path, "1.2,0,0,1.2,0", "1,0,0,0,0") == 2
+
 
 class TestLinearScan:
     def test_default_grid(self, tmp_path):
@@ -205,6 +269,14 @@ class TestLinearScan:
     def test_empty_grid_exit_2(self, tmp_path):
         cfg = _write_config(tmp_path, POLY3_CONFIG)
         assert main(["linear-scan", "--config", cfg, "--mu-grid", "", "--r-grid", "1"]) == 2
+
+    def test_zero_rank_exit_2(self, tmp_path):
+        cfg = _write_config(tmp_path, POLY3_CONFIG)
+        assert main(["linear-scan", "--config", cfg, "--r-grid", "0"]) == 2
+
+    def test_negative_mu_exit_2(self, tmp_path):
+        cfg = _write_config(tmp_path, POLY3_CONFIG)
+        assert main(["linear-scan", "--config", cfg, "--mu-grid=-1"]) == 2
 
 
 class TestEmbedResidual:

@@ -76,6 +76,20 @@ class TestContains:
         with pytest.raises(ValueError):
             DomainSpec.type_i(2, 2).contains([0.1, 0.2])
 
+    def test_disk_matches_spectral_test(self):
+        # the disk skips the eigenvalue solver; its answer must not change
+        from hartogs_geom.numerics import is_positive_definite
+
+        disk = DomainSpec.type_i(1, 1)
+        rng = np.random.default_rng(3)
+        phase = np.exp(2j * np.pi * rng.random(3000))
+        radii = np.concatenate([rng.random(1000), 1 + 1e-15 * rng.standard_normal(1000)])
+        radii = np.concatenate([radii, 1 - 1e-8 * rng.random(1000)])
+        for z in radii * phase:
+            for margin in (0.0, 1e-8):
+                gram = disk._gram_complement([z])
+                assert disk.contains([z], margin) == is_positive_definite(gram, margin)
+
 
 class TestGenericNorm:
     @pytest.mark.parametrize("spec", ALL_IRREDUCIBLE, ids=str)

@@ -66,6 +66,38 @@ class TestPotential:
         with pytest.raises(DomainViolation):
             potential(spec, np.array([0.3, 1.0]))
 
+    @pytest.mark.parametrize(
+        "spec,z",
+        [
+            (DomainSpec.type_i(2, 3), polydisk_embedding(DomainSpec.type_i(2, 3))(np.full(2, 1.2))),
+            (DomainSpec.polydisk(2), np.full(2, 1.2)),
+        ],
+        ids=["I(2,3)", "polydisk(2)"],
+    )
+    def test_even_crossing_base_point_rejected(self, spec, z):
+        # two singular values 1.2 leave N = (1 - 1.44)^2 > 0 outside the base
+        assert float(spec._norm(z)) == pytest.approx(0.1936, rel=1e-12)
+        hs = HartogsSpec(spec, 1.3)
+        pot = HartogsPotential(hs)
+        for w in (0.0, 0.1j):
+            p = np.append(z, w)
+            assert pot.interior_margin(p) <= 0.0
+            with pytest.raises(DomainViolation):
+                pot.value(p)
+            with pytest.raises(DomainViolation):
+                potential(hs, p)
+
+    @pytest.mark.parametrize("spec", TYPES, ids=str)
+    def test_interior_value_and_margin_formula(self, spec):
+        hs = HartogsSpec(spec, 1.3)
+        pot = HartogsPotential(hs)
+        for seed in range(4):
+            p = h_sample(hs, 0.9, seed)
+            d = float(spec._norm(p[:-1])) ** 1.3 - abs(p[-1]) ** 2
+            assert pot.interior_margin(p) == d
+            assert pot.value(p) == -np.log(d)
+            assert potential(hs, p) == -np.log(d)
+
     @pytest.mark.parametrize("spec", TYPES, ids=str)
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     def test_pullback_identity(self, spec, mu):

@@ -12,6 +12,7 @@ from hartogs_geom.l2embed import (
     line_constraints,
     line_deviation,
     norm_residual,
+    norm_table,
     series_residual,
 )
 
@@ -58,6 +59,52 @@ class TestEmbed:
         r20 = norm_residual(1, 2.0, p, Truncation(20, 20))
         r40 = norm_residual(1, 2.0, p, Truncation(40, 40))
         assert r40 < r20 * 0.05
+
+
+def _interior_point(r, mu, seed):
+    rng = np.random.default_rng(seed)
+    z = 0.7 * np.sqrt(rng.random(r)) * np.exp(2j * np.pi * rng.random(r))
+    fiber = np.sqrt(np.prod(1 - np.abs(z) ** 2) ** mu)
+    return z, 0.8 * fiber * np.exp(2j * np.pi * rng.random())
+
+
+class TestNormTable:
+    """Degree-summed squared norms against the explicit components of `embed`."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("where", ["interior", "z=0", "w=0", "origin"])
+    def test_matches_embed(self, r, mu, where):
+        z, w = _interior_point(r, mu, 10 * r + int(2 * mu))
+        if where in ("z=0", "origin"):
+            z = np.zeros(r)
+        if where in ("w=0", "origin"):
+            w = 0.0
+        size = Truncation(9, 7)
+        table = norm_table(r, mu, z, w, size)
+        phi = potential(HartogsSpec(DomainSpec.polydisk(r), mu), np.append(z, w))
+        # k_max = 0, k_max < a_max, k_max > a_max, and the full table
+        for k_max, a_max in ((0, 4), (3, 7), (9, 2), (9, 7)):
+            trunc = Truncation(k_max, a_max)
+            want = float(np.sum(np.abs(embed(r, mu, z, w, trunc)) ** 2))
+            got = table.norm_sq(trunc)
+            assert abs(got - want) <= 1e-14 * want
+            assert got == norm_table(r, mu, z, w, trunc).norm_sq(trunc)
+            resid = norm_residual(r, mu, np.append(z, w), trunc)
+            assert resid == pytest.approx(abs(want - phi), rel=1e-14, abs=1e-14 * phi)
+
+    def test_truncation_beyond_table_rejected(self):
+        table = norm_table(2, 1.0, [0.1, 0.2], 0.1, Truncation(5, 5))
+        with pytest.raises(ValueError):
+            table.norm_sq(Truncation(6, 5))
+        with pytest.raises(ValueError):
+            table.norm_sq(Truncation(5, 6))
+
+    def test_residual_outside_domain_rejected(self):
+        with pytest.raises(ValueError):
+            norm_residual(1, 2.0, np.array([0.3, 0.95]), Truncation(10, 10))
+        with pytest.raises(ValueError):
+            norm_residual(2, 2.0, np.array([1.2, 1.2, 0.0]), Truncation(10, 10))
 
 
 class TestSeriesResidual:

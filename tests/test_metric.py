@@ -400,3 +400,27 @@ class TestClosedFormRoute:
         pot = _hartogs(spec, 1.3)
         with pytest.raises(DomainViolation):
             _directional_second(pot, p, np.ones(len(p)))
+
+
+class TestMobiusPullback:
+    """The closed-form metric is invariant under the lifted Moebius maps."""
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        radii=st.lists(st.floats(0.0, 0.7), min_size=3, max_size=3),
+        angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
+        phases=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+        mu=st.floats(0.3, 3.0),
+    )
+    def test_metric_pullback_invariance(self, r, seed, radii, angles, phases, mu):
+        from hartogs_geom.metric import _metric_matrix
+
+        centers = np.asarray(radii[:r]) * np.exp(1j * np.asarray(angles[:r]))
+        lift = lift_automorphism_polydisk(centers, phases[:r], mu)
+        pot = _hartogs(DomainSpec.polydisk(r), mu)
+        p = h_sample(pot.spec, 0.8, seed)
+        jac = lift.jacobian(p)
+        pulled = jac.T @ _metric_matrix(pot, lift(p)) @ np.conj(jac)
+        assert float(np.max(np.abs(pulled - _metric_matrix(pot, p)))) < 1e-9
