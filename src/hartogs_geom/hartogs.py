@@ -12,7 +12,8 @@ the trace/CSV layout used throughout the package.
 The potentials differentiate in closed form (`derivatives`): the chain rule
 runs from the base's log-norm tensors through N^mu = exp(mu log N) and
 D = N^mu - |w|^2 to Phi = -log D.  Their jet evaluation (`__call__` on jet
-coordinates) is the generic route and the tests' second route.
+coordinates) is the generic route and the tests' second route; one body
+serves plain and jet coordinates, with the same spectral membership test.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import DomainSpec, LinearEmbedding, _is_jet_coords
+from .domains import DomainSpec, LinearEmbedding
 from .jets import Jet
-from .numerics import Derivatives, DomainViolation
+from .numerics import Derivatives, DomainViolation, _value
 
 __all__ = [
     "HartogsSpec",
@@ -72,6 +73,18 @@ def _split(spec: HartogsSpec, p):
     return p[:-1], p[-1]
 
 
+def _values(coords) -> np.ndarray:
+    """The point that plain or jet coordinates are expanded around."""
+    return np.array([_value(c) for c in coords], dtype=np.complex128)
+
+
+def _abs_sq(w):
+    """|w|^2 of a plain coordinate, or the real jet w * conj(w)."""
+    if isinstance(w, Jet):
+        return (w * w.conjugate()).real_jet()
+    return abs(complex(w)) ** 2
+
+
 def fiber_margin(spec: HartogsSpec, p) -> float:
     """N^mu - |w|^2; positive on the domain, crosses zero at the boundary.
 
@@ -96,10 +109,10 @@ def h_contains(spec: HartogsSpec, p, margin: float = 0.0) -> bool:
 class HartogsPotential:
     """Handle for Phi(z, w) = -log(N^mu - |w|^2) with closed-form derivatives.
 
-    Calling with plain complex coordinates returns a float and raises
-    DomainViolation outside the domain (spectral membership of the base);
-    calling with a list containing jets returns the jet of Phi.  The fiber
-    coordinate is the last entry.
+    Calling with plain complex coordinates returns a float, calling with a
+    list containing jets returns the jet of Phi; both raise DomainViolation
+    when the point the coordinates sit at lies outside the domain (spectral
+    membership of the base).  The fiber coordinate is the last entry.
     """
 
     def __init__(self, spec: HartogsSpec):
@@ -108,23 +121,13 @@ class HartogsPotential:
 
     def __call__(self, coords):
         zs, w = coords[:-1], coords[-1]
-        if _is_jet_coords(coords):
-            n = self.spec.base._norm(zs)
-            nmu = n**self.spec.mu
-            ww = (w * (w.conjugate() if isinstance(w, Jet) else np.conj(w)))
-            if isinstance(ww, Jet):
-                ww = ww.real_jet()
-            arg = nmu - ww
-            if (arg.value if isinstance(arg, Jet) else arg).real <= 0.0:
-                raise DomainViolation("potential argument non-positive (outside domain)")
-            return -(arg.log() if isinstance(arg, Jet) else np.log(arg))
         # spectral membership: N alone can be positive outside the base
-        if not self.spec.base.contains(zs):
+        if not self.spec.base.contains(_values(zs)):
             raise DomainViolation("base point lies outside the domain")
-        arg = float(self.spec.base._norm(zs)) ** self.spec.mu - abs(complex(w)) ** 2
-        if arg <= 0.0:
+        arg = self.spec.base._norm(zs) ** self.spec.mu - _abs_sq(w)
+        if _value(arg).real <= 0.0:
             raise DomainViolation("potential argument non-positive (outside domain)")
-        return -np.log(arg)
+        return -np.log(arg)  # Jet.log on jets
 
     def value(self, p) -> float:
         return float(self(np.asarray(p, dtype=np.complex128)))
@@ -166,6 +169,8 @@ class DomainPotential:
     """Hyperbolic potential -log N of a bare bounded symmetric domain.
 
     Useful for metric computations on the base alone (no Hartogs fiber).
+    Plain and jet coordinates raise DomainViolation outside the domain, as
+    for `HartogsPotential`.
     """
 
     def __init__(self, spec: DomainSpec):
@@ -173,15 +178,12 @@ class DomainPotential:
         self.n_coords = spec.dim
 
     def __call__(self, coords):
+        if not self.spec.contains(_values(coords)):
+            raise DomainViolation("point lies outside the domain")
         n = self.spec._norm(coords)
-        if isinstance(n, Jet):
-            if n.value.real <= 0.0:
-                raise DomainViolation("generic norm non-positive (outside domain)")
-            return -(n.log())
-        n = float(n)
-        if n <= 0.0:
+        if _value(n).real <= 0.0:
             raise DomainViolation("generic norm non-positive (outside domain)")
-        return -np.log(n)
+        return -np.log(n)  # Jet.log on jets
 
     def value(self, p) -> float:
         return float(self(np.asarray(p, dtype=np.complex128)))
@@ -192,7 +194,9 @@ class DomainPotential:
         return log_n.compose(-log_n.value, -1.0, 0.0, 0.0)
 
     def interior_margin(self, p) -> float:
-        return float(self.spec._norm(p))
+        """N; <= 0 outside the domain even where N > 0 (see `fiber_margin`)."""
+        n = float(self.spec._norm(p))
+        return n if self.spec.contains(p) else min(n, 0.0)
 
 
 def potential(spec: HartogsSpec, p) -> float:

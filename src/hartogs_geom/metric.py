@@ -1,11 +1,12 @@
 """Kaehler metric, Christoffel symbols, geodesics and curvature from a potential.
 
 Everything is computed from a potential handle: any object exposing
-`n_coords` (complex dimension), `__call__(coords)` accepting jet-valued
-coordinates, and `interior_margin(p)` (positive inside the domain).  A
-handle that also provides `derivatives(p, x, y)` (closed-form tensors, see
-`numerics.Derivatives`) supplies the metric and the third-order terms from
-one evaluation; the others, and the order-4 curvature term, go through jets.
+`n_coords` (complex dimension), `derivatives(p, x, y)` (the metric and the
+contracted third-order terms from one evaluation, see
+`numerics.Derivatives`) and `interior_margin(p)` (positive inside the
+domain), plus `__call__(coords)` on jet-valued coordinates for the order-4
+curvature term only.  `HartogsPotential` and `DomainPotential` answer
+`derivatives` in closed form; `FunctionPotential` answers it with jets.
 
 Conventions.  The metric tensor is g_{i jbar} = d^2 Phi / dz_i dzbar_j with
 no form factor; Christoffel symbols, geodesics and total geodesy are
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .jets import jet_space, jet_variable, wirtinger
-from .numerics import DomainViolation
+from .numerics import Derivatives, DomainViolation
 
 __all__ = [
     "MetricData",
@@ -57,6 +58,59 @@ class FunctionPotential:
 
     def value(self, p) -> float:
         return float(self._fn(list(np.asarray(p, dtype=np.complex128))))
+
+    def derivatives(self, p, x=None, y=None) -> Derivatives:
+        """Derivatives of the callable at p through jets (see `Derivatives`).
+
+        Value, gradient and Levi form come from one order-2 jet; hess and
+        third from one mixed order-3 jet per column pair (x[:, a], y[:, b]).
+        """
+        p = np.asarray(p, dtype=np.complex128)
+        n = self.n_coords
+        space = jet_space((2 * n,), (2,), 2)
+        f = self._fn(
+            [jet_variable(space, complex(p[i]), {2 * i: 1.0, 2 * i + 1: 1j}) for i in range(n)]
+        )
+        pairs = [(2 * i, 2 * i + 1) for i in range(n)]
+        grad = np.array([wirtinger(f, holo=[pairs[i]]) for i in range(n)])
+        levi = np.empty((n, n), dtype=np.complex128)
+        for i in range(n):
+            for j in range(i, n):
+                levi[i, j] = wirtinger(f, holo=[pairs[i]], anti=[pairs[j]])
+                levi[j, i] = np.conj(levi[i, j])
+        if x is None:
+            return Derivatives(f.value.real, grad, levi)
+        hess = np.empty((x.shape[1], y.shape[1]), dtype=np.complex128)
+        third = np.empty((x.shape[1], y.shape[1], n), dtype=np.complex128)
+        for a in range(x.shape[1]):
+            for b in range(y.shape[1]):
+                if y is x and b < a:  # symmetric in (a, b): reuse the pair (b, a)
+                    hess[a, b], third[a, b] = hess[b, a], third[b, a]
+                else:
+                    hess[a, b], third[a, b] = self._mixed(p, x[:, a], y[:, b])
+        return Derivatives(f.value.real, grad, levi, x, y, hess, third)
+
+    def _mixed(self, p, u, v):
+        """Phi_ij u^i v^j and Phi_{i j lbar} u^i v^j for every l, from one jet.
+
+        The jet runs along p + s u + t v + delta with complex s, t (real
+        directions 0-3) and one first-order pair per coordinate for delta.
+        """
+        n = self.n_coords
+        space = jet_space((2, 2, 2 * n), (1, 1, 1), 3)
+        f = self._fn(
+            [
+                jet_variable(
+                    space,
+                    complex(p[i]),
+                    {0: u[i], 1: 1j * u[i], 2: v[i], 3: 1j * v[i], 4 + 2 * i: 1.0, 5 + 2 * i: 1j},
+                )
+                for i in range(n)
+            ]
+        )
+        st = [(0, 1), (2, 3)]
+        third = [wirtinger(f, holo=st, anti=[(4 + 2 * l, 5 + 2 * l)]) for l in range(n)]
+        return wirtinger(f, holo=st), np.array(third)
 
     def interior_margin(self, p) -> float:
         if self._margin is None:
@@ -122,22 +176,8 @@ def _hermitian(g: np.ndarray) -> np.ndarray:
 
 
 def _metric_matrix(pot, p) -> np.ndarray:
-    """g_{i jbar} for all index pairs, from the closed form or one order-2 jet."""
-    if hasattr(pot, "derivatives"):
-        return _hermitian(pot.derivatives(p).levi)
-    n = pot.n_coords
-    space = jet_space((2 * n,), (2,), 2)
-    coords = [
-        jet_variable(space, complex(p[i]), {2 * i: 1.0, 2 * i + 1: 1j}) for i in range(n)
-    ]
-    f = pot(coords)
-    g = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = wirtinger(f, holo=[(2 * i, 2 * i + 1)], anti=[(2 * j, 2 * j + 1)])
-            if j > i:
-                g[j, i] = np.conj(g[i, j])
-    return _hermitian(g)
+    """g_{i jbar} for all index pairs."""
+    return _hermitian(pot.derivatives(p).levi)
 
 
 def _directional_mixed(pot, p, x, y) -> np.ndarray:
@@ -146,49 +186,12 @@ def _directional_mixed(pot, p, x, y) -> np.ndarray:
     Contracts the holomorphic third-derivative tensor with directions x, y,
     leaving the antiholomorphic slot free: D_l = Phi_{i j lbar} x^i y^j.
     """
-    if hasattr(pot, "derivatives"):
-        return pot.derivatives(p, np.asarray(x)[:, None], np.asarray(y)[:, None]).third[0, 0]
-    n = pot.n_coords
-    space = jet_space((2, 2, 2 * n), (1, 1, 1), 3)
-    coords = []
-    for i in range(n):
-        seeds = {4 + 2 * i: 1.0, 5 + 2 * i: 1j}
-        if x[i] != 0.0:
-            seeds[0] = x[i]
-            seeds[1] = 1j * x[i]
-        if y[i] != 0.0:
-            seeds[2] = y[i]
-            seeds[3] = 1j * y[i]
-        coords.append(jet_variable(space, complex(p[i]), seeds))
-    f = pot(coords)
-    return np.array(
-        [
-            wirtinger(f, holo=[(0, 1), (2, 3)], anti=[(4 + 2 * l, 5 + 2 * l)])
-            for l in range(n)
-        ]
-    )
+    return pot.derivatives(p, np.asarray(x)[:, None], np.asarray(y)[:, None]).third[0, 0]
 
 
 def _directional_second(pot, p, x) -> np.ndarray:
     """D_l = d_s^2 dbar_l Phi(p + s x + delta): the geodesic contraction."""
-    if hasattr(pot, "derivatives"):
-        return _directional_mixed(pot, p, x, x)
-    n = pot.n_coords
-    space = jet_space((2, 2 * n), (2, 1), 3)
-    coords = []
-    for i in range(n):
-        seeds = {2 + 2 * i: 1.0, 3 + 2 * i: 1j}
-        if x[i] != 0.0:
-            seeds[0] = x[i]
-            seeds[1] = 1j * x[i]
-        coords.append(jet_variable(space, complex(p[i]), seeds))
-    f = pot(coords)
-    return np.array(
-        [
-            wirtinger(f, holo=[(0, 1), (0, 1)], anti=[(2 + 2 * l, 3 + 2 * l)])
-            for l in range(n)
-        ]
-    )
+    return _directional_mixed(pot, p, x, x)
 
 
 def _fourth_holomorphic(pot, p, x) -> complex:
@@ -211,22 +214,10 @@ def _fourth_holomorphic(pot, p, x) -> complex:
 
 
 def _metric_and_third(pot, p, basis):
-    """The metric and third[a, b, l] = Phi_{i j lbar} basis[i, a] basis[j, b].
-
-    One closed-form evaluation when the potential provides it; otherwise an
-    order-2 jet plus one third-order jet per unordered pair of columns.
-    """
-    if hasattr(pot, "derivatives"):
-        t = pot.derivatives(p, basis, basis)
-        # rounding in the closed form breaks the exact (a, b) symmetry
-        return _hermitian(t.levi), 0.5 * (t.third + t.third.transpose(1, 0, 2))
-    k = basis.shape[1]
-    third = np.empty((k, k, pot.n_coords), dtype=np.complex128)
-    for a in range(k):
-        third[a, a] = _directional_second(pot, p, basis[:, a])
-        for b in range(a + 1, k):
-            third[a, b] = third[b, a] = _directional_mixed(pot, p, basis[:, a], basis[:, b])
-    return _metric_matrix(pot, p), third
+    """The metric and third[a, b, l] = Phi_{i j lbar} basis[i, a] basis[j, b]."""
+    t = pot.derivatives(p, basis, basis)
+    # rounding in the closed form breaks the exact (a, b) symmetry
+    return _hermitian(t.levi), 0.5 * (t.third + t.third.transpose(1, 0, 2))
 
 
 # -- public operations ---------------------------------------------------------------
@@ -385,10 +376,11 @@ def sectional_curvature(pot, p, x) -> float:
     x = np.asarray(x, dtype=np.complex128)
     if np.all(x == 0):
         raise ValueError("curvature direction must be nonzero")
-    g = _metric_matrix(pot, p)
+    t = pot.derivatives(p, x[:, None], x[:, None])
+    g = _hermitian(t.levi)
+    b = t.third[0, 0]  # b_l = Phi_{i j lbar} x^i x^j
     e = float(np.real(hermitian_inner(g, x, x)))
     q4 = _fourth_holomorphic(pot, p, x)
-    b = _directional_second(pot, p, x)  # b_l = Phi_{i j lbar} x^i x^j
     conn = complex(np.dot(np.conj(b), np.linalg.solve(np.conj(g), b)))
     r = -q4 + conn
     return float(np.real(r)) / e**2

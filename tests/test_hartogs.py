@@ -5,6 +5,7 @@ import pytest
 
 from hartogs_geom.domains import DomainSpec, LinearEmbedding, polydisk_embedding
 from hartogs_geom.hartogs import (
+    DomainPotential,
     HartogsPotential,
     HartogsSpec,
     h_contains,
@@ -86,6 +87,24 @@ class TestPotential:
                 pot.value(p)
             with pytest.raises(DomainViolation):
                 potential(hs, p)
+
+    def test_even_crossing_rejected_on_bare_base(self):
+        # N = 0.1936 > 0 at Z = diag(1.2, 1.2), so the sign of N alone accepts it
+        spec = DomainSpec.type_i(2, 3)
+        pot = DomainPotential(spec)
+        z = polydisk_embedding(spec)(np.full(2, 1.2))
+        assert pot.interior_margin(z) <= 0.0
+        with pytest.raises(DomainViolation):
+            pot.value(z)
+
+    @pytest.mark.parametrize("spec", TYPES, ids=str)
+    def test_bare_base_interior_value_and_margin(self, spec):
+        pot = DomainPotential(spec)
+        for seed in range(4):
+            z = spec.sample(0.9, seed)
+            n = float(spec._norm(z))
+            assert pot.interior_margin(z) == n
+            assert pot.value(z) == -np.log(n)
 
     @pytest.mark.parametrize("spec", TYPES, ids=str)
     def test_interior_value_and_margin_formula(self, spec):

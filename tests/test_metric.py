@@ -17,6 +17,7 @@ from hartogs_geom.hartogs import (
     DomainPotential,
     HartogsPotential,
     HartogsSpec,
+    h_contains,
     h_sample,
     lift_automorphism_polydisk,
     slice_chart,
@@ -168,6 +169,25 @@ class TestGeodesics:
         tr = geodesic_ivp(pot, np.array([0.0, 0.9]), v0, 50.0, tol=1e-8)
         assert tr.status == "boundary_reached"
         assert tr.times[-1] < 50.0
+
+    def test_coarse_step_across_polydisk_diagonal(self):
+        # with a loose tolerance the trial stages overshoot the diagonal
+        # corner, where both |z_j| > 1 leave N = (1 - |z|^2)^2 > 0
+        hs = HartogsSpec(DomainSpec.polydisk(2), 1.0)
+        crossings = []
+
+        class Recording(HartogsPotential):
+            def derivatives(self, p, x=None, y=None):
+                if np.all(np.abs(p[:-1]) > 1.0):
+                    crossings.append(p)
+                return super().derivatives(p, x, y)
+
+        pot = Recording(hs)
+        v0 = np.array([1.0, 1.0, 0.0], dtype=complex)
+        tr = geodesic_ivp(pot, np.array([0.5, 0.5, 0.0]), v0, 50.0, tol=1.0)
+        assert crossings
+        assert tr.status == "boundary_reached"
+        assert all(h_contains(hs, p) for p in tr.positions)
 
     def test_zero_velocity_rejected(self):
         pot = _hartogs(DomainSpec.polydisk(1), 1.0)
@@ -352,11 +372,48 @@ def _assert_rel_close(got, want, rtol=1e-12):
 
 
 class TestClosedFormRoute:
-    """The closed-form tensors of HartogsPotential against its jet route.
+    """The closed-form tensors of the potentials against their jet route.
 
-    Wrapping the potential in a FunctionPotential hides `derivatives`, so
-    the metric engine falls back to jets on the same potential function.
+    A FunctionPotential around the potential answers `derivatives` with
+    jets of the same potential function, so every metric operation on it
+    is a second route to the closed form.
     """
+
+    @pytest.mark.parametrize("kind", ["hartogs", "domain"])
+    @pytest.mark.parametrize("spec", DUAL_ROUTE_SPECS, ids=str)
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shrink=st.floats(0.05, 0.8),
+        mu=st.floats(0.3, 3.0),
+    )
+    def test_derivatives_match_jets(self, spec, kind, seed, shrink, mu):
+        if kind == "hartogs":
+            pot = _hartogs(spec, mu)
+            p = h_sample(pot.spec, shrink, seed)
+        else:
+            pot = DomainPotential(spec)
+            p = spec.sample(shrink, seed)
+        n = pot.n_coords
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        y = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        want = pot.derivatives(p, x, y)
+        got = FunctionPotential(pot, n).derivatives(p, x, y)
+        for field in ("value", "grad", "levi", "hess", "third"):
+            _assert_rel_close(np.asarray(getattr(got, field)), np.asarray(getattr(want, field)))
+
+    def test_jet_route_even_crossing_raises(self):
+        from hartogs_geom.metric import _metric_matrix
+
+        # Z = diag(1.2, 1.2) on I(2,3): N = 0.1936 > 0 outside the base
+        spec = DomainSpec.type_i(2, 3)
+        jet = FunctionPotential(_hartogs(spec, 1.3), spec.dim + 1)
+        p = np.append(polydisk_embedding(spec)(np.full(2, 1.2)), 0.0)
+        with pytest.raises(DomainViolation):
+            _metric_matrix(jet, p)
+        with pytest.raises(DomainViolation):
+            sectional_curvature(jet, p, np.ones(len(p)))
 
     @pytest.mark.parametrize("spec", DUAL_ROUTE_SPECS, ids=str)
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
