@@ -249,10 +249,7 @@ def _build_chart(cfg: RunConfig, selector: str, sub_rank: int):
             raise ConfigError(f"selector {selector} requires a type {want} base")
         emb = product_embedding(base) if base.kind == "product" else polydisk_embedding(base)
         return slice_chart(cfg.spec, emb)
-    is_polydisk = all(
-        f.kind == "I" and f.params == (1, 1) for f in base.irreducible_factors
-    )
-    if not is_polydisk:
+    if not base.is_polydisk:
         raise ConfigError(f"selector {selector} requires a polydisk base")
     n = base.dim
     if selector == "factor-slice":
@@ -332,6 +329,9 @@ def cmd_geodesic(cfg: RunConfig, p0, v0, T: float, trace_path: str | None) -> Re
         "steps": len(trace.times),
         "final_time": float(trace.times[-1]),
         "trace_csv": trace_path or "",
+        "rhs_evals": trace.rhs_evals,
+        "rejected_steps": trace.rejected_steps,
+        "domain_retries": trace.domain_retries,
     }
     if not np.any(p0):
         # confinement diagnostic for runs from the origin: distance of the
@@ -406,7 +406,7 @@ def cmd_linear_scan(cfg: RunConfig, mu_grid, r_grid, T: float = 0.5) -> Report:
 
 def cmd_embed_residual(cfg: RunConfig, point) -> Report:
     base = cfg.spec.base
-    if any(f.kind != "I" or f.params != (1, 1) for f in base.irreducible_factors):
+    if not base.is_polydisk:
         raise ConfigError("embed-residual requires a polydisk base")
     point = np.asarray(point, dtype=np.complex128)
     try:
@@ -523,8 +523,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = _load_config(args)
-        if not np.isfinite(getattr(args, "T", 0.0)):
-            raise ConfigError("T must be finite")
+        T = getattr(args, "T", 1.0)
+        if not (np.isfinite(T) and T > 0):
+            raise ConfigError(f"T must be finite and positive, got {T}")
         if args.command == "verify-immersion":
             report = cmd_verify_immersion(cfg)
         elif args.command == "verify-tg":

@@ -186,6 +186,11 @@ class DomainSpec:
     def irreducible_factors(self) -> tuple["DomainSpec", ...]:
         return self.factors if self.kind == "product" else (self,)
 
+    @property
+    def is_polydisk(self) -> bool:
+        """True for the disk I(1,1) and for products of disks."""
+        return all(f.kind == "I" and f.params == (1, 1) for f in self.irreducible_factors)
+
     def _check_len(self, coords) -> None:
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
@@ -246,6 +251,8 @@ class DomainSpec:
         """
         z = np.asarray(coords, dtype=np.complex128)
         self._check_len(z)
+        if self.is_polydisk:
+            return _polydisk_log_norm(z, x, y)
         if self.kind == "IV":
             return _type_iv_log_norm(z, x, y)
         if self.kind != "product":
@@ -424,6 +431,29 @@ def _matrix_log_norm(spec: DomainSpec, z, x, y) -> Derivatives:
     pxa, pyb = px[:, None], py[None, :]
     k = (pxa @ pyb + pyb @ pxa) @ (r @ zm) + pxa @ rey[None, :] + pyb @ rex[:, None]
     return Derivatives(value, grad, levi, x, y, hess, -c * _trace_against(k, e))
+
+
+def _polydisk_log_norm(z, x, y) -> Derivatives:
+    """The disk and products of disks: L = sum_j log a_j, a_j = 1 - |z_j|^2.
+
+    Every tensor is diagonal: L_i = -zbar_i / a_i, L_{i ibar} = -1 / a_i^2,
+    L_ii = -zbar_i^2 / a_i^2 and L_{i i ibar} = -2 zbar_i / a_i^3.
+    """
+    # the same floats as the disk test of `contains`, which takes Re(z zbar)
+    # from Python's complex product; NumPy's complex multiply rounds
+    # differently, so spell out the real arithmetic
+    a = 1.0 - (z.real * z.real + z.imag * z.imag)
+    if np.any(a <= 0.0):
+        raise DomainViolation("polydisk point outside the domain")
+    zbar = np.conj(z)
+    grad = -zbar / a
+    levi = np.diag(-1.0 / a**2).astype(np.complex128)
+    value = float(np.sum(np.log(a)))
+    if x is None:
+        return Derivatives(value, grad, levi)
+    hess = x.T @ (-(zbar / a)[:, None] ** 2 * y)
+    xy = x.T[:, None, :] * y.T[None, :, :]
+    return Derivatives(value, grad, levi, x, y, hess, xy * (-2.0 * zbar / a**3))
 
 
 def _type_iv_log_norm(z, x, y) -> Derivatives:

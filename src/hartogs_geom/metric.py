@@ -140,13 +140,22 @@ class Christoffel:
 
 @dataclass
 class GeodesicTrace:
-    """Accepted integrator steps with conserved-energy bookkeeping."""
+    """Accepted integrator steps with conserved-energy bookkeeping.
+
+    The work counters are deterministic: `rhs_evals` counts right-hand-side
+    evaluations (one potential evaluation each), `rejected_steps` the steps
+    the error test refused, and `domain_retries` the steps retried because
+    a trial stage left the domain.
+    """
 
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
     energies: np.ndarray
     status: str  # "completed" | "boundary_reached"
+    rhs_evals: int
+    rejected_steps: int
+    domain_retries: int
 
     def energy_drift(self) -> float:
         e0 = self.energies[0]
@@ -245,9 +254,10 @@ def hermitian_inner(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.dot(u, g @ np.conj(v)))
 
 
-def _acceleration(pot, p, v) -> np.ndarray:
+def _acceleration(pot, p, v) -> tuple[np.ndarray, np.ndarray]:
+    """The geodesic acceleration at (p, v) and the metric g it solved with."""
     g, d = _metric_and_third(pot, p, v[:, None])
-    return -np.linalg.solve(np.conj(g), d[0, 0])
+    return -np.linalg.solve(np.conj(g), d[0, 0]), g
 
 
 def geodesic_ivp(
@@ -263,12 +273,21 @@ def geodesic_ivp(
 
     Returns the accepted steps; stops early with status "boundary_reached"
     when a step would land closer to the boundary than `boundary_margin`.
-    Raises on step-size underflow.
+    Raises ValueError for T <= 0 or a zero initial velocity, and
+    RuntimeError on step-size underflow.
+
+    First same as last (FSAL): stage 7 is evaluated at the fifth-order
+    solution (its weights a[6] are the fifth-order weights), so an accepted
+    step takes that stage point as its result, the stage's rhs as the next
+    step's stage 1, and its energy from the metric the same evaluation
+    built.  Each attempted step costs six rhs evaluations.
     """
     p0 = np.asarray(p0, dtype=np.complex128)
     v0 = np.asarray(v0, dtype=np.complex128)
     if np.all(v0 == 0):
         raise ValueError("geodesic needs a nonzero initial velocity")
+    if not T > 0:
+        raise ValueError("geodesic needs a positive end time T")
     n = pot.n_coords
 
     a = (
@@ -280,25 +299,29 @@ def geodesic_ivp(
         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
     )
-    b5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
     b4 = np.array(
         [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
     )
+    rhs_evals = 0
 
     def rhs(y):
-        return np.concatenate([y[n:], _acceleration(pot, y[:n], y[n:])])
+        nonlocal rhs_evals
+        rhs_evals += 1
+        acc, g = _acceleration(pot, y[:n], y[n:])
+        return np.concatenate([y[n:], acc]), g
 
-    def energy(y):
-        g = _metric_matrix(pot, y[:n])
+    def energy(g, y):
         return float(np.real(hermitian_inner(g, y[n:], y[n:])))
 
     if pot.interior_margin(p0) < boundary_margin:
         raise ValueError("initial point is too close to the boundary")
 
     y = np.concatenate([p0, v0])
+    k1, g = rhs(y)
     t = 0.0
-    times, ys, energies = [0.0], [y.copy()], [energy(y)]
+    times, ys, energies = [0.0], [y], [energy(g, y)]
     status = "completed"
+    rejected_steps = domain_retries = 0
     h = min(0.01, T)
     for _ in range(max_steps):
         if t >= T:
@@ -307,17 +330,18 @@ def geodesic_ivp(
         if h < 1e-14 * max(1.0, T):
             raise RuntimeError("geodesic step size underflow")
         try:
-            k = [rhs(y)]
+            k = [k1]
+            # the last pass leaves y5 at stage 7: the fifth-order solution
             for s in range(1, 7):
-                ys_stage = y + h * sum(c * k[m] for m, c in enumerate(a[s]))
-                k.append(rhs(ys_stage))
+                y5 = y + h * sum(c * k[m] for m, c in enumerate(a[s]))
+                ks, g = rhs(y5)
+                k.append(ks)
         except DomainViolation:
             # a trial stage overshot the boundary; retry with a shorter step
+            domain_retries += 1
             h *= 0.25
             continue
-        k = np.array(k)
-        y5 = y + h * (b5 @ k)
-        y4 = y + h * (b4 @ k)
+        y4 = y + h * (b4 @ np.array(k))
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.max(np.abs(y5 - y4) / scale))
         if err <= 1.0:
@@ -325,10 +349,12 @@ def geodesic_ivp(
                 status = "boundary_reached"
                 break
             t += h
-            y = y5
+            y, k1 = y5, k[6]
             times.append(t)
-            ys.append(y.copy())
-            energies.append(energy(y))
+            ys.append(y)
+            energies.append(energy(g, y))
+        else:
+            rejected_steps += 1
         h *= float(np.clip(0.9 * (max(err, 1e-16)) ** (-0.2), 0.2, 5.0))
     else:
         raise RuntimeError("geodesic exceeded the step budget")
@@ -340,6 +366,9 @@ def geodesic_ivp(
         velocities=ys[:, n:],
         energies=np.array(energies),
         status=status,
+        rhs_evals=rhs_evals,
+        rejected_steps=rejected_steps,
+        domain_retries=domain_retries,
     )
 
 

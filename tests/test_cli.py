@@ -171,6 +171,9 @@ class TestGeodesic:
         assert report["status"] == "completed"
         # a fiber direction from the origin is confined to its complex line
         assert report["line_deviation"] < 1e-9
+        assert report["domain_retries"] == 0
+        attempts = report["steps"] - 1 + report["rejected_steps"]
+        assert report["rhs_evals"] == 1 + 6 * attempts
 
     def test_ball_mixed_direction_linear(self, tmp_path):
         cfg = _write_config(
@@ -228,6 +231,11 @@ class TestGeodesic:
     def test_non_finite_input_exit_2(self, tmp_path, p0, v0, extra):
         assert self._run(tmp_path, p0, v0, extra=extra) == 2
 
+    @pytest.mark.parametrize("T", ["0", "-1"])
+    def test_nonpositive_end_time_exit_2(self, tmp_path, capsys, T):
+        assert self._run(tmp_path, "0,0,0,0,0", "1,0,0,0,0", extra=("--T", T)) == 2
+        assert "T must be" in capsys.readouterr().err
+
     def test_even_crossing_point_exit_2(self, tmp_path):
         # Z = diag(1.2, 1.2) on the default I(2,2): N = 0.19 > 0 but Z is outside
         assert self._run(tmp_path, "1.2,0,0,1.2,0", "1,0,0,0,0") == 2
@@ -277,6 +285,11 @@ class TestLinearScan:
     def test_negative_mu_exit_2(self, tmp_path):
         cfg = _write_config(tmp_path, POLY3_CONFIG)
         assert main(["linear-scan", "--config", cfg, "--mu-grid=-1"]) == 2
+
+    def test_negative_end_time_exit_2(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, POLY3_CONFIG)
+        assert main(["linear-scan", "--config", cfg, "--T", "-1"]) == 2
+        assert "T must be" in capsys.readouterr().err
 
 
 class TestEmbedResidual:

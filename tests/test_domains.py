@@ -5,6 +5,8 @@ import pytest
 
 from hartogs_geom.domains import (
     DomainSpec,
+    _matrix_log_norm,
+    _polydisk_log_norm,
     polydisk_embedding,
     product_embedding,
     subtriple_closure,
@@ -150,6 +152,45 @@ class TestGenericNorm:
             assert spec.generic_norm(np.exp(1j * th) * z) == pytest.approx(
                 spec.generic_norm(z), rel=1e-12
             )
+
+
+class TestPolydiskLogNorm:
+    """The diagonal closed form of log N on polydisks."""
+
+    def test_disk_matches_matrix_route(self):
+        disk = DomainSpec.type_i(1, 1)
+        rng = np.random.default_rng(11)
+        for seed, shrink in enumerate((0.05, 0.3, 0.6, 0.9, 0.999)):
+            z = disk.sample(shrink, seed)
+            x = rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2))
+            y = rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))
+            got = _polydisk_log_norm(z, x, y)
+            want = _matrix_log_norm(disk, z, x, y)
+            assert abs(got.value - want.value) <= 1e-14 * max(1.0, abs(want.value))
+            for field in ("grad", "levi", "hess", "third"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), field
+
+    @pytest.mark.parametrize(
+        "spec,z", [(DomainSpec.polydisk(1), [1.0001]), (DomainSpec.polydisk(2), [1.2, 1.2])]
+    )
+    def test_outside_raises(self, spec, z):
+        # (1.2, 1.2) is the even crossing: N = (1 - 1.44)^2 > 0 there
+        with pytest.raises(DomainViolation):
+            spec.log_norm_derivatives(np.asarray(z, dtype=np.complex128))
+
+    def test_raises_exactly_outside_contains(self):
+        disk = DomainSpec.type_i(1, 1)
+        rng = np.random.default_rng(4)
+        phase = np.exp(2j * np.pi * rng.random(2000))
+        radii = np.concatenate([1 + 1e-15 * rng.standard_normal(1000), 1 - 1e-15 * rng.random(1000)])
+        for z in np.concatenate([[1.0, 1j, -1.0], radii * phase]):
+            try:
+                disk.log_norm_derivatives([z])
+                inside = True
+            except DomainViolation:
+                inside = False
+            assert inside == disk.contains([z])
 
 
 class TestMatrixRealization:

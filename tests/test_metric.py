@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hartogs_geom.domains import (
@@ -36,6 +36,16 @@ from hartogs_geom.numerics import DomainViolation
 from _oracles import christoffel_fd, metric_fd
 
 DISK = DomainPotential(DomainSpec.polydisk(1))
+
+# the same examples in every process, and a failure reported at once: the
+# shrink phase would spend minutes on these slow examples
+PROPERTY_SETTINGS = settings(
+    max_examples=8,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.generate],
+)
 
 
 def _hartogs(spec, mu):
@@ -186,6 +196,7 @@ class TestGeodesics:
         v0 = np.array([1.0, 1.0, 0.0], dtype=complex)
         tr = geodesic_ivp(pot, np.array([0.5, 0.5, 0.0]), v0, 50.0, tol=1.0)
         assert crossings
+        assert tr.domain_retries > 0
         assert tr.status == "boundary_reached"
         assert all(h_contains(hs, p) for p in tr.positions)
 
@@ -193,6 +204,41 @@ class TestGeodesics:
         pot = _hartogs(DomainSpec.polydisk(1), 1.0)
         with pytest.raises(ValueError):
             geodesic_ivp(pot, np.zeros(2), np.zeros(2), 1.0)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_nonpositive_end_time_rejected(self, T):
+        pot = _hartogs(DomainSpec.polydisk(1), 1.0)
+        with pytest.raises(ValueError):
+            geodesic_ivp(pot, np.zeros(2), np.array([0.3, 0.4]), T)
+
+    def test_six_rhs_evaluations_per_attempted_step(self):
+        # first same as last: stage 1 of a step is stage 7 of the one before,
+        # so only the start point costs a seventh evaluation
+        pot = _hartogs(DomainSpec.polydisk(2), 1.3)
+        v0 = 3.0 * np.array([0.6, -0.48j, 0.64])
+        tr = geodesic_ivp(pot, np.zeros(3), v0, 1.0, tol=1e-8)
+        assert tr.status == "completed"
+        assert tr.domain_retries == 0
+        assert tr.rejected_steps > 0
+        accepted = len(tr.times) - 1
+        assert tr.rhs_evals == 1 + 6 * (accepted + tr.rejected_steps)
+
+    @pytest.mark.parametrize(
+        "spec,mu", [(DomainSpec.type_ii(4), 0.7), (DomainSpec.polydisk(2), 1.3)], ids=str
+    )
+    def test_energies_are_exact(self, spec, mu):
+        # the energy of an accepted step comes from the metric its last
+        # stage built: the same floats as a fresh metric at that point
+        from hartogs_geom.metric import _metric_matrix, hermitian_inner
+
+        pot = _hartogs(spec, mu)
+        n = pot.n_coords
+        rng = np.random.default_rng(5)
+        v0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        tr = geodesic_ivp(pot, h_sample(pot.spec, 0.5, 1), v0 / np.linalg.norm(v0), 1.0)
+        assert len(tr.times) > 10
+        for p, v, e in zip(tr.positions, tr.velocities, tr.energies):
+            assert e == float(np.real(hermitian_inner(_metric_matrix(pot, p), v, v)))
 
     def test_isometry_maps_geodesics_to_geodesics(self):
         mu = 1.2
@@ -362,7 +408,10 @@ DUAL_ROUTE_SPECS = [
     DomainSpec.type_iii(3),
     DomainSpec.type_iv(6),
     DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2)),
+    DomainSpec.polydisk(1),
     DomainSpec.polydisk(2),
+    DomainSpec.polydisk(3),
+    DomainSpec.product(DomainSpec.polydisk(1), DomainSpec.type_iii(2)),
 ]
 
 
@@ -381,7 +430,7 @@ class TestClosedFormRoute:
 
     @pytest.mark.parametrize("kind", ["hartogs", "domain"])
     @pytest.mark.parametrize("spec", DUAL_ROUTE_SPECS, ids=str)
-    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @PROPERTY_SETTINGS
     @given(
         seed=st.integers(0, 2**32 - 1),
         shrink=st.floats(0.05, 0.8),
@@ -416,7 +465,7 @@ class TestClosedFormRoute:
             sectional_curvature(jet, p, np.ones(len(p)))
 
     @pytest.mark.parametrize("spec", DUAL_ROUTE_SPECS, ids=str)
-    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @PROPERTY_SETTINGS
     @given(
         seed=st.integers(0, 2**32 - 1),
         shrink=st.floats(0.05, 0.8),
@@ -463,7 +512,7 @@ class TestMobiusPullback:
     """The closed-form metric is invariant under the lifted Moebius maps."""
 
     @pytest.mark.parametrize("r", [2, 3])
-    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @PROPERTY_SETTINGS
     @given(
         seed=st.integers(0, 2**32 - 1),
         radii=st.lists(st.floats(0.0, 0.7), min_size=3, max_size=3),

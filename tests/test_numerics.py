@@ -79,7 +79,7 @@ class TestGenBinomial:
         x=st.floats(min_value=0.05, max_value=50.0),
         k=st.integers(min_value=1, max_value=40),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_recurrence(self, x, k):
         lhs = gen_binomial(x, k)
         rhs = gen_binomial(x, k - 1) * (x + k - 1) / k
