@@ -43,6 +43,7 @@ from .l2embed import norm_residual  # noqa: F401 - stays importable as cli.norm_
 from .metric import (
     BOUNDARY_MARGIN,
     distance_to_span,
+    geodesic_batch,
     geodesic_ivp,
     hermitian_inner,
     tg_residual,
@@ -60,6 +61,11 @@ DEFAULT_TOLERANCES = {
 }
 SCAN_LINEAR_MAX = 1e-6
 SCAN_CURVED_MIN = 1e-5
+# verify-tg samples per stacked tg_residual call.  A call amortizes its
+# overhead over the chunk; the cap keeps the stacked temporaries small at
+# any --samples.  Larger chunks run a few per cent faster but leave the
+# heap fragmented, so a long run of reports reaches a higher peak RSS.
+TG_CHUNK = 16
 
 
 class ConfigError(Exception):
@@ -140,6 +146,7 @@ class Report:
 
 
 def _pool() -> ThreadPoolExecutor:
+    """verify-immersion's worker pool; the other commands evaluate stacked arrays."""
     cap = os.environ.get("HARTOGS_GEOM_THREADS")
     workers = max(1, int(cap)) if cap else min(4, os.cpu_count() or 1)
     return ThreadPoolExecutor(max_workers=workers)
@@ -274,28 +281,26 @@ def cmd_verify_tg(cfg: RunConfig, selector: str, sub_rank: int = 1) -> Report:
     chart = _build_chart(cfg, selector, sub_rank)
     pot = HartogsPotential(cfg.spec)
 
-    def residual(i: int) -> float:
-        q = chart.sample(cfg.shrink, cfg.seed + i)
-        return tg_residual(pot, chart, q)
-
-    with _pool() as pool:
-        residuals = list(pool.map(residual, range(cfg.samples)))
+    residuals = []
+    for start in range(0, cfg.samples, TG_CHUNK):
+        stop = min(start + TG_CHUNK, cfg.samples)
+        qs = np.stack([chart.sample(cfg.shrink, cfg.seed + i) for i in range(start, stop)])
+        residuals.extend(tg_residual(pot, chart, qs).tolist())
     max_resid, i_resid = _worst(residuals)
 
     rng = np.random.default_rng(cfg.seed)
     basis0 = chart.tangent_basis(np.zeros(chart.n_params))
-    max_dev, max_drift = 0.0, 0.0
+    p0s, v0s = [], []
     for i in range(5):
-        q = chart.sample(0.4, cfg.seed + 1000 + i)
-        p0 = chart.embed(q)
+        p0 = chart.embed(chart.sample(0.4, cfg.seed + 1000 + i))
         coeff = rng.normal(size=basis0.shape[1]) + 1j * rng.normal(size=basis0.shape[1])
         v0 = basis0 @ coeff
         g = _metric_matrix(pot, p0)
-        v0 = v0 / np.sqrt(np.real(hermitian_inner(g, v0, v0)) + 1e-300) * 0.4
-        trace = geodesic_ivp(pot, p0, v0, 1.0, tol=1e-9)
-        dev = max(distance_to_span(p, basis0) for p in trace.positions)
-        max_dev = max(max_dev, dev)
-        max_drift = max(max_drift, trace.energy_drift())
+        p0s.append(p0)
+        v0s.append(v0 / np.sqrt(np.real(hermitian_inner(g, v0, v0)) + 1e-300) * 0.4)
+    traces = geodesic_batch(pot, p0s, v0s, 1.0, tol=1e-9)
+    max_dev = max(float(np.max(distance_to_span(tr.positions, basis0))) for tr in traces)
+    max_drift = max(tr.energy_drift() for tr in traces)
 
     tol_tg = cfg.tolerances["tg_residual"]
     tol_conf = cfg.tolerances["confinement"]
@@ -337,9 +342,7 @@ def cmd_geodesic(cfg: RunConfig, p0, v0, T: float, trace_path: str | None) -> Re
         # confinement diagnostic for runs from the origin: distance of the
         # trajectory from the complex line through the initial direction
         basis = (v0 / np.linalg.norm(v0)).reshape(-1, 1)
-        extra["line_deviation"] = max(
-            distance_to_span(p, basis) for p in trace.positions
-        )
+        extra["line_deviation"] = float(np.max(distance_to_span(trace.positions, basis)))
     return Report(
         command="geodesic",
         config=cfg.echo(),
@@ -367,34 +370,27 @@ def _scan_directions(r: int) -> list[tuple[str, np.ndarray]]:
 
 
 def cmd_linear_scan(cfg: RunConfig, mu_grid, r_grid, T: float = 0.5) -> Report:
-    cells = [
-        (mu, r, name, xi)
-        for mu in mu_grid
-        for r in r_grid
-        for name, xi in _scan_directions(r)
-    ]
-
-    def one(cell):
-        mu, r, name, xi = cell
-        verdict = line_constraints(r, mu, xi)
-        deviation = line_deviation(r, mu, xi, T)
-        if verdict.klass == GeodesicClass.IMPOSSIBLE:
-            consistent = deviation > SCAN_CURVED_MIN
-        else:
-            consistent = deviation < SCAN_LINEAR_MAX
-        record = {
-            "mu": mu,
-            "r": r,
-            "direction": name,
-            "xi": [[float(c.real), float(c.imag)] for c in xi],
-            "deviation": deviation,
-            "consistent": consistent,
-        }
-        record.update(verdict.to_json())
-        return record
-
-    with _pool() as pool:
-        records = list(pool.map(one, cells))
+    records = []
+    for mu in mu_grid:
+        for r in r_grid:
+            directions = _scan_directions(r)
+            deviations = line_deviation(r, mu, np.stack([xi for _, xi in directions]), T)
+            for (name, xi), deviation in zip(directions, deviations):
+                verdict = line_constraints(r, mu, xi)
+                if verdict.klass == GeodesicClass.IMPOSSIBLE:
+                    consistent = deviation > SCAN_CURVED_MIN
+                else:
+                    consistent = deviation < SCAN_LINEAR_MAX
+                record = {
+                    "mu": mu,
+                    "r": r,
+                    "direction": name,
+                    "xi": [[float(c.real), float(c.imag)] for c in xi],
+                    "deviation": float(deviation),
+                    "consistent": bool(consistent),
+                }
+                record.update(verdict.to_json())
+                records.append(record)
     bad = sum(1 for rec in records if not rec["consistent"])
     return Report(
         command="linear-scan",

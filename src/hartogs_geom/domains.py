@@ -17,6 +17,8 @@ both membership tests and jet differentiation.  `log_norm_derivatives`
 gives the derivatives of log N up to order three in closed form: through
 the Bergman operator A = I - Z Z* for types I-III, where Z = sum z_k E_k is
 linear in the coordinates, and through the explicit polynomial for type IV.
+It takes one point or a stack of points, and a stack gives every tensor a
+leading batch axis computed with stacked LAPACK and matrix products.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .jets import Jet
-from .numerics import Derivatives, DomainViolation, det, is_positive_definite
+from .numerics import Derivatives, DomainViolation, _t, det, is_positive_definite
 
 __all__ = [
     "DomainSpec",
@@ -243,14 +245,19 @@ class DomainSpec:
     # -- closed-form derivatives of log N ----------------------------------------
 
     def log_norm_derivatives(self, coords, x=None, y=None) -> Derivatives:
-        """Derivatives of L = log N at an interior point, in closed form.
+        """Derivatives of L = log N in closed form, at one point or a stack.
 
-        `x` and `y` are optional direction matrices (dim x p, dim x q) for
-        the contracted second and third derivatives; see `Derivatives`.
-        Raises DomainViolation when the point lies outside the domain.
+        `coords` is a point (dim,) or a stack (B, dim); a stack gives every
+        tensor a leading B axis, and a point is the stack of one with that
+        axis dropped (see `Derivatives`).  `x` and `y` are optional direction
+        matrices, shared (dim, p) or per point (B, dim, p), for the
+        contracted second and third derivatives.  Raises DomainViolation,
+        naming the first offending index, when a point lies outside.
         """
         z = np.asarray(coords, dtype=np.complex128)
-        self._check_len(z)
+        if z.ndim == 1:
+            return self.log_norm_derivatives(z[None], x, y).member(0)
+        self._check_stack(z)
         if self.is_polydisk:
             return _polydisk_log_norm(z, x, y)
         if self.kind == "IV":
@@ -258,21 +265,56 @@ class DomainSpec:
         if self.kind != "product":
             return _matrix_log_norm(self, z, x, y)
         # log N is a sum over the factors: block-diagonal tensors
-        levi = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        levi = np.zeros((len(z), self.dim, self.dim), dtype=np.complex128)
         parts, pos = [], 0
         for f in self.factors:
             rows = slice(pos, pos + f.dim)
-            sub = (None, None) if x is None else (x[rows], y[rows])
-            parts.append(f.log_norm_derivatives(z[rows], *sub))
-            levi[rows, rows] = parts[-1].levi
+            sub = _base_rows(x, y, rows)
+            try:
+                parts.append(f.log_norm_derivatives(z[:, rows], *sub))
+            except DomainViolation as exc:
+                # a later factor may reject an earlier point
+                if exc.index:
+                    self.log_norm_derivatives(z[: exc.index])
+                raise
+            levi[:, rows, rows] = parts[-1].levi
             pos += f.dim
         value = sum(part.value for part in parts)
-        grad = np.concatenate([part.grad for part in parts])
+        grad = np.concatenate([part.grad for part in parts], axis=-1)
         if x is None:
             return Derivatives(value, grad, levi)
         hess = sum(part.hess for part in parts)
-        third = np.concatenate([part.third for part in parts], axis=2)
+        third = np.concatenate([part.third for part in parts], axis=-1)
         return Derivatives(value, grad, levi, x, y, hess, third)
+
+    def norm_power_derivatives(self, coords, mu: float, x=None, y=None) -> Derivatives:
+        """Derivatives of N^mu = exp(mu log N), from those of log N.
+
+        Takes the arguments of `log_norm_derivatives`.  Its value is the
+        N^mu that decides fiber membership in `hartogs`.  Type IV, whose
+        closed form gives the tensors of N itself, goes from N straight to
+        N^mu with the same value: on a single point the chain rule's fixed
+        per-call cost is most of the work, and through log N it is paid
+        twice.
+        """
+        z = np.asarray(coords, dtype=np.complex128)
+        if z.ndim == 1:
+            return self.norm_power_derivatives(z[None], mu, x, y).member(0)
+        if self.kind == "IV":
+            self._check_stack(z)
+            norm = _type_iv_norm_derivatives(z, x, y)
+            n = norm.value
+            a = np.exp(mu * np.log(n))
+            return norm.compose(
+                a, mu * a / n, mu * (mu - 1) * a / n**2, mu * (mu - 1) * (mu - 2) * a / n**3
+            )
+        log_n = self.log_norm_derivatives(z, x, y)
+        a = np.exp(mu * log_n.value)
+        return log_n.compose(a, mu * a, mu**2 * a, mu**3 * a)
+
+    def _check_stack(self, z: np.ndarray) -> None:
+        if z.ndim != 2 or z.shape[1] != self.dim:
+            raise ValueError(f"expected a stack of {self.dim} coordinates, got shape {z.shape}")
 
     # -- membership and generic norm ------------------------------------------
 
@@ -391,11 +433,58 @@ def _unit_matrices(spec: DomainSpec) -> np.ndarray:
     return e
 
 
+def _base_rows(x, y, rows):
+    """The coordinate rows of direction matrices (shared or stacked).
+
+    y keeps being x when it was, which lets the closed forms reuse the
+    contractions of x for y.
+    """
+    if x is None:
+        return None, None
+    xs = x[..., rows, :]
+    return xs, xs if y is x else y[..., rows, :]
+
+
 def _trace_against(k: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """tr(E_l* K) for every l, over the leading axes of a stack of K."""
+    """tr(E_l* K) for every l, over a stack (B, ..., m, n) of K.
+
+    Each point of the stack is its own matrix product, so a point's floats
+    do not depend on the other points or on B.
+    """
     lead = k.shape[:-2]
-    out = k.reshape(-1, e[0].size) @ e.reshape(len(e), -1).conj().T
+    out = k.reshape(lead[0], -1, e[0].size) @ e.reshape(len(e), -1).conj().T
     return out.reshape(*lead, len(e))
+
+
+def _gram(spec: DomainSpec, z):
+    """Z = sum z_k E_k and A = I - Z Z* over a stack, and L = c log det A.
+
+    L comes from the Cholesky factor of A.  Raises DomainViolation, naming
+    the first point where A is not positive definite.
+    """
+    e = _unit_matrices(spec)
+    dim, m, n = e.shape
+    zm = (z[:, None, :] @ e.reshape(dim, m * n)).reshape(len(z), m, n)
+    a = np.eye(m) - zm @ _t(zm.conj())
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise DomainViolation(
+            "I - Z Z* is not positive definite (outside domain)", _first_failure(a)
+        ) from None
+    c = 0.5 if spec.kind == "II" else 1.0
+    diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+    return zm, a, 2.0 * c * np.sum(np.log(diag), axis=-1)
+
+
+def _first_failure(a: np.ndarray) -> int | None:
+    """Index of the first matrix of a stack that has no Cholesky factor."""
+    for j, aj in enumerate(a):
+        try:
+            np.linalg.cholesky(aj)
+        except np.linalg.LinAlgError:
+            return j
+    return None
 
 
 def _matrix_log_norm(spec: DomainSpec, z, x, y) -> Derivatives:
@@ -404,32 +493,39 @@ def _matrix_log_norm(spec: DomainSpec, z, x, y) -> Derivatives:
     With R = A^-1 and P_i = R E_i Z*, the derivatives follow from
     dR = R (dA) R: L_i = -c tr P_i, L_ij = -c tr(P_i P_j) and
     L_{i lbar} = -c tr(E_l* R E_i S) with S = I + Z* R Z = (I - Z* Z)^-1.
+    Every tensor carries the stack axis of z first.
     """
     e = _unit_matrices(spec)
+    dim, m, n = e.shape
     c = 0.5 if spec.kind == "II" else 1.0
-    zm = np.tensordot(z, e, 1)
-    zh = zm.conj().T
-    a = np.eye(len(zm)) - zm @ zh
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise DomainViolation("I - Z Z* is not positive definite (outside domain)") from None
-    value = 2.0 * c * float(np.sum(np.log(np.diagonal(chol).real)))
+    zm, a, value = _gram(spec, z)
+    zh = _t(zm.conj())
     r = np.linalg.inv(a)
-    re = r @ e
-    grad = -c * np.trace(re @ zh, axis1=1, axis2=2)
-    s = np.eye(zm.shape[1]) + zh @ r @ zm
-    levi = -c * _trace_against(re @ s, e)
+    re = r[:, None] @ e  # R E_i, (B, dim, m, n)
+    flat = re.reshape(len(z), dim, m * n)
+    # tr(R E_i Z*) = sum_ab (R E_i)_ab conj(Z_ab)
+    grad = -c * (flat @ zm.conj().reshape(len(z), m * n, 1))[..., 0]
+    s = np.eye(n) + zh @ r @ zm
+    levi = -c * _trace_against(re @ s[:, None], e)
     if x is None:
         return Derivatives(value, grad, levi)
-    rex = np.tensordot(x.T, re, 1)  # R X_a, with X_a = sum_i x[i, a] E_i
-    rey = np.tensordot(y.T, re, 1)
-    px, py = rex @ zh, rey @ zh
-    hess = -c * px.reshape(len(px), -1) @ py.transpose(0, 2, 1).reshape(len(py), -1).T
+    rex = (_t(x) @ flat).reshape(len(z), -1, m, n)  # R X_a, X_a = sum_i x[i, a] E_i
+    px = rex @ zh[:, None]
+    if y is x:
+        rey, py = rex, px
+    else:
+        rey = (_t(y) @ flat).reshape(len(z), -1, m, n)
+        py = rey @ zh[:, None]
+    # hess[a, b] = -c tr(P_a P_b)
+    hess = -c * px.reshape(*px.shape[:2], -1) @ _t(_t(py).reshape(*py.shape[:2], -1))
     # L_{i j lbar} x^i y^j = -c tr(E_l* K) with
     # K = (P_x P_y + P_y P_x) R Z + P_x R Y + P_y R X
-    pxa, pyb = px[:, None], py[None, :]
-    k = (pxa @ pyb + pyb @ pxa) @ (r @ zm) + pxa @ rey[None, :] + pyb @ rex[:, None]
+    pxa, pyb = px[:, :, None], py[:, None]
+    k = (
+        (pxa @ pyb + pyb @ pxa) @ (r @ zm)[:, None, None]
+        + pxa @ rey[:, None]
+        + pyb @ rex[:, :, None]
+    )
     return Derivatives(value, grad, levi, x, y, hess, -c * _trace_against(k, e))
 
 
@@ -437,44 +533,59 @@ def _polydisk_log_norm(z, x, y) -> Derivatives:
     """The disk and products of disks: L = sum_j log a_j, a_j = 1 - |z_j|^2.
 
     Every tensor is diagonal: L_i = -zbar_i / a_i, L_{i ibar} = -1 / a_i^2,
-    L_ii = -zbar_i^2 / a_i^2 and L_{i i ibar} = -2 zbar_i / a_i^3.
+    L_ii = -zbar_i^2 / a_i^2 and L_{i i ibar} = -2 zbar_i / a_i^3.  Raises
+    DomainViolation, naming the first point with some a_j <= 0.
     """
     # the same floats as the disk test of `contains`, which takes Re(z zbar)
     # from Python's complex product; NumPy's complex multiply rounds
     # differently, so spell out the real arithmetic
     a = 1.0 - (z.real * z.real + z.imag * z.imag)
-    if np.any(a <= 0.0):
-        raise DomainViolation("polydisk point outside the domain")
+    bad = np.any(a <= 0.0, axis=-1)
+    if bad.any():
+        raise DomainViolation("polydisk point outside the domain", int(np.argmax(bad)))
+    value = np.sum(np.log(a), axis=-1)
     zbar = np.conj(z)
     grad = -zbar / a
-    levi = np.diag(-1.0 / a**2).astype(np.complex128)
-    value = float(np.sum(np.log(a)))
+    diag = np.arange(z.shape[1])
+    levi = np.zeros((*z.shape, z.shape[1]), dtype=np.complex128)
+    levi[:, diag, diag] = -1.0 / a**2
     if x is None:
         return Derivatives(value, grad, levi)
-    hess = x.T @ (-(zbar / a)[:, None] ** 2 * y)
-    xy = x.T[:, None, :] * y.T[None, :, :]
-    return Derivatives(value, grad, levi, x, y, hess, xy * (-2.0 * zbar / a**3))
+    hess = _t(x) @ (-(zbar / a)[..., None] ** 2 * y)
+    xy = _t(x)[..., :, None, :] * _t(y)[..., None, :, :]
+    return Derivatives(value, grad, levi, x, y, hess, xy * (-2.0 * zbar / a**3)[:, None, None])
 
 
-def _type_iv_log_norm(z, x, y) -> Derivatives:
-    """Type IV: L = log N with N = 1 + |s|^2 - 2 sum |z_k|^2, s = sum z_k^2.
+def _type_iv_norm_derivatives(z, x, y) -> Derivatives:
+    """Type IV: N = 1 + |s|^2 - 2 sum |z_k|^2, s = sum z_k^2, and its tensors.
 
     N_i = 2 z_i sbar - 2 zbar_i, N_ij = 2 delta_ij sbar,
     N_{i lbar} = 4 z_i zbar_l - 2 delta_il, N_{i j lbar} = 4 delta_ij zbar_l.
+    Raises DomainViolation, naming the first point with sum |z_k|^2 >= 1 or
+    N <= 0.
     """
-    zbar = np.conj(z)
-    sbar = np.conj(z @ z)
-    sq = float(np.vdot(z, z).real)
-    n = 1.0 + abs(sbar) ** 2 - 2.0 * sq
-    if sq >= 1.0 or n <= 0.0:
-        raise DomainViolation("type IV point outside the domain")
-    grad = 2.0 * z * sbar - 2.0 * zbar
-    levi = 4.0 * np.outer(z, zbar) - 2.0 * np.eye(len(z))
+    zbar = z.conj()
+    sbar = np.conj((z[:, None, :] @ z[:, :, None])[:, 0, 0])
+    sq = (zbar[:, None, :] @ z[:, :, None])[:, 0, 0].real
+    n = 1.0 + np.abs(sbar) ** 2 - 2.0 * sq
+    bad = (sq >= 1.0) | (n <= 0.0)
+    if bad.any():
+        raise DomainViolation("type IV point outside the domain", int(np.argmax(bad)))
+    grad = 2.0 * (z * sbar[:, None] - zbar)
+    levi = 4.0 * (z[:, :, None] * zbar[:, None, :])
+    diag = np.arange(z.shape[1])
+    levi[:, diag, diag] -= 2.0
     if x is None:
-        norm = Derivatives(n, grad, levi)
-    else:
-        xy = x.T @ y
-        norm = Derivatives(n, grad, levi, x, y, 2.0 * sbar * xy, 4.0 * xy[:, :, None] * zbar)
+        return Derivatives(n, grad, levi)
+    xy = _t(x) @ y
+    hess = 2.0 * sbar[:, None, None] * xy
+    return Derivatives(n, grad, levi, x, y, hess, 4.0 * xy[..., None] * zbar[:, None, None])
+
+
+def _type_iv_log_norm(z, x, y) -> Derivatives:
+    """Type IV: L = log N, from the tensors of N."""
+    norm = _type_iv_norm_derivatives(z, x, y)
+    n = norm.value
     return norm.compose(np.log(n), 1.0 / n, -1.0 / n**2, 2.0 / n**3)
 
 

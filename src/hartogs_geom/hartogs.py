@@ -10,10 +10,11 @@ stored as single complex vectors with the fiber coordinate last, matching
 the trace/CSV layout used throughout the package.
 
 The potentials differentiate in closed form (`derivatives`): the chain rule
-runs from the base's log-norm tensors through N^mu = exp(mu log N) and
-D = N^mu - |w|^2 to Phi = -log D.  Their jet evaluation (`__call__` on jet
-coordinates) is the generic route and the tests' second route; one body
-serves plain and jet coordinates, with the same spectral membership test.
+runs from the base's tensors of N^mu = exp(mu log N) through
+D = N^mu - |w|^2 to Phi = -log D, at one point or over a stack of points.
+Their jet evaluation (`__call__` on jet coordinates) is the generic route
+and the tests' second route; one body serves plain and jet coordinates,
+with the same spectral membership test.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import DomainSpec, LinearEmbedding
+from .domains import DomainSpec, LinearEmbedding, _base_rows
 from .jets import Jet
 from .numerics import Derivatives, DomainViolation, _value
 
@@ -85,6 +86,30 @@ def _abs_sq(w):
     return abs(complex(w)) ** 2
 
 
+def _fiber_argument(nmu, w):
+    """The fiber argument D = N^mu - |w|^2, over a stack.
+
+    The one expression that decides fiber membership: the closed-form
+    derivatives, `fiber_margin` and `h_contains` all take D from here, with
+    N^mu = exp(mu log N) the value of `DomainSpec.norm_power_derivatives`,
+    so they agree on every point however close to the fiber boundary.
+    """
+    return nmu - np.abs(w) ** 2
+
+
+def _point_fiber_argument(spec: HartogsSpec, z, w) -> float:
+    """D at a point whose base part lies in the base (spectral test).
+
+    A base point that the closed form still rejects, within rounding of
+    the base boundary where N = 0, gives -|w|^2.
+    """
+    try:
+        nmu = spec.base.norm_power_derivatives(np.asarray(z)[None], spec.mu).value
+    except DomainViolation:
+        return -abs(w) ** 2
+    return float(_fiber_argument(nmu, np.array([w], dtype=np.complex128))[0])
+
+
 def fiber_margin(spec: HartogsSpec, p) -> float:
     """N^mu - |w|^2; positive on the domain, crosses zero at the boundary.
 
@@ -92,18 +117,17 @@ def fiber_margin(spec: HartogsSpec, p) -> float:
     even number of singular values past 1 leaves N = prod(1 - s^2) positive).
     """
     z, w = _split(spec, p)
-    n = float(spec.base._norm(z))
     if not spec.base.contains(z):
-        return min(n, 0.0) - abs(w) ** 2
-    return n**spec.mu - abs(w) ** 2
+        return min(float(spec.base._norm(z)), 0.0) - abs(w) ** 2
+    return _point_fiber_argument(spec, z, w)
 
 
 def h_contains(spec: HartogsSpec, p, margin: float = 0.0) -> bool:
-    """Membership: base membership plus the strict fiber inequality."""
+    """Membership: base membership plus the strict fiber inequality D > margin."""
     z, w = _split(spec, p)
     if not spec.base.contains(z, margin):
         return False
-    return abs(w) ** 2 < float(spec.base._norm(z)) ** spec.mu - margin
+    return _point_fiber_argument(spec, z, w) > margin
 
 
 class HartogsPotential:
@@ -133,31 +157,48 @@ class HartogsPotential:
         return float(self(np.asarray(p, dtype=np.complex128)))
 
     def derivatives(self, p, x=None, y=None) -> Derivatives:
-        """Closed-form derivatives of Phi at p (see `Derivatives`).
+        """Closed-form derivatives of Phi at one point or a stack (see `Derivatives`).
 
-        Raises DomainViolation when p lies outside the fibration.
+        p is (n,) or (B, n); directions are shared (n, p) or per point
+        (B, n, p).  Raises DomainViolation, naming the first offending
+        index, when a point lies outside the fibration.
         """
         p = np.asarray(p, dtype=np.complex128)
-        z, w = _split(self.spec, p)
+        out = self._stacked(p[None] if p.ndim == 1 else p, x, y)
+        return out.member(0) if p.ndim == 1 else out
+
+    def _stacked(self, p, x, y) -> Derivatives:
+        if p.ndim != 2 or p.shape[1] != self.n_coords:
+            raise ValueError(f"expected {self.n_coords} coordinates, got shape {p.shape}")
+        z, w = p[:, :-1], p[:, -1]
         mu = self.spec.mu
-        sub = (None, None) if x is None else (x[:-1], y[:-1])
-        log_n = self.spec.base.log_norm_derivatives(z, *sub)
-        a = np.exp(mu * log_n.value)
-        nmu = log_n.compose(a, mu * a, mu**2 * a, mu**3 * a)
+        sub = _base_rows(x, y, slice(None, -1))
+        try:
+            nmu = self.spec.base.norm_power_derivatives(z, mu, *sub)
+        except DomainViolation as exc:
+            # an earlier point may lie outside the fiber
+            if exc.index:
+                self._stacked(p[: exc.index], None, None)
+            raise
+        d = _fiber_argument(nmu.value, w)
+        bad = d <= 0.0
+        if bad.any():
+            raise DomainViolation(
+                "potential argument non-positive (outside domain)", int(np.argmax(bad))
+            )
         # D = N^mu - |w|^2: D_w = -wbar, D_{w wbar} = -1, no other fiber terms
-        d = nmu.value - abs(w) ** 2
-        if d <= 0.0:
-            raise DomainViolation("potential argument non-positive (outside domain)")
-        n = self.n_coords
-        grad = np.append(nmu.grad, -np.conj(w))
-        levi = np.zeros((n, n), dtype=np.complex128)
-        levi[:-1, :-1] = nmu.levi
-        levi[-1, -1] = -1.0
+        b, n = p.shape
+        grad = np.empty((b, n), dtype=np.complex128)
+        grad[:, :-1] = nmu.grad
+        grad[:, -1] = -w.conj()
+        levi = np.zeros((b, n, n), dtype=np.complex128)
+        levi[:, :-1, :-1] = nmu.levi
+        levi[:, -1, -1] = -1.0
         if x is None:
             fiber = Derivatives(d, grad, levi)
         else:
-            third = np.zeros((x.shape[1], y.shape[1], n), dtype=np.complex128)
-            third[:, :, :-1] = nmu.third
+            third = np.zeros((*nmu.third.shape[:-1], n), dtype=np.complex128)
+            third[..., :-1] = nmu.third
             fiber = Derivatives(d, grad, levi, x, y, nmu.hess, third)
         return fiber.compose(-np.log(d), -1.0 / d, 1.0 / d**2, -2.0 / d**3)
 
@@ -189,9 +230,11 @@ class DomainPotential:
         return float(self(np.asarray(p, dtype=np.complex128)))
 
     def derivatives(self, p, x=None, y=None) -> Derivatives:
-        """Closed-form derivatives of -log N at p (see `Derivatives`)."""
-        log_n = self.spec.log_norm_derivatives(p, x, y)
-        return log_n.compose(-log_n.value, -1.0, 0.0, 0.0)
+        """Closed-form derivatives of -log N at one point or a stack (see `Derivatives`)."""
+        p = np.asarray(p, dtype=np.complex128)
+        log_n = self.spec.log_norm_derivatives(p[None] if p.ndim == 1 else p, x, y)
+        out = log_n.compose(-log_n.value, -1.0, 0.0, 0.0)
+        return out.member(0) if p.ndim == 1 else out
 
     def interior_margin(self, p) -> float:
         """N; <= 0 outside the domain even where N > 0 (see `fiber_margin`)."""

@@ -31,7 +31,8 @@ import numpy as np
 
 from .domains import DomainSpec
 from .hartogs import HartogsPotential, HartogsSpec, h_contains, potential
-from .metric import distance_to_span, geodesic_ivp
+from .metric import distance_to_span, geodesic_batch
+from .metric import geodesic_ivp  # noqa: F401 - stays importable as l2embed.geodesic_ivp
 from .numerics import gen_binomial
 
 __all__ = [
@@ -394,20 +395,24 @@ def line_constraints(r: int, mu: float, xi, tol: float = 1e-9) -> LinearGeodesic
     )
 
 
-def line_deviation(r: int, mu: float, xi, T: float, tol: float = 1e-10) -> float:
+def line_deviation(r: int, mu: float, xi, T: float, tol: float = 1e-10):
     """Max distance of the integrated geodesic from the complex line C xi.
 
     Integrates from the origin with the (normalized) direction xi and
     projects every trace point onto the line in the Euclidean Hermitian
-    inner product.
+    inner product.  xi is one direction (a float is returned) or a stack
+    (m, r + 1) (an array (m,) is returned), integrated as one batch.
     """
     xi = np.asarray(xi, dtype=np.complex128)
-    nrm = np.linalg.norm(xi)
-    if nrm == 0.0:
+    dirs = xi[None] if xi.ndim == 1 else xi
+    nrm = np.array([np.linalg.norm(d) for d in dirs])
+    if np.any(nrm == 0.0):
         raise ValueError("direction must be nonzero")
-    xi = xi / nrm
+    dirs = dirs / nrm[:, None]
     spec = HartogsSpec(DomainSpec.polydisk(r), mu)
     pot = HartogsPotential(spec)
-    trace = geodesic_ivp(pot, np.zeros(r + 1, dtype=np.complex128), xi, T, tol=tol)
-    basis = xi.reshape(-1, 1)
-    return max(distance_to_span(p, basis) for p in trace.positions)
+    traces = geodesic_batch(pot, np.zeros_like(dirs), dirs, T, tol=tol)
+    dev = np.array(
+        [np.max(distance_to_span(tr.positions, d[:, None])) for tr, d in zip(traces, dirs)]
+    )
+    return float(dev[0]) if xi.ndim == 1 else dev

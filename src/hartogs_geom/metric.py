@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .jets import jet_space, jet_variable, wirtinger
-from .numerics import Derivatives, DomainViolation
+from .numerics import Derivatives, DomainViolation, _t
 
 __all__ = [
     "MetricData",
@@ -36,6 +36,7 @@ __all__ = [
     "metric_at",
     "christoffel_at",
     "geodesic_ivp",
+    "geodesic_batch",
     "tg_residual",
     "sectional_curvature",
     "hermitian_inner",
@@ -64,8 +65,11 @@ class FunctionPotential:
 
         Value, gradient and Levi form come from one order-2 jet; hess and
         third from one mixed order-3 jet per column pair (x[:, a], y[:, b]).
+        A stack of points (B, n) is evaluated point by point and stacked.
         """
         p = np.asarray(p, dtype=np.complex128)
+        if p.ndim == 2:
+            return self._stacked(p, x, y)
         n = self.n_coords
         space = jet_space((2 * n,), (2,), 2)
         f = self._fn(
@@ -89,6 +93,28 @@ class FunctionPotential:
                 else:
                     hess[a, b], third[a, b] = self._mixed(p, x[:, a], y[:, b])
         return Derivatives(f.value.real, grad, levi, x, y, hess, third)
+
+    def _stacked(self, p, x, y) -> Derivatives:
+        parts = []
+        for j, pj in enumerate(p):
+            xj, yj = (d if d is None or d.ndim == 2 else d[j] for d in (x, y))
+            try:
+                parts.append(self.derivatives(pj, xj, yj))
+            except DomainViolation as exc:
+                raise DomainViolation(str(exc), j) from exc
+
+        def stack(name):
+            return None if x is None else np.stack([getattr(d, name) for d in parts])
+
+        return Derivatives(
+            np.array([d.value for d in parts]),
+            np.stack([d.grad for d in parts]),
+            np.stack([d.levi for d in parts]),
+            x,
+            y,
+            stack("hess"),
+            stack("third"),
+        )
 
     def _mixed(self, p, u, v):
         """Phi_ij u^i v^j and Phi_{i j lbar} u^i v^j for every l, from one jet.
@@ -181,7 +207,7 @@ class GeodesicTrace:
 
 
 def _hermitian(g: np.ndarray) -> np.ndarray:
-    return 0.5 * (g + g.conj().T)
+    return 0.5 * (g + _t(g.conj()))
 
 
 def _metric_matrix(pot, p) -> np.ndarray:
@@ -223,10 +249,14 @@ def _fourth_holomorphic(pot, p, x) -> complex:
 
 
 def _metric_and_third(pot, p, basis):
-    """The metric and third[a, b, l] = Phi_{i j lbar} basis[i, a] basis[j, b]."""
+    """The metric and third[a, b, l] = Phi_{i j lbar} basis[i, a] basis[j, b].
+
+    p and basis may be stacks (B, n) and (B, n, k); the results then carry
+    the leading B axis.
+    """
     t = pot.derivatives(p, basis, basis)
     # rounding in the closed form breaks the exact (a, b) symmetry
-    return _hermitian(t.levi), 0.5 * (t.third + t.third.transpose(1, 0, 2))
+    return _hermitian(t.levi), 0.5 * (t.third + np.swapaxes(t.third, -3, -2))
 
 
 # -- public operations ---------------------------------------------------------------
@@ -255,9 +285,27 @@ def hermitian_inner(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
 
 
 def _acceleration(pot, p, v) -> tuple[np.ndarray, np.ndarray]:
-    """The geodesic acceleration at (p, v) and the metric g it solved with."""
-    g, d = _metric_and_third(pot, p, v[:, None])
-    return -np.linalg.solve(np.conj(g), d[0, 0]), g
+    """The geodesic acceleration at (p, v) and the metric g it solved with.
+
+    p and v may be stacks (B, n); the results then carry the B axis.
+    """
+    g, d = _metric_and_third(pot, p, v[..., None])
+    return -np.linalg.solve(np.conj(g), d[..., 0, 0, :, None])[..., 0], g
+
+
+# Dormand-Prince 5(4): stage weights a[s] and the fourth-order weights
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
 
 
 def geodesic_ivp(
@@ -269,12 +317,35 @@ def geodesic_ivp(
     boundary_margin: float = BOUNDARY_MARGIN,
     max_steps: int = 100_000,
 ) -> GeodesicTrace:
-    """Adaptive Dormand-Prince 5(4) integration of the geodesic equation.
+    """One geodesic: `geodesic_batch` of a single member (see there)."""
+    return geodesic_batch(pot, [p0], [v0], T, tol, boundary_margin, max_steps)[0]
 
-    Returns the accepted steps; stops early with status "boundary_reached"
-    when a step would land closer to the boundary than `boundary_margin`.
-    Raises ValueError for T <= 0 or a zero initial velocity, and
-    RuntimeError on step-size underflow.
+
+def geodesic_batch(
+    pot,
+    p0s,
+    v0s,
+    T: float,
+    tol: float = 1e-10,
+    boundary_margin: float = BOUNDARY_MARGIN,
+    max_steps: int = 100_000,
+) -> list[GeodesicTrace]:
+    """Adaptive Dormand-Prince 5(4) integration of independent geodesics.
+
+    p0s and v0s are stacks (B, n) of initial points and velocities; the
+    result holds one trace per member.  Each member keeps its own time, step
+    size, accept/reject decisions, status, FSAL stage, energies and
+    counters, so it takes exactly the steps, with the same floats, that it
+    takes alone.  Every stage evaluates the right-hand side once for all
+    members still integrating; a member whose trial stage leaves the domain
+    retries its own step at a quarter of the step size, and the stage is
+    evaluated again for the others.
+
+    Returns the accepted steps; a member stops early with status
+    "boundary_reached" when a step would land closer to the boundary than
+    `boundary_margin`.  Raises ValueError for T <= 0, a zero initial
+    velocity or a start point within the margin, and RuntimeError when any
+    member's step size underflows or its step budget runs out.
 
     First same as last (FSAL): stage 7 is evaluated at the fifth-order
     solution (its weights a[6] are the fifth-order weights), so an accepted
@@ -282,97 +353,133 @@ def geodesic_ivp(
     step's stage 1, and its energy from the metric the same evaluation
     built.  Each attempted step costs six rhs evaluations.
     """
-    p0 = np.asarray(p0, dtype=np.complex128)
-    v0 = np.asarray(v0, dtype=np.complex128)
-    if np.all(v0 == 0):
+    p0s = np.atleast_2d(np.asarray(p0s, dtype=np.complex128))
+    v0s = np.atleast_2d(np.asarray(v0s, dtype=np.complex128))
+    if np.any(np.all(v0s == 0, axis=1)):
         raise ValueError("geodesic needs a nonzero initial velocity")
     if not T > 0:
         raise ValueError("geodesic needs a positive end time T")
-    n = pot.n_coords
-
-    a = (
-        (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    )
-    b4 = np.array(
-        [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-    )
-    rhs_evals = 0
-
-    def rhs(y):
-        nonlocal rhs_evals
-        rhs_evals += 1
-        acc, g = _acceleration(pot, y[:n], y[n:])
-        return np.concatenate([y[n:], acc]), g
-
-    def energy(g, y):
-        return float(np.real(hermitian_inner(g, y[n:], y[n:])))
-
-    if pot.interior_margin(p0) < boundary_margin:
+    if any(pot.interior_margin(p) < boundary_margin for p in p0s):
         raise ValueError("initial point is too close to the boundary")
 
-    y = np.concatenate([p0, v0])
-    k1, g = rhs(y)
-    t = 0.0
-    times, ys, energies = [0.0], [y], [energy(g, y)]
-    status = "completed"
-    rejected_steps = domain_retries = 0
-    h = min(0.01, T)
-    for _ in range(max_steps):
-        if t >= T:
+    members = range(len(p0s))
+    rhs_evals = [1] * len(p0s)
+    rejected_steps = [0] * len(p0s)
+    domain_retries = [0] * len(p0s)
+    h = [min(0.01, T)] * len(p0s)
+
+    def energy(g, v):
+        return float(np.real(hermitian_inner(g, v, v)))
+
+    def evaluate(ys, att):
+        """The rhs at the stacked states ys of the members att.
+
+        Returns the positions in att that it reached, their rhs and their
+        metrics.  A member whose state leaves the domain is charged its
+        evaluation and a retry, its step size shrinks, and the others are
+        evaluated again.
+        """
+        live, rows = list(range(len(att))), ys
+        while live:
+            try:
+                acc, g = _acceleration(pot, rows[0], rows[1])
+            except DomainViolation as exc:
+                if exc.index is None and len(live) > 1:
+                    raise
+                j = att[live.pop(exc.index or 0)]
+                rhs_evals[j] += 1
+                domain_retries[j] += 1
+                h[j] *= 0.25
+                rows = ys[:, live]
+                continue
+            for pos in live:
+                rhs_evals[att[pos]] += 1
+            return live, np.stack([rows[1], acc]), g
+        return live, None, None
+
+    # states and rhs are stacked as (2, members, n): positions, then
+    # velocities, each a contiguous block for `_acceleration`
+    y = np.stack([p0s, v0s])
+    acc, g = _acceleration(pot, y[0], y[1])
+    k1 = np.stack([y[1], acc])
+    t = [0.0] * len(p0s)
+    times = [[0.0] for _ in members]
+    ys = [[y[:, j].copy()] for j in members]
+    energies = [[energy(g[j], y[1, j])] for j in members]
+    status = ["completed"] * len(p0s)
+    done = [False] * len(p0s)
+    steps = [0] * len(p0s)
+    while True:
+        att = []
+        for j in members:
+            if done[j]:
+                continue
+            if steps[j] == max_steps:
+                raise RuntimeError("geodesic exceeded the step budget")
+            steps[j] += 1
+            if t[j] >= T:
+                done[j] = True
+                continue
+            h[j] = min(h[j], T - t[j])
+            if h[j] < 1e-14 * max(1.0, T):
+                raise RuntimeError("geodesic step size underflow")
+            att.append(j)
+        if not att:
             break
-        h = min(h, T - t)
-        if h < 1e-14 * max(1.0, T):
-            raise RuntimeError("geodesic step size underflow")
-        try:
-            k = [k1]
-            # the last pass leaves y5 at stage 7: the fifth-order solution
-            for s in range(1, 7):
-                y5 = y + h * sum(c * k[m] for m, c in enumerate(a[s]))
-                ks, g = rhs(y5)
-                k.append(ks)
-        except DomainViolation:
-            # a trial stage overshot the boundary; retry with a shorter step
-            domain_retries += 1
-            h *= 0.25
+        y0, hs = y[:, att], np.array([h[j] for j in att])[:, None]
+        k = [k1[:, att]]
+        # the last pass leaves y5 at stage 7: the fifth-order solution
+        for s in range(1, 7):
+            y5 = y0 + hs * sum(c * k[m] for m, c in enumerate(_DP_A[s]))
+            live, ks, g = evaluate(y5, att)
+            if len(live) < len(att):
+                # a trial stage overshot the boundary: those members retry
+                att = [att[pos] for pos in live]
+                y0, hs, y5 = y0[:, live], hs[live], y5[:, live]
+                k = [km[:, live] for km in k]
+                if not att:
+                    break
+            k.append(ks)
+        if not att:
             continue
-        y4 = y + h * (b4 @ np.array(k))
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(y5 - y4) / scale))
-        if err <= 1.0:
-            if pot.interior_margin(y5[:n]) < boundary_margin:
-                status = "boundary_reached"
-                break
-            t += h
-            y, k1 = y5, k[6]
-            times.append(t)
-            ys.append(y)
-            energies.append(energy(g, y))
-        else:
-            rejected_steps += 1
-        h *= float(np.clip(0.9 * (max(err, 1e-16)) ** (-0.2), 0.2, 5.0))
-    else:
-        raise RuntimeError("geodesic exceeded the step budget")
+        y4 = y0 + hs * (_DP_B4 @ np.stack(k, axis=-2))
+        scale = tol + tol * np.maximum(np.abs(y0), np.abs(y5))
+        errs = (np.abs(y5 - y4) / scale).max(axis=(0, 2))
+        for pos, j in enumerate(att):
+            err = float(errs[pos])
+            if err <= 1.0:
+                if pot.interior_margin(y5[0, pos]) < boundary_margin:
+                    status[j] = "boundary_reached"
+                    done[j] = True
+                    continue
+                t[j] += h[j]
+                y[:, j], k1[:, j] = y5[:, pos], k[6][:, pos]
+                times[j].append(t[j])
+                ys[j].append(y5[:, pos])
+                energies[j].append(energy(g[pos], y5[1, pos]))
+            else:
+                rejected_steps[j] += 1
+            h[j] *= min(max(0.9 * max(err, 1e-16) ** -0.2, 0.2), 5.0)
 
-    ys = np.array(ys)
-    return GeodesicTrace(
-        times=np.array(times),
-        positions=ys[:, :n],
-        velocities=ys[:, n:],
-        energies=np.array(energies),
-        status=status,
-        rhs_evals=rhs_evals,
-        rejected_steps=rejected_steps,
-        domain_retries=domain_retries,
-    )
+    traces = []
+    for j in members:
+        path = np.array(ys[j])
+        traces.append(
+            GeodesicTrace(
+                times=np.array(times[j]),
+                positions=path[:, 0],
+                velocities=path[:, 1],
+                energies=np.array(energies[j]),
+                status=status[j],
+                rhs_evals=rhs_evals[j],
+                rejected_steps=rejected_steps[j],
+                domain_retries=domain_retries[j],
+            )
+        )
+    return traces
 
 
-def tg_residual(pot, chart, q) -> float:
+def tg_residual(pot, chart, q):
     """Second-fundamental-form residual of a chart at a parameter point.
 
     For every pair (X, Y) of chart tangent vectors, the connection vector
@@ -380,23 +487,31 @@ def tg_residual(pot, chart, q) -> float:
     g-orthogonal complement of the tangent space; the maximum norm of that
     normal component is returned.  Zero (to tolerance) iff the chart is
     totally geodesic at the point.
+
+    q is one parameter point (a float is returned) or a stack (B, k) (an
+    array (B,) is returned): one derivative evaluation and stacked solves
+    serve the whole stack, with each point's own tangent basis, and every
+    point gets the floats it gets alone.
     """
-    p = chart.embed(q)
-    t_basis = np.asarray(chart.tangent_basis(q), dtype=np.complex128)
-    n, kdim = t_basis.shape
+    q = np.asarray(q)
+    qs = q[None] if q.ndim == 1 else q
+    p = np.stack([chart.embed(qj) for qj in qs])
+    t_basis = np.stack([np.asarray(chart.tangent_basis(qj), dtype=np.complex128) for qj in qs])
+    kdim = t_basis.shape[-1]
     sv = np.linalg.svd(t_basis, compute_uv=False)
-    if sv[-1] < 1e-10 * max(1.0, sv[0]):
+    if np.any(sv[:, -1] < 1e-10 * np.maximum(1.0, sv[:, 0])):
         raise ValueError("degenerate chart tangent basis")
     g, third = _metric_and_third(pot, p, t_basis)
-    gram = t_basis.T @ g @ np.conj(t_basis)
+    gram = _t(t_basis) @ g @ np.conj(t_basis)
     rows, cols = np.triu_indices(kdim)
     # one column per tangent pair (X, Y): v = Gamma(X, Y)
-    v = np.linalg.solve(np.conj(g), third[rows, cols].T)
+    v = np.linalg.solve(np.conj(g), _t(third[:, rows, cols]))
     # normal equations of the g-orthogonal projection onto the span
-    coef = np.linalg.solve(np.conj(gram), (v.T @ g @ np.conj(t_basis)).T)
+    coef = np.linalg.solve(np.conj(gram), _t(_t(v) @ g @ np.conj(t_basis)))
     resid = v - t_basis @ coef
-    norm2 = np.real(np.sum(resid * (g @ np.conj(resid)), axis=0))
-    return math.sqrt(max(float(np.max(norm2)), 0.0))
+    norm2 = np.real(np.sum(resid * (g @ np.conj(resid)), axis=-2))
+    out = np.sqrt(np.maximum(np.max(norm2, axis=-1), 0.0))
+    return float(out[0]) if q.ndim == 1 else out
 
 
 def sectional_curvature(pot, p, x) -> float:
@@ -415,7 +530,14 @@ def sectional_curvature(pot, p, x) -> float:
     return float(np.real(r)) / e**2
 
 
-def distance_to_span(p: np.ndarray, basis: np.ndarray) -> float:
-    """Euclidean distance from p to the complex span of the basis columns."""
-    coef, *_ = np.linalg.lstsq(basis, p, rcond=None)
-    return float(np.linalg.norm(p - basis @ coef))
+def distance_to_span(p, basis: np.ndarray):
+    """Euclidean distance from p to the complex span of the basis columns.
+
+    p is one point (n,), giving a float, or a stack (m, n), giving one
+    distance per row from a single least-squares solve.
+    """
+    p = np.asarray(p)
+    cols = (p[None] if p.ndim == 1 else p).T
+    coef, *_ = np.linalg.lstsq(basis, cols, rcond=None)
+    dist = np.linalg.norm(cols - basis @ coef, axis=0)
+    return float(dist[0]) if p.ndim == 1 else dist

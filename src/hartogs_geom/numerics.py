@@ -20,7 +20,21 @@ __all__ = ["det", "is_positive_definite", "gen_binomial", "DomainViolation", "De
 
 
 class DomainViolation(ValueError):
-    """A point lies outside the domain required by an operation."""
+    """A point lies outside the domain required by an operation.
+
+    `index` names the offending point of a stacked evaluation (the first
+    one, when several lie outside); a single point is the stack of one, so
+    it carries 0.  Raisers that do not know the point leave it None.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    """Swap the last two axes: the transpose of every matrix of a stack."""
+    return m.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -33,9 +47,14 @@ class Derivatives:
     third[a, b, l] = F_{i j lbar} x[i, a] y[j, b]; without directions all
     four are None.  Contracting against directions keeps one direction pair
     at O(d^2) work instead of materializing the d^3 third-order tensor.
+
+    A stack of B points carries a leading batch axis on every tensor: value
+    (B,), grad (B, d), levi (B, d, d), hess (B, p, q) and third
+    (B, p, q, d), with directions shared (d, p) or per point (B, d, p).
+    `member(j)` gives point j with the unbatched shapes.
     """
 
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
     levi: np.ndarray
     x: np.ndarray | None = None
@@ -43,28 +62,57 @@ class Derivatives:
     hess: np.ndarray | None = None
     third: np.ndarray | None = None
 
-    def compose(self, f0: float, f1: float, f2: float, f3: float) -> "Derivatives":
-        """Derivatives of phi(F) from phi and its first three derivatives at F."""
+    def compose(self, f0, f1, f2, f3) -> "Derivatives":
+        """Derivatives of phi(F) from phi and its first three derivatives at F.
+
+        f0-f3 are scalars, or arrays shaped like `value` for a stack.
+        """
+        # f1-f3 scale vectors over the last axis; each f is folded into the
+        # smallest factor of a product
+        f1, f2, f3 = (np.asarray(f)[..., None] for f in (f1, f2, f3))
         g = self.grad
-        gbar = np.conj(g)
-        levi = f1 * self.levi + f2 * np.outer(g, gbar)
+        gbar = g.conj()
+        levi = f1[..., None] * self.levi + (f2 * g)[..., :, None] * gbar[..., None, :]
         if self.x is None:
             return Derivatives(f0, f1 * g, levi)
-        fx, fy = self.x.T @ g, self.y.T @ g
-        fxl, fyl = self.x.T @ self.levi, self.y.T @ self.levi
-        fxy = np.outer(fx, fy)
-        hess = f1 * self.hess + f2 * fxy
-        third = (
-            f1 * self.third
-            + f2
-            * (
-                self.hess[:, :, None] * gbar
-                + fxl[:, None, :] * fy[None, :, None]
-                + fyl[None, :, :] * fx[:, None, None]
-            )
-            + f3 * fxy[:, :, None] * gbar
-        )
+        xt = _t(self.x)
+        fx, fxl = (xt @ g[..., None])[..., 0], xt @ self.levi
+        if self.y is self.x:
+            fy, fyl = fx, fxl
+        else:
+            yt = _t(self.y)
+            fy, fyl = (yt @ g[..., None])[..., 0], yt @ self.levi
+        f2fx = f2 * fx
+        hess = f1[..., None] * self.hess + f2fx[..., :, None] * fy[..., None, :]
+        # phi(F)_{ij lbar} x^i y^j = f1 F_{ij lbar} x^i y^j
+        #   + (f2 F_xy + f3 F_x F_y) Fbar_l + f2 (F_{x lbar} F_y + F_{y lbar} F_x)
+        cross = fxl[..., :, None, :] * (f2 * fy)[..., None, :, None]
+        if self.y is self.x:
+            cross = cross + cross.swapaxes(-3, -2)
+        else:
+            cross = cross + fyl[..., None, :, :] * f2fx[..., :, None, None]
+        curve = f2[..., None] * self.hess + (f3 * fx)[..., :, None] * fy[..., None, :]
+        third = f1[..., None, None] * self.third + curve[..., None] * gbar[..., None, None, :] + cross
         return Derivatives(f0, f1 * g, levi, self.x, self.y, hess, third)
+
+    def member(self, j: int) -> "Derivatives":
+        """Point j of a stack, with the unbatched shapes."""
+
+        def pick(a):
+            return None if a is None else a[j]
+
+        def direction(d):
+            return d if d is None or d.ndim == 2 else d[j]
+
+        return Derivatives(
+            float(self.value[j]),
+            self.grad[j],
+            self.levi[j],
+            direction(self.x),
+            direction(self.y),
+            pick(self.hess),
+            pick(self.third),
+        )
 
 
 def _value(x) -> complex:

@@ -97,3 +97,31 @@ def christoffel_fd(pot, p, h: float = 2e-3) -> np.ndarray:
     dg = dg_fd(pot, p, h)
     h_inv = np.conj(np.linalg.inv(g))
     return np.einsum("kl,ijl->kij", h_inv, dg)
+
+
+def third_fd(pot, p, x, y, h: float = 2e-3) -> np.ndarray:
+    """third[a, b, l] = Phi_{i j lbar} x[i, a] y[j, b] by finite differences.
+
+    Differentiates the potential along p + s x_a + t y_b + u e_l in the real
+    parts and imaginary parts of s, t and u, then assembles d_s d_t d_ubar.
+    """
+    n = pot.n_coords
+    out = np.empty((x.shape[1], y.shape[1], n), dtype=np.complex128)
+    for a in range(x.shape[1]):
+        for b in range(y.shape[1]):
+            for l in range(n):
+
+                def f(r, u=x[:, a], v=y[:, b], l=l):
+                    q = np.array(p, dtype=np.complex128)
+                    q += complex(r[0], r[1]) * u + complex(r[2], r[3]) * v
+                    q[l] += complex(r[4], r[5])
+                    return pot.value(q)
+
+                acc = 0.0 + 0.0j
+                # (1/2)(d_re - i d_im) for s and t, (1/2)(d_re + i d_im) for ubar
+                for bs, cs in ((0, 1.0), (1, -1j)):
+                    for bt, ct in ((2, 1.0), (3, -1j)):
+                        for bl, cl in ((4, 1.0), (5, 1j)):
+                            acc += cs * ct * cl * fd_richardson(f, np.zeros(6), (bs, bt, bl), h)
+                out[a, b, l] = acc / 8.0
+    return out

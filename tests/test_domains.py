@@ -105,6 +105,17 @@ class TestGenericNorm:
         with pytest.raises(DomainViolation):
             DomainSpec.type_i(1, 1).generic_norm([1.5])
 
+    def test_stack_names_first_outside_point_across_factors(self):
+        # the factors are tested in turn, but point 1, outside the second
+        # factor only, comes before point 3, outside the first factor only
+        spec = DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2))
+        z = np.stack([spec.sample(0.5, seed) for seed in range(5)])
+        z[1, 2:] = 1.2
+        z[3, :2] = [1.2, 0.0]
+        with pytest.raises(DomainViolation) as info:
+            spec.log_norm_derivatives(z)
+        assert info.value.index == 1
+
     def test_type_iv_on_embedded_bidisk(self):
         spec = DomainSpec.type_iv(5)
         emb = polydisk_embedding(spec)
@@ -164,8 +175,9 @@ class TestPolydiskLogNorm:
             z = disk.sample(shrink, seed)
             x = rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2))
             y = rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))
-            got = _polydisk_log_norm(z, x, y)
-            want = _matrix_log_norm(disk, z, x, y)
+            # the routes take stacks; compare the one point's tensors
+            got = _polydisk_log_norm(z[None], x, y).member(0)
+            want = _matrix_log_norm(disk, z[None], x, y).member(0)
             assert abs(got.value - want.value) <= 1e-14 * max(1.0, abs(want.value))
             for field in ("grad", "levi", "hess", "third"):
                 g, w = getattr(got, field), getattr(want, field)
@@ -191,6 +203,27 @@ class TestPolydiskLogNorm:
             except DomainViolation:
                 inside = False
             assert inside == disk.contains([z])
+
+
+class TestTypeIVNormPower:
+    """Type IV's direct route from N to N^mu against the route through log N."""
+
+    def test_matches_log_route(self):
+        spec = DomainSpec.type_iv(5)
+        rng = np.random.default_rng(17)
+        z = np.stack([spec.sample(0.2 + 0.06 * seed, seed) for seed in range(13)])
+        x = rng.normal(size=(13, 5, 2)) + 1j * rng.normal(size=(13, 5, 2))
+        y = rng.normal(size=(13, 5, 1)) + 1j * rng.normal(size=(13, 5, 1))
+        for mu in (0.4, 1.1, 3.0):
+            got = spec.norm_power_derivatives(z, mu, x, y)
+            log_n = spec.log_norm_derivatives(z, x, y)
+            a = np.exp(mu * log_n.value)
+            want = log_n.compose(a, mu * a, mu**2 * a, mu**3 * a)
+            # the value decides fiber membership: the same floats
+            assert np.array_equal(got.value, want.value)
+            for field in ("grad", "levi", "hess", "third"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), field
 
 
 class TestMatrixRealization:

@@ -8,6 +8,7 @@ from hartogs_geom.hartogs import (
     DomainPotential,
     HartogsPotential,
     HartogsSpec,
+    fiber_margin,
     h_contains,
     h_sample,
     lift_automorphism_polydisk,
@@ -50,6 +51,40 @@ class TestMembership:
     def test_json_roundtrip(self):
         spec = HartogsSpec(DomainSpec.type_iv(6), 0.75)
         assert HartogsSpec.from_json(spec.to_json()) == spec
+
+
+class TestFiberShell:
+    """One expression decides fiber membership, to the last bit.
+
+    Points on the shell |w| = N^(mu/2) (1 + k 1e-16), k in -3..3, straddle
+    the fiber boundary within a few ulps; there N^mu computed as N**mu and
+    as exp(mu log N) can fall on opposite sides of |w|^2.
+    """
+
+    @pytest.mark.parametrize(
+        "base,mu", [(DomainSpec.type_i(2, 3), 1.3), (DomainSpec.polydisk(2), 1.7)], ids=str
+    )
+    def test_closed_form_and_membership_agree(self, base, mu):
+        spec = HartogsSpec(base, mu)
+        pot = HartogsPotential(spec)
+        rng = np.random.default_rng(13)
+        inside = disagree = 0
+        for seed in range(300):
+            z = base.sample(0.9, seed)
+            radius = base.generic_norm(z) ** (mu / 2)
+            phase = np.exp(2j * np.pi * rng.random())
+            for k in range(-3, 4):
+                p = np.append(z, radius * (1 + k * 1e-16) * phase)
+                try:
+                    pot.derivatives(p)
+                    closed_form = True
+                except DomainViolation:
+                    closed_form = False
+                inside += closed_form
+                disagree += not (closed_form == h_contains(spec, p) == (fiber_margin(spec, p) > 0))
+        assert disagree == 0
+        # the shell really straddles the boundary
+        assert 0 < inside < 300 * 7
 
 
 class TestPotential:
@@ -112,8 +147,13 @@ class TestPotential:
         pot = HartogsPotential(hs)
         for seed in range(4):
             p = h_sample(hs, 0.9, seed)
+            # the margin is the fiber argument that the closed form tests,
+            # N^mu - |w|^2 with N^mu = exp(mu log N); the value route takes
+            # N**mu - |w|^2
+            margin = spec.norm_power_derivatives(p[:-1], 1.3).value - np.abs(p[-1]) ** 2
             d = float(spec._norm(p[:-1])) ** 1.3 - abs(p[-1]) ** 2
-            assert pot.interior_margin(p) == d
+            assert pot.interior_margin(p) == margin
+            assert pot.interior_margin(p) == pytest.approx(d, rel=1e-12)
             assert pot.value(p) == -np.log(d)
             assert potential(hs, p) == -np.log(d)
 

@@ -26,6 +26,7 @@ from hartogs_geom.metric import (
     FunctionPotential,
     christoffel_at,
     distance_to_span,
+    geodesic_batch,
     geodesic_ivp,
     metric_at,
     sectional_curvature,
@@ -33,7 +34,7 @@ from hartogs_geom.metric import (
 )
 from hartogs_geom.numerics import DomainViolation
 
-from _oracles import christoffel_fd, metric_fd
+from _oracles import christoffel_fd, metric_fd, third_fd
 
 DISK = DomainPotential(DomainSpec.polydisk(1))
 
@@ -188,8 +189,10 @@ class TestGeodesics:
 
         class Recording(HartogsPotential):
             def derivatives(self, p, x=None, y=None):
-                if np.all(np.abs(p[:-1]) > 1.0):
-                    crossings.append(p)
+                # the integrator evaluates stacks of points, one row each
+                for q in np.atleast_2d(p):
+                    if np.all(np.abs(q[:-1]) > 1.0):
+                        crossings.append(q)
                 return super().derivatives(p, x, y)
 
         pot = Recording(hs)
@@ -530,3 +533,165 @@ class TestMobiusPullback:
         jac = lift.jacobian(p)
         pulled = jac.T @ _metric_matrix(pot, lift(p)) @ np.conj(jac)
         assert float(np.max(np.abs(pulled - _metric_matrix(pot, p)))) < 1e-9
+
+
+FD_SPECS = [
+    (DomainSpec.type_i(2, 3), 1.5),
+    (DomainSpec.type_ii(5), 0.7),
+    (DomainSpec.type_iii(3), 2.0),
+    (DomainSpec.type_iv(5), 1.1),
+    (DomainSpec.polydisk(2), 1.3),
+    (DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2)), 0.9),
+]
+
+
+class TestClosedFormFiniteDifferences:
+    """The stacked closed form against finite differences of potential values.
+
+    The oracles differentiate `value`, which takes N**mu from a determinant,
+    so they share no arithmetic with the closed form.  Bounds, fixed before
+    the first run: levi within 1e-7 and third within 1e-6, relative to
+    max(1, the largest finite-difference entry).
+    """
+
+    @pytest.mark.parametrize("spec,mu", FD_SPECS, ids=str)
+    def test_stack_with_per_point_directions(self, spec, mu):
+        pot = _hartogs(spec, mu)
+        n = pot.n_coords
+        p = np.stack([h_sample(pot.spec, 0.6, seed) for seed in (3, 4, 5)])
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(3, n, 2)) + 1j * rng.normal(size=(3, n, 2))
+        y = rng.normal(size=(3, n, 1)) + 1j * rng.normal(size=(3, n, 1))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        got = pot.derivatives(p, x, y)
+        assert got.levi.shape == (3, n, n) and got.third.shape == (3, 2, 1, n)
+        for j in range(3):
+            levi = metric_fd(pot, p[j])
+            third = third_fd(pot, p[j], x[j], y[j])
+            assert np.max(np.abs(got.levi[j] - levi)) <= 1e-7 * max(1.0, np.max(np.abs(levi)))
+            assert np.max(np.abs(got.third[j] - third)) <= 1e-6 * max(1.0, np.max(np.abs(third)))
+
+
+class TestBatchEqualsSingle:
+    """Stacked evaluations give every member the floats it gets alone."""
+
+    @pytest.mark.parametrize("spec,mu", FD_SPECS, ids=str)
+    def test_tg_residual_stack(self, spec, mu):
+        hs = HartogsSpec(spec, mu)
+        pot = HartogsPotential(hs)
+        emb = product_embedding(spec) if spec.kind == "product" else polydisk_embedding(spec)
+        chart = slice_chart(hs, emb)
+        qs = np.stack([chart.sample(0.7, seed) for seed in range(7)])
+        stacked = tg_residual(pot, chart, qs)
+        assert stacked.shape == (7,)
+        assert stacked.tolist() == [tg_residual(pot, chart, q) for q in qs]
+
+    def test_tg_residual_stack_with_per_point_bases(self):
+        from hartogs_geom.hartogs import transported_chart
+
+        base = DomainSpec.polydisk(3)
+        hs = HartogsSpec(base, 1.2)
+        pot = HartogsPotential(hs)
+        mat = np.zeros((3, 1), dtype=complex)
+        mat[0, 0] = 1.0
+        chart = slice_chart(hs, LinearEmbedding(DomainSpec.polydisk(1), base, mat))
+        lift = lift_automorphism_polydisk([0.3, -0.2 + 0.25j, 0.15j], [0.4, 0.0, -1.0], 1.2)
+        moved = transported_chart(chart, lift)
+        qs = np.stack([moved.sample(0.6, seed) for seed in range(5)])
+        bases = [moved.tangent_basis(q) for q in qs]
+        assert not np.array_equal(bases[0], bases[1])
+        stacked = tg_residual(pot, moved, qs)
+        assert stacked.tolist() == [tg_residual(pot, moved, q) for q in qs]
+        assert np.max(stacked) < 1e-9
+
+    @staticmethod
+    def _assert_same_trace(got, want):
+        assert len(got.times) == len(want.times)
+        assert (got.status, got.rhs_evals, got.rejected_steps, got.domain_retries) == (
+            want.status,
+            want.rhs_evals,
+            want.rejected_steps,
+            want.domain_retries,
+        )
+        for field in ("times", "positions", "velocities", "energies"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    @pytest.mark.parametrize("spec,mu", FD_SPECS[:4], ids=str)
+    def test_geodesic_members_match_single_runs(self, spec, mu):
+        pot = _hartogs(spec, mu)
+        n = pot.n_coords
+        p0 = np.stack([h_sample(pot.spec, 0.4, seed) for seed in range(4)])
+        rng = np.random.default_rng(8)
+        v0 = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+        v0 *= 0.5 / np.linalg.norm(v0, axis=1, keepdims=True)
+        traces = geodesic_batch(pot, p0, v0, 1.0, tol=1e-9)
+        assert len(traces) == 4
+        for j, trace in enumerate(traces):
+            self._assert_same_trace(trace, geodesic_ivp(pot, p0[j], v0[j], 1.0, tol=1e-9))
+
+    def test_domain_retry_stays_with_its_member(self):
+        # member 0 is the coarse-tolerance diagonal run of
+        # test_coarse_step_across_polydisk_diagonal: its trial stages cross
+        # the boundary and retry; the others must not notice
+        pot = _hartogs(DomainSpec.polydisk(2), 1.0)
+        p0 = np.array([[0.5, 0.5, 0.0], [0.1, -0.2j, 0.3], [0.0, 0.0, 0.0]], dtype=complex)
+        v0 = np.array([[1.0, 1.0, 0.0], [0.5, 0.2, 0.1], [0.3, 0.3j, 0.9]], dtype=complex)
+        traces = geodesic_batch(pot, p0, v0, 50.0, tol=1.0)
+        singles = [geodesic_ivp(pot, p0[j], v0[j], 50.0, tol=1.0) for j in range(3)]
+        assert singles[0].domain_retries > 0
+        assert len({t.domain_retries for t in singles}) == 3
+        for got, want in zip(traces, singles):
+            self._assert_same_trace(got, want)
+
+    @pytest.mark.parametrize("spec", DUAL_ROUTE_SPECS, ids=str)
+    def test_outside_point_named_by_index(self, spec):
+        from hartogs_geom.metric import _acceleration
+
+        pot = _hartogs(spec, 1.3)
+        p = np.stack([h_sample(pot.spec, 0.5, seed) for seed in range(5)])
+        emb = product_embedding(spec) if spec.kind == "product" else polydisk_embedding(spec)
+        fiber_out, base_out = p.copy(), p.copy()
+        fiber_out[3, -1] = 1.01 * np.sqrt(spec.generic_norm(p[3, :-1]) ** 1.3)
+        base_out[2] = np.append(emb(np.full(spec.rank, 1.2)), 0.0)
+        # the base test runs first, over the whole stack, yet the earlier
+        # point outside the fiber is the one named
+        both = base_out.copy()
+        both[1, -1] = 1.01 * np.sqrt(spec.generic_norm(p[1, :-1]) ** 1.3)
+        for stack, index in ((fiber_out, 3), (base_out, 2), (both, 1)):
+            with pytest.raises(DomainViolation) as info:
+                pot.derivatives(stack)
+            assert info.value.index == index
+            with pytest.raises(DomainViolation) as info:
+                _acceleration(pot, stack, np.ones_like(stack))
+            assert info.value.index == index
+
+
+class TestFunctionPotentialStacks:
+    def test_stack_is_the_single_calls(self):
+        pot = _hartogs(DomainSpec.polydisk(2), 1.3)
+        jet = FunctionPotential(pot, 3)
+        p = np.stack([h_sample(pot.spec, 0.5, seed) for seed in range(3)])
+        x = np.ones((3, 3, 1), dtype=complex)
+        got = jet.derivatives(p, x, x)
+        for j in range(3):
+            want = jet.derivatives(p[j], x[j], x[j])
+            for field in ("value", "grad", "levi", "hess", "third"):
+                assert np.array_equal(getattr(got, field)[j], getattr(want, field)), field
+        p[1, -1] = 2.0
+        with pytest.raises(DomainViolation) as info:
+            jet.derivatives(p)
+        assert info.value.index == 1
+
+
+class TestDistanceToSpan:
+    def test_stack_matches_rows(self):
+        rng = np.random.default_rng(2)
+        basis = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        pts = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
+        pts[:3] = (basis @ pts[:3, :2].T).T  # on the span
+        stacked = distance_to_span(pts, basis)
+        rows = np.array([distance_to_span(p, basis) for p in pts])
+        assert stacked.shape == (9,)
+        assert np.max(np.abs(stacked - rows)) <= 1e-14 * np.max(rows)
+        assert np.max(stacked[:3]) < 1e-14
