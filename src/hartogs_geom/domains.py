@@ -53,14 +53,21 @@ def _conj(x):
 
 
 def _realify(x, tol: float = 1e-12):
-    """Real part of a structurally real quantity; asserts the imag is noise."""
+    """Real part of a structurally real quantity; asserts the imag is noise.
+
+    Takes a jet, a number or an array of numbers (a stack of determinants).
+    """
     if isinstance(x, Jet):
         scale = max(1.0, float(np.max(np.abs(x.coeffs.real))))
         if x.imag_norm() > tol * scale:
             raise ValueError("expected a real-valued jet (Hermitian determinant)")
         return x.real_jet()
-    x = complex(x)
-    if abs(x.imag) > tol * max(1.0, abs(x.real)):
+    if isinstance(x, np.ndarray) and x.ndim:
+        noise = np.any(np.abs(x.imag) > tol * np.maximum(1.0, np.abs(x.real)))
+    else:
+        x = complex(x)
+        noise = abs(x.imag) > tol * max(1.0, abs(x.real))
+    if noise:
         raise ValueError("expected a real determinant of a Hermitian matrix")
     return x.real
 
@@ -244,42 +251,48 @@ class DomainSpec:
 
     # -- closed-form derivatives of log N ----------------------------------------
 
-    def log_norm_derivatives(self, coords, x=None, y=None) -> Derivatives:
+    def log_norm_derivatives(self, coords, x=None, y=None, value_only=False) -> Derivatives:
         """Derivatives of L = log N in closed form, at one point or a stack.
 
         `coords` is a point (dim,) or a stack (B, dim); a stack gives every
         tensor a leading B axis, and a point is the stack of one with that
         axis dropped (see `Derivatives`).  `x` and `y` are optional direction
         matrices, shared (dim, p) or per point (B, dim, p), for the
-        contracted second and third derivatives.  Raises DomainViolation,
-        naming the first offending index, when a point lies outside.
+        contracted second and third derivatives.  `value_only` stops after
+        log N (the Cholesky diagonal of types I-III, sum log a_j on
+        polydisks, log N on type IV) and leaves every tensor None; the value
+        is the same float either way.  Raises DomainViolation, naming the
+        first offending index, when a point lies outside.
         """
         z = np.asarray(coords, dtype=np.complex128)
         if z.ndim == 1:
-            return self.log_norm_derivatives(z[None], x, y).member(0)
+            return self.log_norm_derivatives(z[None], x, y, value_only).member(0)
         self._check_stack(z)
         if self.is_polydisk:
-            return _polydisk_log_norm(z, x, y)
+            return _polydisk_log_norm(z, x, y, value_only)
         if self.kind == "IV":
-            return _type_iv_log_norm(z, x, y)
+            return _type_iv_log_norm(z, x, y, value_only)
         if self.kind != "product":
-            return _matrix_log_norm(self, z, x, y)
+            return _matrix_log_norm(self, z, x, y, value_only)
         # log N is a sum over the factors: block-diagonal tensors
-        levi = np.zeros((len(z), self.dim, self.dim), dtype=np.complex128)
+        levi = None if value_only else np.zeros((len(z), self.dim, self.dim), dtype=np.complex128)
         parts, pos = [], 0
         for f in self.factors:
             rows = slice(pos, pos + f.dim)
             sub = _base_rows(x, y, rows)
             try:
-                parts.append(f.log_norm_derivatives(z[:, rows], *sub))
+                parts.append(f.log_norm_derivatives(z[:, rows], *sub, value_only))
             except DomainViolation as exc:
                 # a later factor may reject an earlier point
                 if exc.index:
-                    self.log_norm_derivatives(z[: exc.index])
+                    self.log_norm_derivatives(z[: exc.index], value_only=True)
                 raise
-            levi[:, rows, rows] = parts[-1].levi
+            if levi is not None:
+                levi[:, rows, rows] = parts[-1].levi
             pos += f.dim
         value = sum(part.value for part in parts)
+        if value_only:
+            return Derivatives(value, None, None)
         grad = np.concatenate([part.grad for part in parts], axis=-1)
         if x is None:
             return Derivatives(value, grad, levi)
@@ -287,11 +300,14 @@ class DomainSpec:
         third = np.concatenate([part.third for part in parts], axis=-1)
         return Derivatives(value, grad, levi, x, y, hess, third)
 
-    def norm_power_derivatives(self, coords, mu: float, x=None, y=None) -> Derivatives:
+    def norm_power_derivatives(
+        self, coords, mu: float, x=None, y=None, value_only=False
+    ) -> Derivatives:
         """Derivatives of N^mu = exp(mu log N), from those of log N.
 
         Takes the arguments of `log_norm_derivatives`.  Its value is the
-        N^mu that decides fiber membership in `hartogs`.  Type IV, whose
+        N^mu that decides fiber membership in `hartogs`, the same float with
+        or without `value_only`.  Type IV, whose
         closed form gives the tensors of N itself, goes from N straight to
         N^mu with the same value: on a single point the chain rule's fixed
         per-call cost is most of the work, and through log N it is paid
@@ -299,16 +315,16 @@ class DomainSpec:
         """
         z = np.asarray(coords, dtype=np.complex128)
         if z.ndim == 1:
-            return self.norm_power_derivatives(z[None], mu, x, y).member(0)
+            return self.norm_power_derivatives(z[None], mu, x, y, value_only).member(0)
         if self.kind == "IV":
             self._check_stack(z)
-            norm = _type_iv_norm_derivatives(z, x, y)
+            norm = _type_iv_norm_derivatives(z, x, y, value_only)
             n = norm.value
             a = np.exp(mu * np.log(n))
             return norm.compose(
                 a, mu * a / n, mu * (mu - 1) * a / n**2, mu * (mu - 1) * (mu - 2) * a / n**3
             )
-        log_n = self.log_norm_derivatives(z, x, y)
+        log_n = self.log_norm_derivatives(z, x, y, value_only)
         a = np.exp(mu * log_n.value)
         return log_n.compose(a, mu * a, mu**2 * a, mu**3 * a)
 
@@ -318,52 +334,57 @@ class DomainSpec:
 
     # -- membership and generic norm ------------------------------------------
 
-    def contains(self, coords, margin: float = 0.0) -> bool:
-        """Membership with a spectral safety margin.
+    def contains(self, coords, margin: float = 0.0):
+        """Membership with a spectral safety margin, of one point or a stack.
 
         For the matrix types the test is lambda_min(I - Z Z*) > margin; for
-        type IV both defining inequalities are required with the margin.
+        type IV both defining inequalities are required with the margin.  A
+        point gives a bool, a stack (B, dim) a boolean array (B,).
         """
-        self._check_len(coords)
-        if self.kind == "I" and self.params == (1, 1):
-            # the disk: I - Z Z* is the 1 x 1 matrix 1 - |z|^2, its own eigenvalue
-            z = complex(coords[0])
-            return 1.0 - (z * z.conjugate()).real > margin
+        z = np.asarray(coords, dtype=np.complex128)
+        if z.ndim == 1:
+            self._check_len(z)
+            return bool(self.contains(z[None], margin)[0])
+        self._check_stack(z)
+        if self.is_polydisk:
+            # I - Z Z* is the 1 x 1 matrix 1 - |z_j|^2 per disk, its own eigenvalue
+            return (1.0 - (z.real * z.real + z.imag * z.imag) > margin).all(axis=-1)
         if self.kind in ("I", "II", "III"):
-            return is_positive_definite(self._gram_complement(coords), margin)
+            return is_positive_definite(_bergman(self, z)[1], margin)
         if self.kind == "IV":
-            z = np.asarray(coords, dtype=np.complex128)
-            s2 = float(np.sum(np.abs(z) ** 2))
-            if s2 >= 1.0 - margin:
-                return False
-            return self._norm(coords) > margin
+            sq, _, n = _type_iv_norm(z)
+            return (sq < 1.0 - margin) & (n > margin)
+        inside = np.ones(len(z), dtype=bool)
         pos = 0
         for f in self.factors:
-            if not f.contains(coords[pos : pos + f.dim], margin):
-                return False
+            inside &= f.contains(z[:, pos : pos + f.dim], margin)
             pos += f.dim
-        return True
+        return inside
 
     def _norm(self, coords):
-        """Generic norm, jet-friendly, without membership validation."""
-        if self.kind in ("I", "III"):
-            return _realify(det(self._gram_complement(coords)))
-        if self.kind == "II":
-            d = _realify(det(self._gram_complement(coords)))
-            if isinstance(d, Jet):
-                return d**0.5
-            return float(d) ** 0.5
+        """Generic norm, jet-friendly, without membership validation.
+
+        A plain stack (B, dim) gives (B,) from stacked determinants: the
+        route that checks the closed forms, which take log N from a Cholesky
+        factor instead.
+        """
+        stack = isinstance(coords, np.ndarray) and coords.ndim == 2
+        if self.kind in ("I", "II", "III"):
+            a = _bergman(self, coords)[1] if stack else self._gram_complement(coords)
+            d = _realify(det(a))
+            return d**0.5 if self.kind == "II" else d
         if self.kind == "IV":
             s_sq = 0.0
             s_abs = 0.0
-            for c in coords:
+            for c in coords.T if stack else coords:
                 s_sq = s_sq + c * c
                 s_abs = s_abs + c * _conj(c)
             return _realify(1.0 + s_sq * _conj(s_sq) - 2.0 * s_abs)
         out = 1.0
         pos = 0
         for f in self.factors:
-            out = out * f._norm(coords[pos : pos + f.dim])
+            rows = slice(pos, pos + f.dim)
+            out = out * f._norm(coords[:, rows] if stack else coords[rows])
             pos += f.dim
         return out
 
@@ -383,29 +404,41 @@ class DomainSpec:
             return 1.0 / np.sqrt(self.dim)
         return 1.0 / np.sqrt(2.0 * self.dim)
 
-    def _draw(self, shrink: float, rng: np.random.Generator) -> np.ndarray:
-        out = np.empty(self.dim, dtype=np.complex128)
-        pos = 0
-        for f in self.irreducible_factors:
-            d = f.dim
-            radius = shrink * f._draw_scale()
-            r = radius * np.sqrt(rng.random(d))
-            phi = 2.0 * np.pi * rng.random(d)
-            out[pos : pos + d] = r * np.exp(1j * phi)
-            pos += d
-        return out
+    def _draw(self, shrink: float, rngs) -> np.ndarray:
+        """Candidate points (B, dim), one per generator in `rngs`.
+
+        Each point takes 2 * dim uniforms from its own stream: for every
+        irreducible factor in turn, its radii and then its angles.
+        """
+        scale, radii, angles = _draw_layout(self)
+        u = np.stack([rng.random(2 * self.dim) for rng in rngs])
+        r = shrink * scale * np.sqrt(u[:, radii])
+        phi = 2.0 * np.pi * u[:, angles]
+        return r * np.exp(1j * phi)
+
+    def _sample_stack(self, shrink: float, rngs) -> np.ndarray:
+        """One interior point per generator, stacked (B, dim), with spectral
+        margin 1 - shrink^2.
+
+        The rejection loop of every sampler: the stack is tested at once and
+        only rejected members draw again, each from its own stream, so a
+        member gets the point it gets alone.
+        """
+        margin = max(0.0, 1.0 - shrink * shrink)
+        out = self._draw(shrink, rngs)
+        todo = np.flatnonzero(~self.contains(out, margin))
+        for _ in range(_SAMPLE_BUDGET):
+            if not todo.size:
+                return out
+            out[todo] = self._draw(shrink, [rngs[j] for j in todo])
+            todo = todo[~self.contains(out[todo], margin)]
+        raise RuntimeError("sample rejection budget exhausted")
 
     def sample(self, shrink: float = 0.9, seed: int = 0) -> np.ndarray:
         """Deterministic interior point with spectral margin 1 - shrink^2."""
         if not 0.0 < shrink <= 1.0:
             raise ValueError("shrink must lie in (0, 1]")
-        rng = np.random.default_rng(seed)
-        margin = max(0.0, 1.0 - shrink * shrink)
-        for _ in range(_SAMPLE_BUDGET):
-            z = self._draw(shrink, rng)
-            if self.contains(z, margin):
-                return z
-        raise RuntimeError("sample rejection budget exhausted")
+        return self._sample_stack(shrink, [np.random.default_rng(seed)])[0]
 
     # -- serialization -----------------------------------------------------------
 
@@ -456,16 +489,34 @@ def _trace_against(k: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out.reshape(*lead, len(e))
 
 
+@lru_cache(maxsize=None)
+def _draw_layout(spec: DomainSpec):
+    """Per coordinate: the radius scale and the positions of its radius and
+    angle uniforms among the 2 * dim that `DomainSpec._draw` takes."""
+    scale, radii, angles = [], [], []
+    for f in spec.irreducible_factors:
+        pos = 2 * len(scale)
+        scale += [f._draw_scale()] * f.dim
+        radii += range(pos, pos + f.dim)
+        angles += range(pos + f.dim, pos + 2 * f.dim)
+    return np.array(scale), np.array(radii), np.array(angles)
+
+
+def _bergman(spec: DomainSpec, z):
+    """Z = sum z_k E_k and A = I - Z Z* over a stack (B, dim)."""
+    e = _unit_matrices(spec)
+    dim, m, n = e.shape
+    zm = (z[:, None, :] @ e.reshape(dim, m * n)).reshape(len(z), m, n)
+    return zm, np.eye(m) - zm @ _t(zm.conj())
+
+
 def _gram(spec: DomainSpec, z):
-    """Z = sum z_k E_k and A = I - Z Z* over a stack, and L = c log det A.
+    """Z and A = I - Z Z* over a stack (see `_bergman`), and L = c log det A.
 
     L comes from the Cholesky factor of A.  Raises DomainViolation, naming
     the first point where A is not positive definite.
     """
-    e = _unit_matrices(spec)
-    dim, m, n = e.shape
-    zm = (z[:, None, :] @ e.reshape(dim, m * n)).reshape(len(z), m, n)
-    a = np.eye(m) - zm @ _t(zm.conj())
+    zm, a = _bergman(spec, z)
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -487,7 +538,7 @@ def _first_failure(a: np.ndarray) -> int | None:
     return None
 
 
-def _matrix_log_norm(spec: DomainSpec, z, x, y) -> Derivatives:
+def _matrix_log_norm(spec: DomainSpec, z, x, y, value_only=False) -> Derivatives:
     """Types I-III: L = c log det A, A = I - Z Z*, c = 1/2 for type II else 1.
 
     With R = A^-1 and P_i = R E_i Z*, the derivatives follow from
@@ -499,6 +550,8 @@ def _matrix_log_norm(spec: DomainSpec, z, x, y) -> Derivatives:
     dim, m, n = e.shape
     c = 0.5 if spec.kind == "II" else 1.0
     zm, a, value = _gram(spec, z)
+    if value_only:
+        return Derivatives(value, None, None)
     zh = _t(zm.conj())
     r = np.linalg.inv(a)
     re = r[:, None] @ e  # R E_i, (B, dim, m, n)
@@ -529,7 +582,7 @@ def _matrix_log_norm(spec: DomainSpec, z, x, y) -> Derivatives:
     return Derivatives(value, grad, levi, x, y, hess, -c * _trace_against(k, e))
 
 
-def _polydisk_log_norm(z, x, y) -> Derivatives:
+def _polydisk_log_norm(z, x, y, value_only=False) -> Derivatives:
     """The disk and products of disks: L = sum_j log a_j, a_j = 1 - |z_j|^2.
 
     Every tensor is diagonal: L_i = -zbar_i / a_i, L_{i ibar} = -1 / a_i^2,
@@ -544,6 +597,8 @@ def _polydisk_log_norm(z, x, y) -> Derivatives:
     if bad.any():
         raise DomainViolation("polydisk point outside the domain", int(np.argmax(bad)))
     value = np.sum(np.log(a), axis=-1)
+    if value_only:
+        return Derivatives(value, None, None)
     zbar = np.conj(z)
     grad = -zbar / a
     diag = np.arange(z.shape[1])
@@ -556,21 +611,30 @@ def _polydisk_log_norm(z, x, y) -> Derivatives:
     return Derivatives(value, grad, levi, x, y, hess, xy * (-2.0 * zbar / a**3)[:, None, None])
 
 
-def _type_iv_norm_derivatives(z, x, y) -> Derivatives:
-    """Type IV: N = 1 + |s|^2 - 2 sum |z_k|^2, s = sum z_k^2, and its tensors.
+def _type_iv_norm(z):
+    """Type IV over a stack, without membership validation: sum |z_k|^2,
+    s = sum z_k^2 and N = 1 + |s|^2 - 2 sum |z_k|^2."""
+    sq = (z.conj()[:, None, :] @ z[:, :, None])[:, 0, 0].real
+    s = (z[:, None, :] @ z[:, :, None])[:, 0, 0]
+    return sq, s, 1.0 + np.abs(s) ** 2 - 2.0 * sq
+
+
+def _type_iv_norm_derivatives(z, x, y, value_only=False) -> Derivatives:
+    """Type IV: N (see `_type_iv_norm`) and its tensors.
 
     N_i = 2 z_i sbar - 2 zbar_i, N_ij = 2 delta_ij sbar,
     N_{i lbar} = 4 z_i zbar_l - 2 delta_il, N_{i j lbar} = 4 delta_ij zbar_l.
     Raises DomainViolation, naming the first point with sum |z_k|^2 >= 1 or
     N <= 0.
     """
-    zbar = z.conj()
-    sbar = np.conj((z[:, None, :] @ z[:, :, None])[:, 0, 0])
-    sq = (zbar[:, None, :] @ z[:, :, None])[:, 0, 0].real
-    n = 1.0 + np.abs(sbar) ** 2 - 2.0 * sq
+    sq, s, n = _type_iv_norm(z)
     bad = (sq >= 1.0) | (n <= 0.0)
     if bad.any():
         raise DomainViolation("type IV point outside the domain", int(np.argmax(bad)))
+    if value_only:
+        return Derivatives(n, None, None)
+    zbar = z.conj()
+    sbar = np.conj(s)
     grad = 2.0 * (z * sbar[:, None] - zbar)
     levi = 4.0 * (z[:, :, None] * zbar[:, None, :])
     diag = np.arange(z.shape[1])
@@ -582,9 +646,9 @@ def _type_iv_norm_derivatives(z, x, y) -> Derivatives:
     return Derivatives(n, grad, levi, x, y, hess, 4.0 * xy[..., None] * zbar[:, None, None])
 
 
-def _type_iv_log_norm(z, x, y) -> Derivatives:
+def _type_iv_log_norm(z, x, y, value_only=False) -> Derivatives:
     """Type IV: L = log N, from the tensors of N."""
-    norm = _type_iv_norm_derivatives(z, x, y)
+    norm = _type_iv_norm_derivatives(z, x, y, value_only)
     n = norm.value
     return norm.compose(np.log(n), 1.0 / n, -1.0 / n**2, 2.0 / n**3)
 
@@ -598,7 +662,8 @@ class LinearEmbedding:
 
     `matrix` is the (target dim) x (source dim) Jacobian; since the map is
     linear the Jacobian is constant and evaluation is a matrix product.
-    Works on numeric vectors and on lists of jets.
+    Works on numeric vectors, on stacks of them (B, source dim) and on
+    lists of jets.
     """
 
     source: DomainSpec
@@ -615,7 +680,8 @@ class LinearEmbedding:
                         acc = acc + w * c
                 out.append(acc)
             return out
-        return self.matrix @ np.asarray(coords, dtype=np.complex128)
+        z = np.asarray(coords, dtype=np.complex128)
+        return z @ self.matrix.T if z.ndim == 2 else self.matrix @ z
 
 
 def polydisk_embedding(spec: DomainSpec) -> LinearEmbedding:

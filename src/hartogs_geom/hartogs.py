@@ -12,9 +12,9 @@ the trace/CSV layout used throughout the package.
 The potentials differentiate in closed form (`derivatives`): the chain rule
 runs from the base's tensors of N^mu = exp(mu log N) through
 D = N^mu - |w|^2 to Phi = -log D, at one point or over a stack of points.
-Their jet evaluation (`__call__` on jet coordinates) is the generic route
-and the tests' second route; one body serves plain and jet coordinates,
-with the same spectral membership test.
+Plain evaluation (`value`, `potential`) takes the same D from the base's
+value-only route, also over a stack.  The jet evaluation (`__call__` on jet
+coordinates) is the generic route and the tests' second route.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import DomainSpec, LinearEmbedding, _base_rows
+from .domains import DomainSpec, LinearEmbedding, _base_rows, _is_jet_coords
 from .jets import Jet
 from .numerics import Derivatives, DomainViolation, _value
 
@@ -90,9 +90,11 @@ def _fiber_argument(nmu, w):
     """The fiber argument D = N^mu - |w|^2, over a stack.
 
     The one expression that decides fiber membership: the closed-form
-    derivatives, `fiber_margin` and `h_contains` all take D from here, with
-    N^mu = exp(mu log N) the value of `DomainSpec.norm_power_derivatives`,
-    so they agree on every point however close to the fiber boundary.
+    derivatives, plain evaluation, `fiber_margin` and `h_contains` all take
+    D from here, with N^mu = exp(mu log N) the value of
+    `DomainSpec.norm_power_derivatives` (the same float with or without
+    `value_only`), so they agree on every point however close to the fiber
+    boundary.
     """
     return nmu - np.abs(w) ** 2
 
@@ -104,10 +106,10 @@ def _point_fiber_argument(spec: HartogsSpec, z, w) -> float:
     the base boundary where N = 0, gives -|w|^2.
     """
     try:
-        nmu = spec.base.norm_power_derivatives(np.asarray(z)[None], spec.mu).value
+        nmu = spec.base.norm_power_derivatives(np.asarray(z)[None], spec.mu, value_only=True)
     except DomainViolation:
         return -abs(w) ** 2
-    return float(_fiber_argument(nmu, np.array([w], dtype=np.complex128))[0])
+    return float(_fiber_argument(nmu.value, np.array([w], dtype=np.complex128))[0])
 
 
 def fiber_margin(spec: HartogsSpec, p) -> float:
@@ -133,10 +135,12 @@ def h_contains(spec: HartogsSpec, p, margin: float = 0.0) -> bool:
 class HartogsPotential:
     """Handle for Phi(z, w) = -log(N^mu - |w|^2) with closed-form derivatives.
 
-    Calling with plain complex coordinates returns a float, calling with a
-    list containing jets returns the jet of Phi; both raise DomainViolation
-    when the point the coordinates sit at lies outside the domain (spectral
-    membership of the base).  The fiber coordinate is the last entry.
+    Calling with plain complex coordinates, a point (n,) or a stack (B, n),
+    gives -log D from the value-only route of the base (see
+    `_fiber_argument`); calling with a list containing jets returns the jet
+    of Phi.  Both raise DomainViolation when a point lies outside the domain
+    (a stack names the first offending index).  The fiber coordinate is the
+    last entry.
     """
 
     def __init__(self, spec: HartogsSpec):
@@ -144,6 +148,10 @@ class HartogsPotential:
         self.n_coords = spec.n_coords
 
     def __call__(self, coords):
+        if not _is_jet_coords(coords):
+            p = np.asarray(coords, dtype=np.complex128)
+            value = self._stacked(p[None] if p.ndim == 1 else p, value_only=True).value
+            return value[0] if p.ndim == 1 else value
         zs, w = coords[:-1], coords[-1]
         # spectral membership: N alone can be positive outside the base
         if not self.spec.base.contains(_values(zs)):
@@ -153,8 +161,10 @@ class HartogsPotential:
             raise DomainViolation("potential argument non-positive (outside domain)")
         return -np.log(arg)  # Jet.log on jets
 
-    def value(self, p) -> float:
-        return float(self(np.asarray(p, dtype=np.complex128)))
+    def value(self, p):
+        """Phi at a point (a float) or over a stack (B, n) (an array (B,))."""
+        out = self(np.asarray(p, dtype=np.complex128))
+        return float(out) if np.ndim(out) == 0 else out
 
     def derivatives(self, p, x=None, y=None) -> Derivatives:
         """Closed-form derivatives of Phi at one point or a stack (see `Derivatives`).
@@ -167,18 +177,18 @@ class HartogsPotential:
         out = self._stacked(p[None] if p.ndim == 1 else p, x, y)
         return out.member(0) if p.ndim == 1 else out
 
-    def _stacked(self, p, x, y) -> Derivatives:
+    def _stacked(self, p, x=None, y=None, value_only=False) -> Derivatives:
         if p.ndim != 2 or p.shape[1] != self.n_coords:
             raise ValueError(f"expected {self.n_coords} coordinates, got shape {p.shape}")
         z, w = p[:, :-1], p[:, -1]
         mu = self.spec.mu
         sub = _base_rows(x, y, slice(None, -1))
         try:
-            nmu = self.spec.base.norm_power_derivatives(z, mu, *sub)
+            nmu = self.spec.base.norm_power_derivatives(z, mu, *sub, value_only)
         except DomainViolation as exc:
             # an earlier point may lie outside the fiber
             if exc.index:
-                self._stacked(p[: exc.index], None, None)
+                self._stacked(p[: exc.index], value_only=True)
             raise
         d = _fiber_argument(nmu.value, w)
         bad = d <= 0.0
@@ -186,6 +196,8 @@ class HartogsPotential:
             raise DomainViolation(
                 "potential argument non-positive (outside domain)", int(np.argmax(bad))
             )
+        if value_only:
+            return Derivatives(-np.log(d), None, None)
         # D = N^mu - |w|^2: D_w = -wbar, D_{w wbar} = -1, no other fiber terms
         b, n = p.shape
         grad = np.empty((b, n), dtype=np.complex128)
@@ -242,29 +254,31 @@ class DomainPotential:
         return n if self.spec.contains(p) else min(n, 0.0)
 
 
-def potential(spec: HartogsSpec, p) -> float:
-    """The Kaehler potential value at an interior point.
+def potential(spec: HartogsSpec, p):
+    """The Kaehler potential at an interior point (a float) or over a stack
+    (B, n) (an array (B,)).
 
-    Raises DomainViolation outside the Cartan-Hartogs domain.
+    Raises DomainViolation outside the Cartan-Hartogs domain, naming the
+    first offending index of a stack.
     """
     return HartogsPotential(spec).value(p)
 
 
-def h_sample(spec: HartogsSpec, shrink: float = 0.9, seed: int = 0) -> np.ndarray:
-    """Deterministic interior point (z, w) with |w|^2 <= shrink^2 N^mu."""
-    rng = np.random.default_rng(seed)
-    margin = max(0.0, 1.0 - shrink * shrink)
-    z = None
-    for _ in range(100_000):
-        cand = spec.base._draw(shrink, rng)
-        if spec.base.contains(cand, margin):
-            z = cand
-            break
-    if z is None:
-        raise RuntimeError("sample rejection budget exhausted")
-    nmu = float(spec.base._norm(z)) ** spec.mu
-    w = np.sqrt(nmu) * shrink * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-    return np.append(z, w)
+def h_sample(spec: HartogsSpec, shrink: float = 0.9, seed=0) -> np.ndarray:
+    """Deterministic interior point (z, w) with |w|^2 <= shrink^2 N^mu.
+
+    `seed` is one seed, giving a point (n,), or a sequence of seeds, giving
+    a stack (B, n) whose row j is the point of seed[j] alone: each member
+    draws from its own generator, z first and then the two fiber uniforms.
+    """
+    single = np.ndim(seed) == 0
+    rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
+    z = spec.base._sample_stack(shrink, rngs)
+    u = np.stack([rng.random(2) for rng in rngs])
+    nmu = spec.base.norm_power_derivatives(z, spec.mu, value_only=True).value
+    w = np.sqrt(nmu) * shrink * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    p = np.concatenate([z, w[:, None]], axis=1)
+    return p[0] if single else p
 
 
 # -- lifted maps ---------------------------------------------------------------
@@ -382,15 +396,7 @@ class HartogsChart:
     def sample(self, shrink: float = 0.9, seed: int = 0) -> np.ndarray:
         """Deterministic interior parameter point of the chart."""
         rng = np.random.default_rng(seed)
-        margin = max(0.0, 1.0 - shrink * shrink)
-        zp = None
-        for _ in range(100_000):
-            cand = self.source._draw(shrink, rng)
-            if self.source.contains(cand, margin):
-                zp = cand
-                break
-        if zp is None:
-            raise RuntimeError("chart sample rejection budget exhausted")
+        zp = self.source._sample_stack(shrink, [rng])[0]
         img0 = self.embed(np.append(zp, 0.0))
         n = float(self.ambient.base._norm(img0[:-1]))
         # the embedded fiber is linear in w with no offset

@@ -19,6 +19,7 @@ zddot^k + Gamma^k_ij zdot^i zdot^j = 0 valid for Kaehler metrics.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -63,13 +64,28 @@ class FunctionPotential:
     def derivatives(self, p, x=None, y=None) -> Derivatives:
         """Derivatives of the callable at p through jets (see `Derivatives`).
 
-        Value, gradient and Levi form come from one order-2 jet; hess and
-        third from one mixed order-3 jet per column pair (x[:, a], y[:, b]).
-        A stack of points (B, n) is evaluated point by point and stacked.
+        Value, gradient and Levi form come from one order-2 jet, built when
+        first read (`_directional_mixed` reads only `third`); hess and third
+        from one mixed order-3 jet per column pair (x[:, a], y[:, b]).  A
+        stack of points (B, n) is evaluated point by point and stacked.
         """
         p = np.asarray(p, dtype=np.complex128)
         if p.ndim == 2:
             return self._stacked(p, x, y)
+        if x is None:
+            return self._order2(p)
+        hess = np.empty((x.shape[1], y.shape[1]), dtype=np.complex128)
+        third = np.empty((x.shape[1], y.shape[1], self.n_coords), dtype=np.complex128)
+        for a in range(x.shape[1]):
+            for b in range(y.shape[1]):
+                if y is x and b < a:  # symmetric in (a, b): reuse the pair (b, a)
+                    hess[a, b], third[a, b] = hess[b, a], third[b, a]
+                else:
+                    hess[a, b], third[a, b] = self._mixed(p, x[:, a], y[:, b])
+        return _JetDerivatives(lambda: self._order2(p), x, y, hess, third)
+
+    def _order2(self, p) -> Derivatives:
+        """Value, gradient and Levi form from one order-2 jet."""
         n = self.n_coords
         space = jet_space((2 * n,), (2,), 2)
         f = self._fn(
@@ -82,17 +98,7 @@ class FunctionPotential:
             for j in range(i, n):
                 levi[i, j] = wirtinger(f, holo=[pairs[i]], anti=[pairs[j]])
                 levi[j, i] = np.conj(levi[i, j])
-        if x is None:
-            return Derivatives(f.value.real, grad, levi)
-        hess = np.empty((x.shape[1], y.shape[1]), dtype=np.complex128)
-        third = np.empty((x.shape[1], y.shape[1], n), dtype=np.complex128)
-        for a in range(x.shape[1]):
-            for b in range(y.shape[1]):
-                if y is x and b < a:  # symmetric in (a, b): reuse the pair (b, a)
-                    hess[a, b], third[a, b] = hess[b, a], third[b, a]
-                else:
-                    hess[a, b], third[a, b] = self._mixed(p, x[:, a], y[:, b])
-        return Derivatives(f.value.real, grad, levi, x, y, hess, third)
+        return Derivatives(f.value.real, grad, levi)
 
     def _stacked(self, p, x, y) -> Derivatives:
         parts = []
@@ -142,6 +148,23 @@ class FunctionPotential:
         if self._margin is None:
             return math.inf
         return float(self._margin(np.asarray(p, dtype=np.complex128)))
+
+
+class _JetDerivatives(Derivatives):
+    """`Derivatives` whose value, gradient and Levi form come from `order2()`
+    on first read; hess and third are given."""
+
+    def __init__(self, order2: Callable, x, y, hess, third):
+        for name, v in (("_order2", order2), ("x", x), ("y", y), ("hess", hess), ("third", third)):
+            object.__setattr__(self, name, v)
+
+    @functools.cached_property
+    def _low(self) -> Derivatives:
+        return self._order2()
+
+    value = property(lambda self: self._low.value)
+    grad = property(lambda self: self._low.grad)
+    levi = property(lambda self: self._low.levi)
 
 
 @dataclass

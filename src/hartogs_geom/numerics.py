@@ -51,12 +51,13 @@ class Derivatives:
     A stack of B points carries a leading batch axis on every tensor: value
     (B,), grad (B, d), levi (B, d, d), hess (B, p, q) and third
     (B, p, q, d), with directions shared (d, p) or per point (B, d, p).
-    `member(j)` gives point j with the unbatched shapes.
+    `member(j)` gives point j with the unbatched shapes.  A value-only
+    evaluation leaves grad and levi None as well.
     """
 
     value: float | np.ndarray
-    grad: np.ndarray
-    levi: np.ndarray
+    grad: np.ndarray | None
+    levi: np.ndarray | None
     x: np.ndarray | None = None
     y: np.ndarray | None = None
     hess: np.ndarray | None = None
@@ -67,6 +68,8 @@ class Derivatives:
 
         f0-f3 are scalars, or arrays shaped like `value` for a stack.
         """
+        if self.grad is None:
+            return Derivatives(f0, None, None)
         # f1-f3 scale vectors over the last axis; each f is folded into the
         # smallest factor of a product
         f1, f2, f3 = (np.asarray(f)[..., None] for f in (f1, f2, f3))
@@ -106,8 +109,8 @@ class Derivatives:
 
         return Derivatives(
             float(self.value[j]),
-            self.grad[j],
-            self.levi[j],
+            pick(self.grad),
+            pick(self.levi),
             direction(self.x),
             direction(self.y),
             pick(self.hess),
@@ -120,22 +123,23 @@ def _value(x) -> complex:
 
 
 def det(m: np.ndarray):
-    """Determinant via LU with partial pivoting.
+    """Determinant via LU with partial pivoting, of one matrix or a stack.
 
     1x1 and 2x2 matrices use exact closed forms.  Plain complex matrices go
-    through LAPACK; object matrices (jet entries) use a generic LU with
-    pivoting on the magnitude of the value part.
+    through LAPACK, and a stack (B, n, n) gives (B,); object matrices (jet
+    entries) use a generic LU with pivoting on the magnitude of the value
+    part.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or (m.ndim > 2 and m.dtype == object):
         raise ValueError(f"determinant requires a square matrix, got {m.shape}")
-    n = m.shape[0]
-    if n == 1:
-        return m[0, 0]
-    if n == 2:
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    n = m.shape[-1]
+    if n <= 2:
+        a = m if m.ndim == 2 else np.moveaxis(m, (-2, -1), (0, 1))  # a[i, j]: entry or (B,)
+        return a[0, 0] if n == 1 else a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     if m.dtype != object:
-        return complex(np.linalg.det(m.astype(np.complex128)))
+        d = np.linalg.det(m.astype(np.complex128))
+        return complex(d) if m.ndim == 2 else d
     return _lu_det_generic(m, n)
 
 
@@ -166,21 +170,21 @@ def _lu_det_generic(m: np.ndarray, n: int):
     return sign * out
 
 
-def is_positive_definite(m: np.ndarray, margin: float = 0.0) -> bool:
+def is_positive_definite(m: np.ndarray, margin: float = 0.0):
     """True iff the Hermitian matrix m has smallest eigenvalue > margin.
 
-    Raises ValueError when m is not Hermitian within 1e-12 (relative to its
-    largest entry).
+    A stack (B, n, n) gives a boolean array (B,).  Raises ValueError when a
+    matrix is not Hermitian within 1e-12 (relative to its largest entry).
     """
     h = np.asarray(m, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"positive-definiteness requires a square matrix, got {h.shape}")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    asym = float(np.max(np.abs(h - h.conj().T)))
-    if asym > 1e-12 * scale:
-        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
-    lam_min = float(np.linalg.eigvalsh(h)[0])
-    return lam_min > margin
+    scale = np.maximum(1.0, np.max(np.abs(h), axis=(-2, -1)))
+    asym = np.max(np.abs(h - _t(h.conj())), axis=(-2, -1))
+    if np.any(asym > 1e-12 * scale):
+        raise ValueError(f"matrix is not Hermitian (asymmetry {np.max(asym):.3e})")
+    inside = np.linalg.eigvalsh(h)[..., 0] > margin
+    return bool(inside) if h.ndim == 2 else inside
 
 
 def gen_binomial(x: float, k: int) -> float:

@@ -39,6 +39,7 @@ def test_tracer_installs_and_uninstalls():
 def test_traced_names_stay_importable():
     for owner, name in (
         (cli, "_pool"),
+        (cli, "h_sample"),
         (cli, "tg_residual"),
         (cli, "geodesic_ivp"),
         (cli, "line_deviation"),
@@ -74,3 +75,28 @@ def test_traced_reports_run(tmp_path):
     assert stats["metric.tg_residual"][0] > 0
     assert counts["metric.rhs"] > 0
     assert stats["metric.geodesic"][0] >= 2  # cmd_geodesic and the direct call
+
+
+def test_traced_numeric_reports_count_potential_evaluations(tmp_path):
+    # the numeric-l2 workload's reports; its selftest needs
+    # hartogs.potential_evals > 0, counted at HartogsPotential.__call__
+    cfg = tmp_path / "cfg.json"
+    spec = {"base": {"kind": "IV", "params": [5]}, "mu": 1.1}
+    cfg.write_text(json.dumps({"spec": spec, "seed": 3, "samples": 3}))
+    disk = {"kind": "I", "params": [1, 1]}
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"spec": {"base": {"kind": "product", "params": [disk] * 2},
+                                         "mu": 1.5}, "truncation": {"k_max": 8, "a_max": 8}}))
+    out = str(tmp_path / "r.json")
+    tracer = Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["verify-immersion", "--config", str(cfg), "--out", out]) == 0
+        immersion = tracer.merged()[0]["hartogs.potential"][0]
+        argv = ["embed-residual", "--config", str(poly), "--point", "0.1,0.2j,0.05", "--out", out]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    stats = tracer.merged()[0]
+    assert immersion > 0
+    assert stats["hartogs.potential"][0] > immersion

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hartogs_geom.cli import main
+from hartogs_geom.cli import IMMERSION_CHUNK, main
 
 
 def _write_config(tmp_path, obj, name="cfg.json"):
@@ -18,6 +18,11 @@ BASE_CONFIG = {
     "seed": 7,
     "samples": 40,
     "shrink": 0.6,
+}
+
+I12_III2 = {
+    "kind": "product",
+    "params": [{"kind": "I", "params": [1, 2]}, {"kind": "III", "params": [2]}],
 }
 
 POLY3_CONFIG = {
@@ -76,6 +81,37 @@ class TestVerifyImmersion:
         code = main(["verify-immersion", "--config", cfg, "--pullback", "1e-30",
                      "--out", str(tmp_path / "r.json")])
         assert code == 1
+
+    def test_chunks_match_single_samples(self, tmp_path):
+        # 70 samples span two chunks; every sample gets the floats of its
+        # own --samples 1 run, so the maximum is the maximum of those runs
+        obj = {"spec": {"base": I12_III2, "mu": 1.5}, "seed": 5, "samples": 70}
+        assert obj["samples"] > IMMERSION_CHUNK
+        cfg = _write_config(tmp_path, obj)
+        out = tmp_path / "r.json"
+
+        def measured(*extra):
+            main(["verify-immersion", "--config", cfg, "--out", str(out), *extra])
+            return [c["measured"] for c in json.loads(out.read_text())["checks"]]
+
+        singles = [measured("--seed", str(5 + i), "--samples", "1") for i in range(70)]
+        assert measured() == [max(s[k] for s in singles) for k in range(2)]
+
+    @pytest.mark.parametrize("base", [{"kind": "I", "params": [2, 3]}, {"kind": "III", "params": [3]}],
+                             ids=["I23", "III3"])
+    def test_norm_identity_reads_the_determinant(self, tmp_path, monkeypatch, base):
+        # generic_norm_identity checks N through determinants, a route that
+        # the Cholesky value route of the pullback check does not share: a
+        # fault in the determinant fails the one check only
+        from hartogs_geom import domains
+
+        det = domains.det
+        monkeypatch.setattr(domains, "det", lambda m: det(m) * (1.0 + 1e-6))
+        cfg = _write_config(tmp_path, {"spec": {"base": base, "mu": 1.5}, "samples": 10})
+        out = tmp_path / "r.json"
+        assert main(["verify-immersion", "--config", cfg, "--out", str(out)]) == 1
+        status = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+        assert status == {"potential_pullback_identity": "pass", "generic_norm_identity": "fail"}
 
 
 class TestWorstIndex:

@@ -27,6 +27,11 @@ ALL_IRREDUCIBLE = [
     DomainSpec.type_iv(7),
 ]
 
+PRODUCTS = [
+    DomainSpec.polydisk(3),
+    DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2)),
+]
+
 
 class TestSpecMetadata:
     def test_type_i(self):
@@ -78,6 +83,18 @@ class TestContains:
         with pytest.raises(ValueError):
             DomainSpec.type_i(2, 2).contains([0.1, 0.2])
 
+    @pytest.mark.parametrize("spec", ALL_IRREDUCIBLE + PRODUCTS, ids=str)
+    def test_stack_matches_points(self, spec):
+        # points on both sides of the boundary, and of the margin
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(60, spec.dim)) + 1j * rng.normal(size=(60, spec.dim))
+        z *= rng.uniform(0.1, 1.6, size=(60, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
+        for margin in (0.0, 0.3):
+            inside = spec.contains(z, margin)
+            assert inside.shape == (60,)
+            assert inside.tolist() == [spec.contains(q, margin) for q in z]
+            assert 0 < inside.sum() < 60
+
     def test_disk_matches_spectral_test(self):
         # the disk skips the eigenvalue solver; its answer must not change
         from hartogs_geom.numerics import is_positive_definite
@@ -124,6 +141,15 @@ class TestGenericNorm:
             z = rng.uniform(0, 0.95, 2) * np.exp(2j * np.pi * rng.random(2))
             want = float(np.prod(1.0 - np.abs(z) ** 2))
             assert spec.generic_norm(emb(z)) == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("spec", ALL_IRREDUCIBLE + [DomainSpec.polydisk(2)], ids=str)
+    def test_stacked_norm_matches_points(self, spec):
+        # the stacked determinant route; rounding differs from the point route
+        z = np.stack([spec.sample(0.9, seed) for seed in range(6)])
+        got = spec._norm(z)
+        assert got.shape == (6,)
+        for j in range(6):
+            assert got[j] == pytest.approx(float(spec._norm(z[j])), rel=1e-13, abs=0)
 
     def test_product_norm_factorizes(self):
         f1, f2 = DomainSpec.type_i(2, 2), DomainSpec.type_iii(2)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from hartogs_geom.domains import DomainSpec, LinearEmbedding, polydisk_embedding
+from hartogs_geom.domains import (
+    DomainSpec,
+    LinearEmbedding,
+    polydisk_embedding,
+    product_embedding,
+)
 from hartogs_geom.hartogs import (
     DomainPotential,
     HartogsPotential,
@@ -17,7 +22,7 @@ from hartogs_geom.hartogs import (
     slice_chart,
     transported_chart,
 )
-from hartogs_geom.metric import _metric_matrix, tg_residual
+from hartogs_geom.metric import FunctionPotential, _metric_matrix, tg_residual
 from hartogs_geom.numerics import DomainViolation
 
 TYPES = [
@@ -148,14 +153,15 @@ class TestPotential:
         for seed in range(4):
             p = h_sample(hs, 0.9, seed)
             # the margin is the fiber argument that the closed form tests,
-            # N^mu - |w|^2 with N^mu = exp(mu log N); the value route takes
-            # N**mu - |w|^2
+            # N^mu - |w|^2 with N^mu = exp(mu log N), and the value is -log
+            # of it; the determinant route N**mu - |w|^2 agrees to rounding
             margin = spec.norm_power_derivatives(p[:-1], 1.3).value - np.abs(p[-1]) ** 2
             d = float(spec._norm(p[:-1])) ** 1.3 - abs(p[-1]) ** 2
             assert pot.interior_margin(p) == margin
             assert pot.interior_margin(p) == pytest.approx(d, rel=1e-12)
-            assert pot.value(p) == -np.log(d)
-            assert potential(hs, p) == -np.log(d)
+            assert pot.value(p) == -np.log(pot.interior_margin(p))
+            assert potential(hs, p) == pot.value(p)
+            assert pot.value(p) == pytest.approx(-np.log(d), rel=1e-12)
 
     @pytest.mark.parametrize("spec", TYPES, ids=str)
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
@@ -184,6 +190,101 @@ class TestPotential:
         p2 = h_sample(spec, 0.7, 13)
         assert np.array_equal(p1, p2)
         assert h_contains(spec, p1)
+
+
+STACK_SPECS = [
+    DomainSpec.type_i(2, 3),
+    DomainSpec.type_ii(5),
+    DomainSpec.type_iii(3),
+    DomainSpec.type_iv(5),
+    DomainSpec.polydisk(2),
+    DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2)),
+]
+
+
+def _polydisk_point(spec, radius):
+    """The embedded polydisk point with every coordinate `radius`."""
+    emb = product_embedding(spec) if spec.kind == "product" else polydisk_embedding(spec)
+    return emb(np.full(spec.rank, radius))
+
+
+class TestStackedValue:
+    """Plain evaluation and sampling over a stack (B, n)."""
+
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=str)
+    def test_stack_equals_single_calls(self, spec):
+        hs = HartogsSpec(spec, 1.3)
+        pot = HartogsPotential(hs)
+        p = h_sample(hs, 0.9, range(40, 52))
+        assert p.shape == (12, hs.n_coords)
+        for j, seed in enumerate(range(40, 52)):
+            assert np.array_equal(p[j], h_sample(hs, 0.9, seed))
+        values = pot.value(p)
+        assert values.shape == (12,)
+        assert values.tolist() == [pot.value(q) for q in p]
+        assert np.array_equal(potential(hs, p), values)
+        assert np.array_equal(pot(p), values)
+
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=str)
+    def test_value_matches_jet_and_determinant_routes(self, spec):
+        hs = HartogsSpec(spec, 1.3)
+        pot = HartogsPotential(hs)
+        jet = FunctionPotential(pot, hs.n_coords)
+        p = h_sample(hs, 0.95, range(8))
+        values = pot.value(p)
+        for q, got in zip(p, values):
+            det_route = -np.log(float(spec._norm(q[:-1])) ** 1.3 - abs(q[-1]) ** 2)
+            assert got == pytest.approx(det_route, rel=1e-12, abs=0)
+            assert got == pytest.approx(jet.derivatives(q).value, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=str)
+    def test_outside_point_named_by_index(self, spec):
+        hs = HartogsSpec(spec, 1.3)
+        p = h_sample(hs, 0.5, range(5))
+        fiber_out, base_out = p.copy(), p.copy()
+        fiber_out[2, -1] = 1.01 * np.sqrt(spec.generic_norm(p[2, :-1]) ** 1.3)
+        base_out[3] = np.append(_polydisk_point(spec, 1.2), 0.0)
+        if spec.rank % 2 == 0:
+            # an even crossing: N > 0 although the point is outside the base
+            assert float(spec._norm(base_out[3, :-1])) > 0.0
+        for stack, index in ((fiber_out, 2), (base_out, 3)):
+            for evaluate in (HartogsPotential(hs).value, lambda q: potential(hs, q)):
+                with pytest.raises(DomainViolation) as info:
+                    evaluate(stack)
+                assert info.value.index == index
+
+    def test_later_factor_after_fiber_point(self):
+        # point 1 lies outside the fiber; point 3 lies outside the second
+        # factor only, which is tested after the first factor and before the
+        # fiber, yet point 1 is the one named
+        spec = DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2))
+        hs = HartogsSpec(spec, 1.3)
+        p = h_sample(hs, 0.5, range(5))
+        p[1, -1] = 1.01 * np.sqrt(spec.generic_norm(p[1, :-1]) ** 1.3)
+        p[3, 2:-1] = 1.2
+        assert spec.irreducible_factors[0].contains(p[3, :2])
+        with pytest.raises(DomainViolation) as info:
+            potential(hs, p)
+        assert info.value.index == 1
+
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=str)
+    def test_rejected_members_redraw_from_their_own_streams(self, spec, monkeypatch):
+        # widened candidates get rejected; each member must still get the
+        # point it gets alone, drawn again from its own generator
+        draw = DomainSpec._draw
+        drawn = []
+
+        def wide(self, shrink, rngs):
+            drawn.append(len(rngs))
+            return 2.0 * draw(self, shrink, rngs)
+
+        monkeypatch.setattr(DomainSpec, "_draw", wide)
+        hs = HartogsSpec(spec, 1.3)
+        p = h_sample(hs, 0.8, range(20))
+        assert sum(drawn) > 20
+        assert spec.contains(p[:, :-1], 1.0 - 0.8**2).all()
+        for j in range(20):
+            assert np.array_equal(p[j], h_sample(hs, 0.8, j))
 
 
 class TestLifts:

@@ -28,6 +28,15 @@ class TestDet:
         with pytest.raises(ValueError):
             det(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_stack_matches_matrices(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+        got = det(m)
+        assert got.shape == (6,)
+        for j in range(6):
+            assert got[j] == pytest.approx(det(m[j]), rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_multiplicative(self, n, seed):
@@ -57,6 +66,13 @@ class TestPositiveDefinite:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             is_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_stack(self):
+        a = np.stack([np.eye(2), np.diag([0.5, -0.1]), np.diag([0.9, 0.85])])
+        assert is_positive_definite(a, 0.0).tolist() == [True, False, True]
+        assert is_positive_definite(a, 0.86).tolist() == [True, False, False]
+        with pytest.raises(ValueError, match="Hermitian"):
+            is_positive_definite(np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])]))
 
 
 class TestGenBinomial:
