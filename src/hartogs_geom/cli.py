@@ -15,6 +15,7 @@ codes: 0 all checks pass, 1 a check failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import DomainSpec, LinearEmbedding, polydisk_embedding, product_embedding
+from .domains import DomainSpec, LinearEmbedding, product_embedding
 from .hartogs import (
     HartogsPotential,
     HartogsSpec,
@@ -151,9 +152,7 @@ class Report:
 def _pool() -> ThreadPoolExecutor:
     """A worker pool that no command uses: every command evaluates stacked
     arrays.  It stays while `perfbench/tracer.py` wraps `cli._pool`."""
-    cap = os.environ.get("HARTOGS_GEOM_THREADS")
-    workers = max(1, int(cap)) if cap else min(4, os.cpu_count() or 1)
-    return ThreadPoolExecutor(max_workers=workers)
+    return ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1))
 
 
 def _load_config(args) -> RunConfig:
@@ -217,7 +216,7 @@ def _parse_complex_vector(text: str, expected: int | None = None) -> np.ndarray:
 
 def cmd_verify_immersion(cfg: RunConfig) -> Report:
     base = cfg.spec.base
-    emb = product_embedding(base) if base.kind == "product" else polydisk_embedding(base)
+    emb = product_embedding(base)
     h_poly = HartogsSpec(DomainSpec.polydisk(base.rank), cfg.spec.mu)
     pulls, norms = [], []
     for start in range(0, cfg.samples, IMMERSION_CHUNK):
@@ -256,8 +255,7 @@ def _build_chart(cfg: RunConfig, selector: str, sub_rank: int):
         want = _POLYDISK_ALIASES.get(selector)
         if want and base.kind != want:
             raise ConfigError(f"selector {selector} requires a type {want} base")
-        emb = product_embedding(base) if base.kind == "product" else polydisk_embedding(base)
-        return slice_chart(cfg.spec, emb)
+        return slice_chart(cfg.spec, product_embedding(base))
     if not base.is_polydisk:
         raise ConfigError(f"selector {selector} requires a polydisk base")
     n = base.dim
@@ -477,7 +475,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; every `main` call
+    parses into a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="hartogs-geom",
         description="Verification harness for Cartan-Hartogs geometry",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -151,6 +151,9 @@ class DomainSpec:
         return cls.product(*(cls.type_i(1, 1) for _ in range(n)))
 
     # -- metadata ------------------------------------------------------------
+    # dim, irreducible_factors and is_polydisk are read on every evaluation;
+    # each is cached in the instance __dict__, which equality and hashing
+    # (fields only) do not see
 
     @property
     def rank(self) -> int:
@@ -177,7 +180,7 @@ class DomainSpec:
             return self.params[0]
         raise ValueError("genus is defined per irreducible factor")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         if self.kind == "I":
             return self.params[0] * self.params[1]
@@ -191,11 +194,11 @@ class DomainSpec:
             return self.params[0]
         return sum(f.dim for f in self.factors)
 
-    @property
+    @cached_property
     def irreducible_factors(self) -> tuple["DomainSpec", ...]:
         return self.factors if self.kind == "product" else (self,)
 
-    @property
+    @cached_property
     def is_polydisk(self) -> bool:
         """True for the disk I(1,1) and for products of disks."""
         return all(f.kind == "I" and f.params == (1, 1) for f in self.irreducible_factors)
@@ -251,37 +254,36 @@ class DomainSpec:
 
     # -- closed-form derivatives of log N ----------------------------------------
 
-    def log_norm_derivatives(self, coords, x=None, y=None, value_only=False) -> Derivatives:
+    def log_norm_derivatives(self, coords, x=None, value_only=False) -> Derivatives:
         """Derivatives of L = log N in closed form, at one point or a stack.
 
         `coords` is a point (dim,) or a stack (B, dim); a stack gives every
         tensor a leading B axis, and a point is the stack of one with that
-        axis dropped (see `Derivatives`).  `x` and `y` are optional direction
-        matrices, shared (dim, p) or per point (B, dim, p), for the
-        contracted second and third derivatives.  `value_only` stops after
-        log N (the Cholesky diagonal of types I-III, sum log a_j on
-        polydisks, log N on type IV) and leaves every tensor None; the value
-        is the same float either way.  Raises DomainViolation, naming the
+        axis dropped (see `Derivatives`).  `x` is an optional direction
+        matrix, shared (dim, k) or per point (B, dim, k), for the second and
+        third derivatives contracted over pairs of its columns.
+        `value_only` stops after log N (the Cholesky diagonal of types
+        I-III, sum log a_j on polydisks, log N on type IV) and leaves every
+        tensor None; the value is the same float either way.  Raises DomainViolation, naming the
         first offending index, when a point lies outside.
         """
         z = np.asarray(coords, dtype=np.complex128)
         if z.ndim == 1:
-            return self.log_norm_derivatives(z[None], x, y, value_only).member(0)
+            return self.log_norm_derivatives(z[None], x, value_only).member(0)
         self._check_stack(z)
         if self.is_polydisk:
-            return _polydisk_log_norm(z, x, y, value_only)
+            return _polydisk_log_norm(z, x, value_only)
         if self.kind == "IV":
-            return _type_iv_log_norm(z, x, y, value_only)
+            return _type_iv_log_norm(z, x, value_only)
         if self.kind != "product":
-            return _matrix_log_norm(self, z, x, y, value_only)
+            return _matrix_log_norm(self, z, x, value_only)
         # log N is a sum over the factors: block-diagonal tensors
         levi = None if value_only else np.zeros((len(z), self.dim, self.dim), dtype=np.complex128)
         parts, pos = [], 0
         for f in self.factors:
             rows = slice(pos, pos + f.dim)
-            sub = _base_rows(x, y, rows)
             try:
-                parts.append(f.log_norm_derivatives(z[:, rows], *sub, value_only))
+                parts.append(f.log_norm_derivatives(z[:, rows], _base_rows(x, rows), value_only))
             except DomainViolation as exc:
                 # a later factor may reject an earlier point
                 if exc.index:
@@ -298,11 +300,9 @@ class DomainSpec:
             return Derivatives(value, grad, levi)
         hess = sum(part.hess for part in parts)
         third = np.concatenate([part.third for part in parts], axis=-1)
-        return Derivatives(value, grad, levi, x, y, hess, third)
+        return Derivatives(value, grad, levi, x, hess, third)
 
-    def norm_power_derivatives(
-        self, coords, mu: float, x=None, y=None, value_only=False
-    ) -> Derivatives:
+    def norm_power_derivatives(self, coords, mu: float, x=None, value_only=False) -> Derivatives:
         """Derivatives of N^mu = exp(mu log N), from those of log N.
 
         Takes the arguments of `log_norm_derivatives`.  Its value is the
@@ -315,16 +315,16 @@ class DomainSpec:
         """
         z = np.asarray(coords, dtype=np.complex128)
         if z.ndim == 1:
-            return self.norm_power_derivatives(z[None], mu, x, y, value_only).member(0)
+            return self.norm_power_derivatives(z[None], mu, x, value_only).member(0)
         if self.kind == "IV":
             self._check_stack(z)
-            norm = _type_iv_norm_derivatives(z, x, y, value_only)
+            norm = _type_iv_norm_derivatives(z, x, value_only)
             n = norm.value
             a = np.exp(mu * np.log(n))
             return norm.compose(
                 a, mu * a / n, mu * (mu - 1) * a / n**2, mu * (mu - 1) * (mu - 2) * a / n**3
             )
-        log_n = self.log_norm_derivatives(z, x, y, value_only)
+        log_n = self.log_norm_derivatives(z, x, value_only)
         a = np.exp(mu * log_n.value)
         return log_n.compose(a, mu * a, mu**2 * a, mu**3 * a)
 
@@ -466,16 +466,9 @@ def _unit_matrices(spec: DomainSpec) -> np.ndarray:
     return e
 
 
-def _base_rows(x, y, rows):
-    """The coordinate rows of direction matrices (shared or stacked).
-
-    y keeps being x when it was, which lets the closed forms reuse the
-    contractions of x for y.
-    """
-    if x is None:
-        return None, None
-    xs = x[..., rows, :]
-    return xs, xs if y is x else y[..., rows, :]
+def _base_rows(x, rows):
+    """The coordinate rows of a direction matrix (shared or stacked)."""
+    return None if x is None else x[..., rows, :]
 
 
 def _trace_against(k: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -538,7 +531,7 @@ def _first_failure(a: np.ndarray) -> int | None:
     return None
 
 
-def _matrix_log_norm(spec: DomainSpec, z, x, y, value_only=False) -> Derivatives:
+def _matrix_log_norm(spec: DomainSpec, z, x, value_only=False) -> Derivatives:
     """Types I-III: L = c log det A, A = I - Z Z*, c = 1/2 for type II else 1.
 
     With R = A^-1 and P_i = R E_i Z*, the derivatives follow from
@@ -564,25 +557,16 @@ def _matrix_log_norm(spec: DomainSpec, z, x, y, value_only=False) -> Derivatives
         return Derivatives(value, grad, levi)
     rex = (_t(x) @ flat).reshape(len(z), -1, m, n)  # R X_a, X_a = sum_i x[i, a] E_i
     px = rex @ zh[:, None]
-    if y is x:
-        rey, py = rex, px
-    else:
-        rey = (_t(y) @ flat).reshape(len(z), -1, m, n)
-        py = rey @ zh[:, None]
     # hess[a, b] = -c tr(P_a P_b)
-    hess = -c * px.reshape(*px.shape[:2], -1) @ _t(_t(py).reshape(*py.shape[:2], -1))
-    # L_{i j lbar} x^i y^j = -c tr(E_l* K) with
-    # K = (P_x P_y + P_y P_x) R Z + P_x R Y + P_y R X
-    pxa, pyb = px[:, :, None], py[:, None]
-    k = (
-        (pxa @ pyb + pyb @ pxa) @ (r @ zm)[:, None, None]
-        + pxa @ rey[:, None]
-        + pyb @ rex[:, :, None]
-    )
-    return Derivatives(value, grad, levi, x, y, hess, -c * _trace_against(k, e))
+    hess = -c * px.reshape(*px.shape[:2], -1) @ _t(_t(px).reshape(*px.shape[:2], -1))
+    # third[a, b, l] = -c tr(E_l* K) with
+    # K = (P_a P_b + P_b P_a) R Z + P_a R X_b + P_b R X_a
+    pa, pb = px[:, :, None], px[:, None]
+    k = (pa @ pb + pb @ pa) @ (r @ zm)[:, None, None] + pa @ rex[:, None] + pb @ rex[:, :, None]
+    return Derivatives(value, grad, levi, x, hess, -c * _trace_against(k, e))
 
 
-def _polydisk_log_norm(z, x, y, value_only=False) -> Derivatives:
+def _polydisk_log_norm(z, x, value_only=False) -> Derivatives:
     """The disk and products of disks: L = sum_j log a_j, a_j = 1 - |z_j|^2.
 
     Every tensor is diagonal: L_i = -zbar_i / a_i, L_{i ibar} = -1 / a_i^2,
@@ -606,9 +590,9 @@ def _polydisk_log_norm(z, x, y, value_only=False) -> Derivatives:
     levi[:, diag, diag] = -1.0 / a**2
     if x is None:
         return Derivatives(value, grad, levi)
-    hess = _t(x) @ (-(zbar / a)[..., None] ** 2 * y)
-    xy = _t(x)[..., :, None, :] * _t(y)[..., None, :, :]
-    return Derivatives(value, grad, levi, x, y, hess, xy * (-2.0 * zbar / a**3)[:, None, None])
+    hess = _t(x) @ (-(zbar / a)[..., None] ** 2 * x)
+    xx = _t(x)[..., :, None, :] * _t(x)[..., None, :, :]
+    return Derivatives(value, grad, levi, x, hess, xx * (-2.0 * zbar / a**3)[:, None, None])
 
 
 def _type_iv_norm(z):
@@ -619,7 +603,7 @@ def _type_iv_norm(z):
     return sq, s, 1.0 + np.abs(s) ** 2 - 2.0 * sq
 
 
-def _type_iv_norm_derivatives(z, x, y, value_only=False) -> Derivatives:
+def _type_iv_norm_derivatives(z, x, value_only=False) -> Derivatives:
     """Type IV: N (see `_type_iv_norm`) and its tensors.
 
     N_i = 2 z_i sbar - 2 zbar_i, N_ij = 2 delta_ij sbar,
@@ -641,14 +625,14 @@ def _type_iv_norm_derivatives(z, x, y, value_only=False) -> Derivatives:
     levi[:, diag, diag] -= 2.0
     if x is None:
         return Derivatives(n, grad, levi)
-    xy = _t(x) @ y
-    hess = 2.0 * sbar[:, None, None] * xy
-    return Derivatives(n, grad, levi, x, y, hess, 4.0 * xy[..., None] * zbar[:, None, None])
+    xx = _t(x) @ x
+    hess = 2.0 * sbar[:, None, None] * xx
+    return Derivatives(n, grad, levi, x, hess, 4.0 * xx[..., None] * zbar[:, None, None])
 
 
-def _type_iv_log_norm(z, x, y, value_only=False) -> Derivatives:
+def _type_iv_log_norm(z, x, value_only=False) -> Derivatives:
     """Type IV: L = log N, from the tensors of N."""
-    norm = _type_iv_norm_derivatives(z, x, y, value_only)
+    norm = _type_iv_norm_derivatives(z, x, value_only)
     n = norm.value
     return norm.compose(np.log(n), 1.0 / n, -1.0 / n**2, 2.0 / n**3)
 

@@ -166,25 +166,25 @@ class HartogsPotential:
         out = self(np.asarray(p, dtype=np.complex128))
         return float(out) if np.ndim(out) == 0 else out
 
-    def derivatives(self, p, x=None, y=None) -> Derivatives:
+    def derivatives(self, p, x=None) -> Derivatives:
         """Closed-form derivatives of Phi at one point or a stack (see `Derivatives`).
 
-        p is (n,) or (B, n); directions are shared (n, p) or per point
-        (B, n, p).  Raises DomainViolation, naming the first offending
+        p is (n,) or (B, n); the direction matrix is shared (n, k) or per
+        point (B, n, k).  Raises DomainViolation, naming the first offending
         index, when a point lies outside the fibration.
         """
         p = np.asarray(p, dtype=np.complex128)
-        out = self._stacked(p[None] if p.ndim == 1 else p, x, y)
+        out = self._stacked(p[None] if p.ndim == 1 else p, x)
         return out.member(0) if p.ndim == 1 else out
 
-    def _stacked(self, p, x=None, y=None, value_only=False) -> Derivatives:
+    def _stacked(self, p, x=None, value_only=False) -> Derivatives:
         if p.ndim != 2 or p.shape[1] != self.n_coords:
             raise ValueError(f"expected {self.n_coords} coordinates, got shape {p.shape}")
         z, w = p[:, :-1], p[:, -1]
         mu = self.spec.mu
-        sub = _base_rows(x, y, slice(None, -1))
+        xz = _base_rows(x, slice(None, -1))
         try:
-            nmu = self.spec.base.norm_power_derivatives(z, mu, *sub, value_only)
+            nmu = self.spec.base.norm_power_derivatives(z, mu, xz, value_only)
         except DomainViolation as exc:
             # an earlier point may lie outside the fiber
             if exc.index:
@@ -211,7 +211,7 @@ class HartogsPotential:
         else:
             third = np.zeros((*nmu.third.shape[:-1], n), dtype=np.complex128)
             third[..., :-1] = nmu.third
-            fiber = Derivatives(d, grad, levi, x, y, nmu.hess, third)
+            fiber = Derivatives(d, grad, levi, x, nmu.hess, third)
         return fiber.compose(-np.log(d), -1.0 / d, 1.0 / d**2, -2.0 / d**3)
 
     def interior_margin(self, p) -> float:
@@ -241,10 +241,10 @@ class DomainPotential:
     def value(self, p) -> float:
         return float(self(np.asarray(p, dtype=np.complex128)))
 
-    def derivatives(self, p, x=None, y=None) -> Derivatives:
+    def derivatives(self, p, x=None) -> Derivatives:
         """Closed-form derivatives of -log N at one point or a stack (see `Derivatives`)."""
         p = np.asarray(p, dtype=np.complex128)
-        log_n = self.spec.log_norm_derivatives(p[None] if p.ndim == 1 else p, x, y)
+        log_n = self.spec.log_norm_derivatives(p[None] if p.ndim == 1 else p, x)
         out = log_n.compose(-log_n.value, -1.0, 0.0, 0.0)
         return out.member(0) if p.ndim == 1 else out
 

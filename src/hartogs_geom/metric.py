@@ -1,12 +1,13 @@
 """Kaehler metric, Christoffel symbols, geodesics and curvature from a potential.
 
 Everything is computed from a potential handle: any object exposing
-`n_coords` (complex dimension), `derivatives(p, x, y)` (the metric and the
-contracted third-order terms from one evaluation, see
-`numerics.Derivatives`) and `interior_margin(p)` (positive inside the
-domain), plus `__call__(coords)` on jet-valued coordinates for the order-4
-curvature term only.  `HartogsPotential` and `DomainPotential` answer
-`derivatives` in closed form; `FunctionPotential` answers it with jets.
+`n_coords` (complex dimension), `derivatives(p, x)` (the metric and the
+third-order terms contracted over every pair of columns of one direction
+matrix x, from one evaluation, see `numerics.Derivatives`) and
+`interior_margin(p)` (positive inside the domain), plus `__call__(coords)`
+on jet-valued coordinates for the order-4 curvature term only.
+`HartogsPotential` and `DomainPotential` answer `derivatives` in closed
+form; `FunctionPotential` answers it with jets.
 
 Conventions.  The metric tensor is g_{i jbar} = d^2 Phi / dz_i dzbar_j with
 no form factor; Christoffel symbols, geodesics and total geodesy are
@@ -61,28 +62,28 @@ class FunctionPotential:
     def value(self, p) -> float:
         return float(self._fn(list(np.asarray(p, dtype=np.complex128))))
 
-    def derivatives(self, p, x=None, y=None) -> Derivatives:
+    def derivatives(self, p, x=None) -> Derivatives:
         """Derivatives of the callable at p through jets (see `Derivatives`).
 
         Value, gradient and Levi form come from one order-2 jet, built when
         first read (`_directional_mixed` reads only `third`); hess and third
-        from one mixed order-3 jet per column pair (x[:, a], y[:, b]).  A
-        stack of points (B, n) is evaluated point by point and stacked.
+        from one mixed order-3 jet per column pair a <= b of x, mirrored to
+        b < a.  A stack of points (B, n) is evaluated point by point and
+        stacked.
         """
         p = np.asarray(p, dtype=np.complex128)
         if p.ndim == 2:
-            return self._stacked(p, x, y)
+            return self._stacked(p, x)
         if x is None:
             return self._order2(p)
-        hess = np.empty((x.shape[1], y.shape[1]), dtype=np.complex128)
-        third = np.empty((x.shape[1], y.shape[1], self.n_coords), dtype=np.complex128)
-        for a in range(x.shape[1]):
-            for b in range(y.shape[1]):
-                if y is x and b < a:  # symmetric in (a, b): reuse the pair (b, a)
-                    hess[a, b], third[a, b] = hess[b, a], third[b, a]
-                else:
-                    hess[a, b], third[a, b] = self._mixed(p, x[:, a], y[:, b])
-        return _JetDerivatives(lambda: self._order2(p), x, y, hess, third)
+        k = x.shape[1]
+        hess = np.empty((k, k), dtype=np.complex128)
+        third = np.empty((k, k, self.n_coords), dtype=np.complex128)
+        for a in range(k):
+            for b in range(a, k):
+                hess[a, b], third[a, b] = self._mixed(p, x[:, a], x[:, b])
+                hess[b, a], third[b, a] = hess[a, b], third[a, b]
+        return _JetDerivatives(lambda: self._order2(p), x, hess, third)
 
     def _order2(self, p) -> Derivatives:
         """Value, gradient and Levi form from one order-2 jet."""
@@ -100,12 +101,12 @@ class FunctionPotential:
                 levi[j, i] = np.conj(levi[i, j])
         return Derivatives(f.value.real, grad, levi)
 
-    def _stacked(self, p, x, y) -> Derivatives:
+    def _stacked(self, p, x) -> Derivatives:
         parts = []
         for j, pj in enumerate(p):
-            xj, yj = (d if d is None or d.ndim == 2 else d[j] for d in (x, y))
+            xj = x if x is None or x.ndim == 2 else x[j]
             try:
-                parts.append(self.derivatives(pj, xj, yj))
+                parts.append(self.derivatives(pj, xj))
             except DomainViolation as exc:
                 raise DomainViolation(str(exc), j) from exc
 
@@ -117,7 +118,6 @@ class FunctionPotential:
             np.stack([d.grad for d in parts]),
             np.stack([d.levi for d in parts]),
             x,
-            y,
             stack("hess"),
             stack("third"),
         )
@@ -154,8 +154,8 @@ class _JetDerivatives(Derivatives):
     """`Derivatives` whose value, gradient and Levi form come from `order2()`
     on first read; hess and third are given."""
 
-    def __init__(self, order2: Callable, x, y, hess, third):
-        for name, v in (("_order2", order2), ("x", x), ("y", y), ("hess", hess), ("third", third)):
+    def __init__(self, order2: Callable, x, hess, third):
+        for name, v in (("_order2", order2), ("x", x), ("hess", hess), ("third", third)):
             object.__setattr__(self, name, v)
 
     @functools.cached_property
@@ -244,12 +244,12 @@ def _directional_mixed(pot, p, x, y) -> np.ndarray:
     Contracts the holomorphic third-derivative tensor with directions x, y,
     leaving the antiholomorphic slot free: D_l = Phi_{i j lbar} x^i y^j.
     """
-    return pot.derivatives(p, np.asarray(x)[:, None], np.asarray(y)[:, None]).third[0, 0]
+    return pot.derivatives(p, np.stack([x, y], -1)).third[0, 1]
 
 
 def _directional_second(pot, p, x) -> np.ndarray:
     """D_l = d_s^2 dbar_l Phi(p + s x + delta): the geodesic contraction."""
-    return _directional_mixed(pot, p, x, x)
+    return pot.derivatives(p, np.asarray(x)[:, None]).third[0, 0]
 
 
 def _fourth_holomorphic(pot, p, x) -> complex:
@@ -277,7 +277,7 @@ def _metric_and_third(pot, p, basis):
     p and basis may be stacks (B, n) and (B, n, k); the results then carry
     the leading B axis.
     """
-    t = pot.derivatives(p, basis, basis)
+    t = pot.derivatives(p, basis)
     # rounding in the closed form breaks the exact (a, b) symmetry
     return _hermitian(t.levi), 0.5 * (t.third + np.swapaxes(t.third, -3, -2))
 
@@ -543,7 +543,7 @@ def sectional_curvature(pot, p, x) -> float:
     x = np.asarray(x, dtype=np.complex128)
     if np.all(x == 0):
         raise ValueError("curvature direction must be nonzero")
-    t = pot.derivatives(p, x[:, None], x[:, None])
+    t = pot.derivatives(p, x[:, None])
     g = _hermitian(t.levi)
     b = t.third[0, 0]  # b_l = Phi_{i j lbar} x^i x^j
     e = float(np.real(hermitian_inner(g, x, x)))

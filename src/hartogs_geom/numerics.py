@@ -42,15 +42,16 @@ class Derivatives:
     """Closed-form derivatives of a real function F of complex coordinates.
 
     grad[i] = dF/dz_i and levi[i, l] = d^2F/dz_i dzbar_l; antiholomorphic
-    derivatives are their conjugates because F is real.  Given direction
-    matrices x (d x p) and y (d x q), hess[a, b] = F_ij x[i, a] y[j, b] and
-    third[a, b, l] = F_{i j lbar} x[i, a] y[j, b]; without directions all
-    four are None.  Contracting against directions keeps one direction pair
-    at O(d^2) work instead of materializing the d^3 third-order tensor.
+    derivatives are their conjugates because F is real.  Given a direction
+    matrix x (d x k), hess[a, b] = F_ij x[i, a] x[j, b] and
+    third[a, b, l] = F_{i j lbar} x[i, a] x[j, b] for every pair of its
+    columns; without directions x, hess and third are None.  Contracting
+    against directions keeps one pair at O(d^2) work instead of
+    materializing the d^3 third-order tensor.
 
     A stack of B points carries a leading batch axis on every tensor: value
-    (B,), grad (B, d), levi (B, d, d), hess (B, p, q) and third
-    (B, p, q, d), with directions shared (d, p) or per point (B, d, p).
+    (B,), grad (B, d), levi (B, d, d), hess (B, k, k) and third
+    (B, k, k, d), with directions shared (d, k) or per point (B, d, k).
     `member(j)` gives point j with the unbatched shapes.  A value-only
     evaluation leaves grad and levi None as well.
     """
@@ -59,7 +60,6 @@ class Derivatives:
     grad: np.ndarray | None
     levi: np.ndarray | None
     x: np.ndarray | None = None
-    y: np.ndarray | None = None
     hess: np.ndarray | None = None
     third: np.ndarray | None = None
 
@@ -80,23 +80,14 @@ class Derivatives:
             return Derivatives(f0, f1 * g, levi)
         xt = _t(self.x)
         fx, fxl = (xt @ g[..., None])[..., 0], xt @ self.levi
-        if self.y is self.x:
-            fy, fyl = fx, fxl
-        else:
-            yt = _t(self.y)
-            fy, fyl = (yt @ g[..., None])[..., 0], yt @ self.levi
-        f2fx = f2 * fx
-        hess = f1[..., None] * self.hess + f2fx[..., :, None] * fy[..., None, :]
-        # phi(F)_{ij lbar} x^i y^j = f1 F_{ij lbar} x^i y^j
-        #   + (f2 F_xy + f3 F_x F_y) Fbar_l + f2 (F_{x lbar} F_y + F_{y lbar} F_x)
-        cross = fxl[..., :, None, :] * (f2 * fy)[..., None, :, None]
-        if self.y is self.x:
-            cross = cross + cross.swapaxes(-3, -2)
-        else:
-            cross = cross + fyl[..., None, :, :] * f2fx[..., :, None, None]
-        curve = f2[..., None] * self.hess + (f3 * fx)[..., :, None] * fy[..., None, :]
+        hess = f1[..., None] * self.hess + (f2 * fx)[..., :, None] * fx[..., None, :]
+        # phi(F)_{ab lbar} = f1 F_{ab lbar} + (f2 F_ab + f3 F_a F_b) Fbar_l
+        #   + f2 (F_{a lbar} F_b + F_{b lbar} F_a), with F_a = F_i x^i_a
+        cross = fxl[..., :, None, :] * (f2 * fx)[..., None, :, None]
+        cross = cross + cross.swapaxes(-3, -2)
+        curve = f2[..., None] * self.hess + (f3 * fx)[..., :, None] * fx[..., None, :]
         third = f1[..., None, None] * self.third + curve[..., None] * gbar[..., None, None, :] + cross
-        return Derivatives(f0, f1 * g, levi, self.x, self.y, hess, third)
+        return Derivatives(f0, f1 * g, levi, self.x, hess, third)
 
     def member(self, j: int) -> "Derivatives":
         """Point j of a stack, with the unbatched shapes."""
@@ -104,18 +95,9 @@ class Derivatives:
         def pick(a):
             return None if a is None else a[j]
 
-        def direction(d):
-            return d if d is None or d.ndim == 2 else d[j]
-
-        return Derivatives(
-            float(self.value[j]),
-            pick(self.grad),
-            pick(self.levi),
-            direction(self.x),
-            direction(self.y),
-            pick(self.hess),
-            pick(self.third),
-        )
+        x = self.x if self.x is None or self.x.ndim == 2 else self.x[j]
+        value, grad, levi = float(self.value[j]), pick(self.grad), pick(self.levi)
+        return Derivatives(value, grad, levi, x, pick(self.hess), pick(self.third))
 
 
 def _value(x) -> complex:

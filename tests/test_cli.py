@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hartogs_geom.cli import IMMERSION_CHUNK, main
+from hartogs_geom.cli import IMMERSION_CHUNK, build_parser, main
 
 
 def _write_config(tmp_path, obj, name="cfg.json"):
@@ -179,6 +179,20 @@ class TestVerifyTg:
             ["verify-tg", "--config", cfg, "--slice", "diagonal-slice",
              "--out", str(tmp_path / "r.json")]
         ) == 0
+
+    def test_parser_reused_across_calls(self, tmp_path):
+        # the parser is built once per process: options of one call must not
+        # reach the next one
+        cfg = _write_config(tmp_path, dict(POLY3_CONFIG, samples=4))
+        sliced, plain, fresh = (tmp_path / f"{name}.json" for name in ("s", "p", "f"))
+        argv = ["verify-tg", "--config", cfg, "--out"]
+        assert main([*argv, str(sliced), "--slice", "factor-slice", "--sub-rank", "2"]) == 0
+        assert main([*argv, str(plain)]) == 0
+        build_parser.cache_clear()
+        assert main([*argv, str(fresh)]) == 0
+        assert json.loads(sliced.read_text())["selector"] == "factor-slice"
+        assert json.loads(plain.read_text())["selector"] == "polydisk"
+        assert plain.read_bytes() == fresh.read_bytes()
 
     def test_alias_mismatch_is_config_error(self, tmp_path):
         cfg = _write_config(tmp_path, BASE_CONFIG)
@@ -383,13 +397,3 @@ class TestOutputFormats:
         report = json.loads(out.read_text())
         assert report["config"]["seed"] == 99
         assert report["config"]["samples"] == 5
-
-    def test_thread_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HARTOGS_GEOM_THREADS", "2")
-        cfg = _write_config(tmp_path, BASE_CONFIG)
-        out1 = tmp_path / "r1.json"
-        main(["verify-immersion", "--config", cfg, "--out", str(out1)])
-        monkeypatch.setenv("HARTOGS_GEOM_THREADS", "1")
-        out2 = tmp_path / "r2.json"
-        main(["verify-immersion", "--config", cfg, "--out", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
