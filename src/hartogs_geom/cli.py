@@ -62,10 +62,11 @@ DEFAULT_TOLERANCES = {
 }
 SCAN_LINEAR_MAX = 1e-6
 SCAN_CURVED_MIN = 1e-5
-# verify-tg samples per stacked tg_residual call.  A call amortizes its
-# overhead over the chunk; the cap keeps the stacked temporaries small at
-# any --samples.  Larger chunks run a few per cent faster but leave the
-# heap fragmented, so a long run of reports reaches a higher peak RSS.
+# verify-tg samples per stacked chart sample and tg_residual call.  A call
+# amortizes its overhead over the chunk; the cap keeps the stacked
+# temporaries small at any --samples.  Larger chunks run a few per cent
+# faster but leave the heap fragmented, so a long run of reports reaches a
+# higher peak RSS.
 TG_CHUNK = 16
 # verify-immersion samples per stacked sample and evaluation; the cap keeps
 # the stacked temporaries, and so the peak RSS, small at any --samples.
@@ -284,20 +285,18 @@ def cmd_verify_tg(cfg: RunConfig, selector: str, sub_rank: int = 1) -> Report:
     residuals = []
     for start in range(0, cfg.samples, TG_CHUNK):
         stop = min(start + TG_CHUNK, cfg.samples)
-        qs = np.stack([chart.sample(cfg.shrink, cfg.seed + i) for i in range(start, stop)])
+        qs = chart.sample(cfg.shrink, range(cfg.seed + start, cfg.seed + stop))
         residuals.extend(tg_residual(pot, chart, qs).tolist())
     max_resid, i_resid = _worst(residuals)
 
+    # five confinement geodesics from one stacked sample, tangent to the chart
     rng = np.random.default_rng(cfg.seed)
     basis0 = chart.tangent_basis(np.zeros(chart.n_params))
-    p0s, v0s = [], []
-    for i in range(5):
-        p0 = chart.embed(chart.sample(0.4, cfg.seed + 1000 + i))
-        coeff = rng.normal(size=basis0.shape[1]) + 1j * rng.normal(size=basis0.shape[1])
-        v0 = basis0 @ coeff
-        g = _metric_matrix(pot, p0)
-        p0s.append(p0)
-        v0s.append(v0 / np.sqrt(np.real(hermitian_inner(g, v0, v0)) + 1e-300) * 0.4)
+    p0s = chart.embed(chart.sample(0.4, range(cfg.seed + 1000, cfg.seed + 1005)))
+    coeffs = rng.normal(size=(len(p0s), 2, basis0.shape[1]))
+    v0s = (coeffs[:, 0] + 1j * coeffs[:, 1]) @ basis0.T
+    gs = _metric_matrix(pot, p0s)
+    v0s = [v / np.sqrt(np.real(hermitian_inner(g, v, v)) + 1e-300) * 0.4 for g, v in zip(gs, v0s)]
     traces = geodesic_batch(pot, p0s, v0s, 1.0, tol=1e-9)
     max_dev = max(float(np.max(distance_to_span(tr.positions, basis0))) for tr in traces)
     max_drift = max(tr.energy_drift() for tr in traces)

@@ -68,12 +68,6 @@ class HartogsSpec:
         return cls(DomainSpec.from_json(obj["base"]), float(obj["mu"]))
 
 
-def _split(spec: HartogsSpec, p):
-    if len(p) != spec.n_coords:
-        raise ValueError(f"expected {spec.n_coords} coordinates, got {len(p)}")
-    return p[:-1], p[-1]
-
-
 def _values(coords) -> np.ndarray:
     """The point that plain or jet coordinates are expanded around."""
     return np.array([_value(c) for c in coords], dtype=np.complex128)
@@ -99,37 +93,54 @@ def _fiber_argument(nmu, w):
     return nmu - np.abs(w) ** 2
 
 
-def _point_fiber_argument(spec: HartogsSpec, z, w) -> float:
-    """D at a point whose base part lies in the base (spectral test).
+def _fiber_argument_in_base(spec: HartogsSpec, z, w) -> np.ndarray:
+    """D over a stack whose base rows lie in the base (spectral test).
 
-    A base point that the closed form still rejects, within rounding of
-    the base boundary where N = 0, gives -|w|^2.
+    A row that the closed form still rejects, within rounding of the base
+    boundary where N = 0, gives -|w|^2.
     """
-    try:
-        nmu = spec.base.norm_power_derivatives(np.asarray(z)[None], spec.mu, value_only=True)
-    except DomainViolation:
-        return -abs(w) ** 2
-    return float(_fiber_argument(nmu.value, np.array([w], dtype=np.complex128))[0])
+    d = -np.abs(w) ** 2
+    todo = np.arange(len(z))
+    while todo.size:
+        try:
+            nmu = spec.base.norm_power_derivatives(z[todo], spec.mu, value_only=True)
+        except DomainViolation as exc:
+            todo = np.delete(todo, exc.index or 0)
+            continue
+        d[todo] = _fiber_argument(nmu.value, w[todo])
+        break
+    return d
 
 
-def fiber_margin(spec: HartogsSpec, p) -> float:
+def fiber_margin(spec: HartogsSpec, p):
     """N^mu - |w|^2; positive on the domain, crosses zero at the boundary.
 
-    Base points outside the domain give a margin <= 0 even where N > 0 (an
-    even number of singular values past 1 leaves N = prod(1 - s^2) positive).
+    p is a point (n,), giving a float, or a stack (B, n), giving (B,); each
+    row gets the float that it gets alone.  Base points outside the domain
+    give a margin <= 0 even where N > 0 (an even number of singular values
+    past 1 leaves N = prod(1 - s^2) positive).
     """
-    z, w = _split(spec, p)
-    if not spec.base.contains(z):
-        return min(float(spec.base._norm(z)), 0.0) - abs(w) ** 2
-    return _point_fiber_argument(spec, z, w)
+    p = np.asarray(p, dtype=np.complex128)
+    ps = p[None] if p.ndim == 1 else p
+    if ps.ndim != 2 or ps.shape[1] != spec.n_coords:
+        raise ValueError(f"expected {spec.n_coords} coordinates, got shape {p.shape}")
+    z, w = ps[:, :-1], ps[:, -1]
+    inside = spec.base.contains(z)
+    out = np.empty(len(ps))
+    out[inside] = _fiber_argument_in_base(spec, z[inside], w[inside])
+    if not inside.all():
+        out[~inside] = np.minimum(spec.base._norm(z[~inside]), 0.0) - np.abs(w[~inside]) ** 2
+    return float(out[0]) if p.ndim == 1 else out
 
 
 def h_contains(spec: HartogsSpec, p, margin: float = 0.0) -> bool:
     """Membership: base membership plus the strict fiber inequality D > margin."""
-    z, w = _split(spec, p)
-    if not spec.base.contains(z, margin):
+    p = np.asarray(p, dtype=np.complex128)
+    if p.shape != (spec.n_coords,):
+        raise ValueError(f"expected {spec.n_coords} coordinates, got shape {p.shape}")
+    if not spec.base.contains(p[:-1], margin):
         return False
-    return _point_fiber_argument(spec, z, w) > margin
+    return bool(_fiber_argument_in_base(spec, p[None, :-1], p[None, -1])[0] > margin)
 
 
 class HartogsPotential:
@@ -214,7 +225,8 @@ class HartogsPotential:
             fiber = Derivatives(d, grad, levi, x, nmu.hess, third)
         return fiber.compose(-np.log(d), -1.0 / d, 1.0 / d**2, -2.0 / d**3)
 
-    def interior_margin(self, p) -> float:
+    def interior_margin(self, p):
+        """`fiber_margin`: a float at a point, (B,) over a stack."""
         return fiber_margin(self.spec, p)
 
 
@@ -248,10 +260,16 @@ class DomainPotential:
         out = log_n.compose(-log_n.value, -1.0, 0.0, 0.0)
         return out.member(0) if p.ndim == 1 else out
 
-    def interior_margin(self, p) -> float:
-        """N; <= 0 outside the domain even where N > 0 (see `fiber_margin`)."""
-        n = float(self.spec._norm(p))
-        return n if self.spec.contains(p) else min(n, 0.0)
+    def interior_margin(self, p):
+        """N; <= 0 outside the domain even where N > 0 (see `fiber_margin`).
+
+        p is a point (n,), giving a float, or a stack (B, n), giving (B,).
+        """
+        p = np.asarray(p, dtype=np.complex128)
+        z = p[None] if p.ndim == 1 else p
+        n = self.spec._norm(z)
+        out = np.where(self.spec.contains(z), n, np.minimum(n, 0.0))
+        return float(out[0]) if p.ndim == 1 else out
 
 
 def potential(spec: HartogsSpec, p):
@@ -330,32 +348,42 @@ class PolydiskMobiusLift:
         th = np.asarray(self.phases)
         return np.exp(1j * th) * (z - a) / (1.0 - np.conj(a) * z)
 
-    def fiber_factor(self, z: np.ndarray) -> complex:
+    def fiber_factor(self, z: np.ndarray):
+        """The fiber factor at a base point (a complex) or a stack (B, n) ((B,))."""
         a = np.asarray(self.centers)
         h = 0.5 * np.log1p(-np.abs(a) ** 2) - np.log(1.0 - np.conj(a) * z)
-        return complex(np.exp(self.mu * np.sum(h)))
+        return np.exp(self.mu * np.sum(h, axis=-1))
 
     def __call__(self, p) -> np.ndarray:
-        z = np.asarray(p[:-1], dtype=np.complex128)
-        return np.append(self.base_map(z), self.fiber_factor(z) * complex(p[-1]))
+        """The lifted map at a point (n + 1,) or a stack (B, n + 1)."""
+        p = np.asarray(p, dtype=np.complex128)
+        ps = p[None] if p.ndim == 1 else p
+        z, w = ps[:, :-1], ps[:, -1:]
+        out = np.concatenate([self.base_map(z), self.fiber_factor(z)[:, None] * w], axis=1)
+        return out[0] if p.ndim == 1 else out
 
     apply = __call__
 
     def jacobian(self, p) -> np.ndarray:
-        """Holomorphic Jacobian of the lifted map at p (fiber index last)."""
-        z = np.asarray(p[:-1], dtype=np.complex128)
-        w = complex(p[-1])
+        """Holomorphic Jacobian of the lifted map at p (fiber index last).
+
+        p is a point (n + 1,), giving (n + 1, n + 1), or a stack (B, n + 1),
+        giving (B, n + 1, n + 1).
+        """
+        p = np.asarray(p, dtype=np.complex128)
+        ps = p[None] if p.ndim == 1 else p
+        z, w = ps[:, :-1], ps[:, -1]
         n = self.n
         a = np.asarray(self.centers)
         th = np.asarray(self.phases)
-        jac = np.zeros((n + 1, n + 1), dtype=np.complex128)
+        jac = np.zeros((len(ps), n + 1, n + 1), dtype=np.complex128)
         denom = 1.0 - np.conj(a) * z
-        diag = np.exp(1j * th) * (1.0 - np.abs(a) ** 2) / denom**2
-        jac[:n, :n] = np.diag(diag)
+        diag = np.arange(n)
+        jac[:, diag, diag] = np.exp(1j * th) * (1.0 - np.abs(a) ** 2) / denom**2
         c = self.fiber_factor(z)
-        jac[n, :n] = w * c * self.mu * np.conj(a) / denom
-        jac[n, n] = c
-        return jac
+        jac[:, n, :n] = (w * c)[:, None] * self.mu * np.conj(a) / denom
+        jac[:, n, n] = c
+        return jac[0] if p.ndim == 1 else jac
 
     def inverse(self) -> "PolydiskMobiusLift":
         th = np.asarray(self.phases)
@@ -378,10 +406,14 @@ class HartogsChart:
 
     `embed` maps a parameter point (z', w) to an ambient point of the
     fibration; `tangent_basis` returns the ambient tangent vectors of the
-    chart at that parameter point, as columns.  The parameter set is the
+    chart at that parameter point, as columns.  Both take a point (k,),
+    giving (n,) and (n, m), or a stack (B, k), giving (B, n) and (B, n, m),
+    and give every row the floats it gets alone.  The parameter set is the
     pullback {(z', w) : embed(z', w) in M}, so the fiber bound at z' uses
     the ambient norm of the embedded base point (the diagonal disk in the
     2-polydisk, for example, carries the fiber bound (1-|z|^2)^{2 mu}).
+    The embedded base point does not depend on w, and the embedded fiber
+    coordinate is linear in w with no offset.
     """
 
     ambient: HartogsSpec
@@ -393,24 +425,36 @@ class HartogsChart:
     def n_params(self) -> int:
         return self.source.dim + 1
 
-    def sample(self, shrink: float = 0.9, seed: int = 0) -> np.ndarray:
-        """Deterministic interior parameter point of the chart."""
-        rng = np.random.default_rng(seed)
-        zp = self.source._sample_stack(shrink, [rng])[0]
-        img0 = self.embed(np.append(zp, 0.0))
-        n = float(self.ambient.base._norm(img0[:-1]))
-        # the embedded fiber is linear in w with no offset
-        fiber_scale = abs(complex(self.embed(np.append(zp, 1.0))[-1]))
-        bound = np.sqrt(n**self.ambient.mu) / fiber_scale
-        w = bound * shrink * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        return np.append(zp, w)
+    def sample(self, shrink: float = 0.9, seed=0) -> np.ndarray:
+        """Deterministic interior parameter point of the chart.
+
+        `seed` is one seed, giving a point (k,), or a sequence of seeds,
+        giving a stack (B, k) whose row j is the point of seed[j] alone:
+        each member draws z' from its own generator and then its two fiber
+        uniforms, as in `h_sample`.
+        """
+        single = np.ndim(seed) == 0
+        rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
+        zp = self.source._sample_stack(shrink, rngs)
+        # at w = 1 the embedded fiber coordinate is the fiber scale
+        img = self.embed(np.concatenate([zp, np.ones((len(zp), 1))], axis=1))
+        # N^mu by the C library's pow, as for a Python float: NumPy's
+        # vectorized power depends on the CPU's SIMD support and rounds
+        # differently
+        nmu = [n**self.ambient.mu for n in self.ambient.base._norm(img[:, :-1]).tolist()]
+        bound = np.sqrt(nmu) / np.abs(img[:, -1])
+        u = np.stack([rng.random(2) for rng in rngs])
+        w = bound * shrink * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+        q = np.concatenate([zp, w[:, None]], axis=1)
+        return q[0] if single else q
 
 
 def slice_chart(spec: HartogsSpec, emb: LinearEmbedding) -> HartogsChart:
     """The slice {(z, w) : z in emb(source)} of a Hartogs fibration.
 
     The embedding must fix the origin (linear embeddings do) and map into
-    the base of `spec`.
+    the base of `spec`.  A stack of parameter points is embedded with one
+    matrix product, and shares one tangent basis.
     """
     if emb.target != spec.base:
         raise ValueError("embedding target does not match the Hartogs base")
@@ -421,13 +465,13 @@ def slice_chart(spec: HartogsSpec, emb: LinearEmbedding) -> HartogsChart:
 
     def embed(q):
         q = np.asarray(q, dtype=np.complex128)
-        return np.append(emb.matrix @ q[:-1], q[-1])
+        return np.concatenate([emb(q[..., :-1]), q[..., -1:]], axis=-1)
 
     return HartogsChart(
         ambient=spec,
         source=emb.source,
         embed=embed,
-        tangent_basis=lambda q: basis,
+        tangent_basis=lambda q: np.broadcast_to(basis, (*np.shape(q)[:-1], *basis.shape)),
     )
 
 
@@ -438,7 +482,6 @@ def transported_chart(chart: HartogsChart, lift: PolydiskMobiusLift) -> HartogsC
         return lift(chart.embed(q))
 
     def tangent_basis(q):
-        p = chart.embed(q)
-        return lift.jacobian(p) @ chart.tangent_basis(q)
+        return lift.jacobian(chart.embed(q)) @ chart.tangent_basis(q)
 
     return HartogsChart(chart.ambient, chart.source, embed, tangent_basis)

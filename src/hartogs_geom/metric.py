@@ -4,8 +4,9 @@ Everything is computed from a potential handle: any object exposing
 `n_coords` (complex dimension), `derivatives(p, x)` (the metric and the
 third-order terms contracted over every pair of columns of one direction
 matrix x, from one evaluation, see `numerics.Derivatives`) and
-`interior_margin(p)` (positive inside the domain), plus `__call__(coords)`
-on jet-valued coordinates for the order-4 curvature term only.
+`interior_margin(p)` (positive inside the domain; a float at a point (n,),
+an array (B,) over a stack (B, n)), plus `__call__(coords)` on jet-valued
+coordinates for the order-4 curvature term only.
 `HartogsPotential` and `DomainPotential` answer `derivatives` in closed
 form; `FunctionPotential` answers it with jets.
 
@@ -144,10 +145,15 @@ class FunctionPotential:
         third = [wirtinger(f, holo=st, anti=[(4 + 2 * l, 5 + 2 * l)]) for l in range(n)]
         return wirtinger(f, holo=st), np.array(third)
 
-    def interior_margin(self, p) -> float:
+    def interior_margin(self, p):
+        """The margin callable at a point (a float), or row by row over a
+        stack (B, n) ((B,)); +inf without one."""
+        p = np.asarray(p, dtype=np.complex128)
+        if p.ndim == 2:
+            return np.array([self.interior_margin(pj) for pj in p])
         if self._margin is None:
             return math.inf
-        return float(self._margin(np.asarray(p, dtype=np.complex128)))
+        return float(self._margin(p))
 
 
 class _JetDerivatives(Derivatives):
@@ -366,8 +372,10 @@ def geodesic_batch(
 
     Returns the accepted steps; a member stops early with status
     "boundary_reached" when a step would land closer to the boundary than
-    `boundary_margin`.  Raises ValueError for T <= 0, a zero initial
-    velocity or a start point within the margin, and RuntimeError when any
+    `boundary_margin`: one stacked `interior_margin` call tests the start
+    points, and one per step the members whose error test passed.  Raises
+    ValueError for T <= 0, a zero initial velocity or a start point within
+    the margin (naming the first such member), and RuntimeError when any
     member's step size underflows or its step budget runs out.
 
     First same as last (FSAL): stage 7 is evaluated at the fifth-order
@@ -382,8 +390,9 @@ def geodesic_batch(
         raise ValueError("geodesic needs a nonzero initial velocity")
     if not T > 0:
         raise ValueError("geodesic needs a positive end time T")
-    if any(pot.interior_margin(p) < boundary_margin for p in p0s):
-        raise ValueError("initial point is too close to the boundary")
+    near = np.flatnonzero(pot.interior_margin(p0s) < boundary_margin)
+    if near.size:
+        raise ValueError(f"initial point of member {near[0]} is too close to the boundary")
 
     members = range(len(p0s))
     rhs_evals = [1] * len(p0s)
@@ -468,10 +477,15 @@ def geodesic_batch(
         y4 = y0 + hs * (_DP_B4 @ np.stack(k, axis=-2))
         scale = tol + tol * np.maximum(np.abs(y0), np.abs(y5))
         errs = (np.abs(y5 - y4) / scale).max(axis=(0, 2))
+        # one margin call for the members whose error test passed
+        passed = errs <= 1.0
+        margins = np.full(len(att), np.inf)
+        if passed.any():
+            margins[passed] = pot.interior_margin(y5[0, passed])
         for pos, j in enumerate(att):
             err = float(errs[pos])
             if err <= 1.0:
-                if pot.interior_margin(y5[0, pos]) < boundary_margin:
+                if margins[pos] < boundary_margin:
                     status[j] = "boundary_reached"
                     done[j] = True
                     continue
@@ -512,18 +526,21 @@ def tg_residual(pot, chart, q):
     totally geodesic at the point.
 
     q is one parameter point (a float is returned) or a stack (B, k) (an
-    array (B,) is returned): one derivative evaluation and stacked solves
-    serve the whole stack, with each point's own tangent basis, and every
-    point gets the floats it gets alone.
+    array (B,) is returned): one `embed`, one `tangent_basis` and one
+    derivative evaluation, and stacked solves, serve the whole stack, with
+    each point's own tangent basis, and every point gets the floats it gets
+    alone.  A degenerate tangent basis raises ValueError naming the first
+    such sample of the stack.
     """
     q = np.asarray(q)
     qs = q[None] if q.ndim == 1 else q
-    p = np.stack([chart.embed(qj) for qj in qs])
-    t_basis = np.stack([np.asarray(chart.tangent_basis(qj), dtype=np.complex128) for qj in qs])
+    p = chart.embed(qs)
+    t_basis = np.asarray(chart.tangent_basis(qs), dtype=np.complex128)
     kdim = t_basis.shape[-1]
     sv = np.linalg.svd(t_basis, compute_uv=False)
-    if np.any(sv[:, -1] < 1e-10 * np.maximum(1.0, sv[:, 0])):
-        raise ValueError("degenerate chart tangent basis")
+    degenerate = sv[:, -1] < 1e-10 * np.maximum(1.0, sv[:, 0])
+    if degenerate.any():
+        raise ValueError(f"degenerate chart tangent basis at sample {np.argmax(degenerate)}")
     g, third = _metric_and_third(pot, p, t_basis)
     gram = _t(t_basis) @ g @ np.conj(t_basis)
     rows, cols = np.triu_indices(kdim)

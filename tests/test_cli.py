@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from hartogs_geom import cli
 from hartogs_geom.cli import IMMERSION_CHUNK, build_parser, main
+from hartogs_geom.domains import DomainSpec
 
 
 def _write_config(tmp_path, obj, name="cfg.json"):
@@ -193,6 +195,45 @@ class TestVerifyTg:
         assert json.loads(sliced.read_text())["selector"] == "factor-slice"
         assert json.loads(plain.read_text())["selector"] == "polydisk"
         assert plain.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize(
+        "base,selector",
+        [
+            ({"kind": "I", "params": [2, 3]}, "polydisk"),
+            ({"kind": "product", "params": [{"kind": "I", "params": [1, 1]}] * 2},
+             "diagonal-slice"),
+        ],
+        ids=["I(2,3)-polydisk", "polydisk(2)-diagonal"],
+    )
+    def test_report_bytes_independent_of_chunk(self, tmp_path, monkeypatch, base, selector):
+        # every chunk is sampled and evaluated as one stack; a sample's
+        # floats do not depend on the chunk it falls in
+        obj = {"spec": {"base": base, "mu": 1.3}, "seed": 4, "samples": 23}
+        cfg = _write_config(tmp_path, obj)
+        reports = []
+        for chunk in (1, 5, 16):
+            monkeypatch.setattr(cli, "TG_CHUNK", chunk)
+            out = tmp_path / f"r{chunk}.json"
+            argv = ["verify-tg", "--config", cfg, "--slice", selector, "--out", str(out)]
+            assert main(argv) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_one_sampler_call_per_chunk(self, tmp_path, monkeypatch):
+        # 40 samples: three chunks of at most 16, plus the five confinement
+        # start points, each one stacked rejection loop
+        calls = []
+        original = DomainSpec._sample_stack
+
+        def counting(self, shrink, rngs):
+            calls.append(len(rngs))
+            return original(self, shrink, rngs)
+
+        monkeypatch.setattr(DomainSpec, "_sample_stack", counting)
+        cfg = _write_config(tmp_path, BASE_CONFIG)
+        assert BASE_CONFIG["samples"] == 40 and cli.TG_CHUNK == 16
+        assert main(["verify-tg", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+        assert calls == [16, 16, 8, 5]
 
     def test_alias_mismatch_is_config_error(self, tmp_path):
         cfg = _write_config(tmp_path, BASE_CONFIG)

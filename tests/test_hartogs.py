@@ -383,3 +383,155 @@ class TestSliceCharts:
         for seed in range(5):
             q = moved.sample(0.6, seed)
             assert tg_residual(pot, moved, q) < 1e-9
+
+
+def _stack_charts():
+    """Slice charts of every family, factor and diagonal slices of the 2- and
+    3-polydisk, and a factor slice pushed through a Moebius lift."""
+    charts = {}
+    for base, mu in [
+        (DomainSpec.type_i(2, 3), 1.5),
+        (DomainSpec.type_ii(4), 0.7),
+        (DomainSpec.type_iii(3), 2.0),
+        (DomainSpec.type_iv(6), 1.1),
+    ]:
+        name = f"polydisk-{base.kind}{base.params}"
+        charts[name] = slice_chart(HartogsSpec(base, mu), polydisk_embedding(base))
+    for r in (2, 3):
+        base = DomainSpec.polydisk(r)
+        factor = np.zeros((r, 1), dtype=complex)
+        factor[0, 0] = 1.0
+        diagonal = np.zeros((r, 1), dtype=complex)
+        diagonal[:2, 0] = 1.0
+        for name, mat in (("factor", factor), ("diagonal", diagonal)):
+            emb = LinearEmbedding(DomainSpec.polydisk(1), base, mat)
+            charts[f"{name}-polydisk{r}"] = slice_chart(HartogsSpec(base, 1.4), emb)
+    lift = lift_automorphism_polydisk([0.3, -0.2 + 0.25j, 0.15j], [0.4, 0.0, -1.0], 1.4)
+    charts["transported-polydisk3"] = transported_chart(charts["factor-polydisk3"], lift)
+    return charts
+
+
+STACK_CHARTS = _stack_charts()
+
+
+class TestStackedCharts:
+    """A chart samples, embeds and spans tangents over a stack, giving every
+    row the floats it gets alone."""
+
+    @pytest.mark.parametrize("name", STACK_CHARTS)
+    def test_sample_over_seeds_is_the_single_samples(self, name):
+        chart = STACK_CHARTS[name]
+        qs = chart.sample(0.7, range(3, 15))
+        assert qs.shape == (12, chart.n_params)
+        for j, seed in enumerate(range(3, 15)):
+            assert qs[j].tolist() == chart.sample(0.7, seed).tolist()
+            assert h_contains(chart.ambient, chart.embed(qs[j]))
+
+    @pytest.mark.parametrize("name", STACK_CHARTS)
+    def test_embed_and_tangent_basis_on_stacks(self, name):
+        chart = STACK_CHARTS[name]
+        qs = chart.sample(0.7, range(9))
+        points, bases = chart.embed(qs), chart.tangent_basis(qs)
+        n = chart.ambient.n_coords
+        assert points.shape == (9, n) and bases.shape == (9, n, chart.n_params)
+        for j, q in enumerate(qs):
+            assert points[j].tolist() == chart.embed(q).tolist()
+            assert bases[j].tolist() == chart.tangent_basis(q).tolist()
+
+    def test_lift_on_stacks(self):
+        lift = lift_automorphism_polydisk([0.3 + 0.2j, -0.4], [0.9, 0.2], 0.7)
+        p = h_sample(HartogsSpec(DomainSpec.polydisk(2), 0.7), 0.8, range(6))
+        images, jacobians = lift(p), lift.jacobian(p)
+        factors = lift.fiber_factor(p[:, :-1])
+        for j, pj in enumerate(p):
+            assert images[j].tolist() == lift(pj).tolist()
+            assert jacobians[j].tolist() == lift.jacobian(pj).tolist()
+            assert factors[j] == lift.fiber_factor(pj[:-1])
+
+
+def _closed_form_rejected_base_point(spec: DomainSpec) -> np.ndarray:
+    """A type I point that `contains` accepts but the closed form rejects: its
+    largest singular value lies within a few ulps of 1, where the eigenvalue
+    test and the Cholesky factor can disagree."""
+    rng = np.random.default_rng(0)
+    m, n = spec.params
+    for _ in range(20000):
+        u, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        s = np.zeros((m, n))
+        s[0, 0] = 1.0 - rng.integers(0, 6) * 1.1e-16
+        s[1, 1] = 0.5
+        z = (u @ s @ v).ravel()
+        if spec.contains(z):
+            try:
+                spec.norm_power_derivatives(z, 1.0, value_only=True)
+            except DomainViolation:
+                return z
+    raise AssertionError("no base point found that only the closed form rejects")
+
+
+class TestStackedMargins:
+    """`interior_margin` over a stack gives every row the float it gets alone,
+    inside the domain and on every kind of outside row."""
+
+    SPEC = DomainSpec.type_i(2, 3)
+
+    @classmethod
+    def _base_rows(cls) -> dict:
+        emb = polydisk_embedding(cls.SPEC)
+        return {
+            "inside": cls.SPEC.sample(0.9, 1),
+            "even-crossing": emb(np.full(2, 1.2)),  # N = 0.1936 > 0 outside the base
+            "negative-norm": emb(np.array([1.2, 0.5])),
+            "closed-form-rejected": _closed_form_rejected_base_point(cls.SPEC),
+            "origin": np.zeros(cls.SPEC.dim),
+        }
+
+    @staticmethod
+    def _margins(pot, rows: dict, order) -> dict:
+        stack = np.stack([rows[name] for name in order])
+        stacked = pot.interior_margin(stack)
+        assert stacked.shape == (len(order),)
+        assert stacked.tolist() == [pot.interior_margin(p) for p in stack]
+        return dict(zip(order, stacked))
+
+    def test_hartogs_potential(self):
+        spec = HartogsSpec(self.SPEC, 1.3)
+        base = self._base_rows()
+        radius = self.SPEC.generic_norm(base["inside"]) ** 0.65
+        rows = {
+            "inside": h_sample(spec, 0.9, 2),
+            "outside-fiber": np.append(base["inside"], 1.5 * radius),
+            "even-crossing": np.append(base["even-crossing"], 0.1j),
+            "negative-norm": np.append(base["negative-norm"], 0.0),
+            "closed-form-rejected": np.append(base["closed-form-rejected"], 0.01),
+            "origin": np.append(base["origin"], 0.5),
+        }
+        order = ["outside-fiber", "inside", "closed-form-rejected", "even-crossing",
+                 "origin", "negative-norm"]
+        margins = self._margins(HartogsPotential(spec), rows, order)
+        assert margins["inside"] == fiber_margin(spec, rows["inside"]) > 0.0
+        assert margins["origin"] == 0.75
+        assert margins["closed-form-rejected"] == -(0.01**2)
+        for name in ("outside-fiber", "even-crossing", "negative-norm"):
+            assert margins[name] <= 0.0
+
+    def test_domain_potential(self):
+        order = ["even-crossing", "inside", "closed-form-rejected", "negative-norm", "origin"]
+        margins = self._margins(DomainPotential(self.SPEC), self._base_rows(), order)
+        assert margins["inside"] > 0.0 and margins["origin"] == 1.0
+        assert margins["even-crossing"] <= 0.0 and margins["negative-norm"] < 0.0
+
+    def test_function_potential(self):
+        spec = HartogsSpec(self.SPEC, 1.3)
+        rows = {
+            "inside": h_sample(spec, 0.9, 3),
+            "even-crossing": np.append(self._base_rows()["even-crossing"], 0.0),
+        }
+        order = ["inside", "even-crossing"]
+        pot = HartogsPotential(spec)
+        bounded = FunctionPotential(pot, spec.n_coords, pot.interior_margin)
+        margins = self._margins(bounded, rows, order)
+        assert margins["inside"] > 0.0 >= margins["even-crossing"]
+        unbounded = FunctionPotential(pot, spec.n_coords)
+        assert list(self._margins(unbounded, rows, order).values()) == [np.inf, np.inf]

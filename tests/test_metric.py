@@ -181,6 +181,13 @@ class TestGeodesics:
         assert tr.status == "boundary_reached"
         assert tr.times[-1] < 50.0
 
+    def test_start_near_boundary_names_member(self):
+        # one stacked margin call tests every start point
+        pot = _hartogs(DomainSpec.polydisk(1), 1.0)
+        p0s = [[0.1, 0.2], [0.0, 0.3], [0.0, 1.0 - 1e-9], [0.0, 1.5]]
+        with pytest.raises(ValueError, match="member 2 is too close to the boundary"):
+            geodesic_batch(pot, p0s, np.ones((4, 2)), 1.0)
+
     def test_coarse_step_across_polydisk_diagonal(self):
         # with a loose tolerance the trial stages overshoot the diagonal
         # corner, where both |z_j| > 1 leave N = (1 - |z|^2)^2 > 0
@@ -318,11 +325,34 @@ class TestTotallyGeodesicResidual:
         chart = HartogsChart(
             ambient=hs,
             source=DomainSpec.polydisk(1),
-            embed=lambda q: np.array([q[0], q[0], q[1]]),
-            tangent_basis=lambda q: basis,
+            embed=lambda q: np.stack([q[..., 0], q[..., 0], q[..., 1]], axis=-1),
+            tangent_basis=lambda q: np.broadcast_to(basis, (*q.shape[:-1], *basis.shape)),
         )
         with pytest.raises(ValueError, match="degenerate"):
             tg_residual(pot, chart, np.array([0.1, 0.1]))
+
+    def test_degenerate_sample_named_in_stack(self):
+        from hartogs_geom.hartogs import HartogsChart
+
+        hs = HartogsSpec(DomainSpec.polydisk(2), 1.0)
+
+        def tangent_basis(q):
+            # the fiber tangent vanishes where Re w = 0
+            basis = np.zeros((*q.shape[:-1], 3, 2), dtype=complex)
+            basis[..., 0, 0] = 1.0
+            basis[..., 2, 1] = q[..., 1].real
+            return basis
+
+        chart = HartogsChart(
+            ambient=hs,
+            source=DomainSpec.polydisk(1),
+            embed=lambda q: np.stack([q[..., 0], np.zeros_like(q[..., 0]), q[..., 1]], axis=-1),
+            tangent_basis=tangent_basis,
+        )
+        qs = np.array([[0.1, 0.2], [0.2, 0.1], [0.1, 0.0], [0.0, 0.0]])
+        assert tg_residual(HartogsPotential(hs), chart, qs[:2]).shape == (2,)
+        with pytest.raises(ValueError, match="degenerate chart tangent basis at sample 2"):
+            tg_residual(HartogsPotential(hs), chart, qs)
 
     def test_confinement_follows_residual(self):
         # tangent initial data on a verified slice stays on the slice
