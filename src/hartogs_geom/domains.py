@@ -11,12 +11,13 @@ the fourth type, vector) realizations:
   1 + |sum z_j^2|^2 - 2 sum |z_j|^2 > 0 (n >= 5).
 
 Products are supported everywhere; the generic norm of a product is the
-product of the factor norms.  Norm evaluation is polymorphic over plain
-complex coordinates and jet-valued coordinates, so the same code path feeds
-both membership tests and jet differentiation.  `log_norm_derivatives`
-gives the derivatives of log N up to order three in closed form: through
-the Bergman operator A = I - Z Z* for types I-III, where Z = sum z_k E_k is
-linear in the coordinates, and through the explicit polynomial for type IV.
+product of the factor norms.  The generic norm from determinants takes
+plain coordinates as stacks and jet-valued coordinates entry by entry; it is
+the second route to the closed forms and the one jets differentiate.
+`log_norm_derivatives` gives the derivatives of log N up to order three in
+closed form: through the Bergman operator A = I - Z Z* for types I-III,
+where Z = sum z_k E_k is linear in the coordinates, and through the explicit
+polynomial for type IV.
 It takes one point or a stack of points, and a stack gives every tensor a
 leading batch axis computed with stacked LAPACK and matrix products.
 """
@@ -348,7 +349,7 @@ class DomainSpec:
         self._check_stack(z)
         if self.is_polydisk:
             # I - Z Z* is the 1 x 1 matrix 1 - |z_j|^2 per disk, its own eigenvalue
-            return (1.0 - (z.real * z.real + z.imag * z.imag) > margin).all(axis=-1)
+            return (_disk_gap(z) > margin).all(axis=-1)
         if self.kind in ("I", "II", "III"):
             return is_positive_definite(_bergman(self, z)[1], margin)
         if self.kind == "IV":
@@ -362,20 +363,26 @@ class DomainSpec:
         return inside
 
     def _norm(self, coords):
-        """Generic norm, jet-friendly, without membership validation.
+        """Generic norm, without membership validation.
 
-        A plain stack (B, dim) gives (B,) from stacked determinants: the
-        route that checks the closed forms, which take log N from a Cholesky
-        factor instead.
+        Plain coordinates go through stacked determinants: a stack
+        (B, dim) gives (B,), and a point (dim,) is the stack of one, giving
+        the float of its row in any stack.  This is the route that checks
+        the closed forms, which take log N from a Cholesky factor instead.
+        Jet coordinates go entry by entry.
         """
-        stack = isinstance(coords, np.ndarray) and coords.ndim == 2
+        jets = _is_jet_coords(coords)
+        if not jets:
+            coords = np.asarray(coords, dtype=np.complex128)
+            if coords.ndim == 1:
+                return float(self._norm(coords[None])[0])
         if self.kind in ("I", "II", "III"):
-            a = _bergman(self, coords)[1] if stack else self._gram_complement(coords)
+            a = self._gram_complement(coords) if jets else _bergman(self, coords)[1]
             d = _realify(det(a))
             return d**0.5 if self.kind == "II" else d
         if self.kind == "IV":
-            if stack:
-                return _type_iv_plain_norm(coords)
+            if not jets:
+                return _type_iv_norm(coords)[2]
             s_sq = 0.0
             s_abs = 0.0
             for c in coords:
@@ -386,7 +393,7 @@ class DomainSpec:
         pos = 0
         for f in self.factors:
             rows = slice(pos, pos + f.dim)
-            out = out * f._norm(coords[:, rows] if stack else coords[rows])
+            out = out * f._norm(coords[rows] if jets else coords[:, rows])
             pos += f.dim
         return out
 
@@ -426,7 +433,9 @@ class DomainSpec:
         only rejected members draw again, each from its own stream, so a
         member gets the point it gets alone.
         """
-        margin = max(0.0, 1.0 - shrink * shrink)
+        if not 0.0 < shrink <= 1.0:
+            raise ValueError("shrink must lie in (0, 1]")
+        margin = 1.0 - shrink * shrink
         out = self._draw(shrink, rngs)
         todo = np.flatnonzero(~self.contains(out, margin))
         for _ in range(_SAMPLE_BUDGET):
@@ -438,8 +447,6 @@ class DomainSpec:
 
     def sample(self, shrink: float = 0.9, seed: int = 0) -> np.ndarray:
         """Deterministic interior point with spectral margin 1 - shrink^2."""
-        if not 0.0 < shrink <= 1.0:
-            raise ValueError("shrink must lie in (0, 1]")
         return self._sample_stack(shrink, [np.random.default_rng(seed)])[0]
 
     # -- serialization -----------------------------------------------------------
@@ -568,6 +575,12 @@ def _matrix_log_norm(spec: DomainSpec, z, x, value_only=False) -> Derivatives:
     return Derivatives(value, grad, levi, x, hess, -c * _trace_against(k, e))
 
 
+def _disk_gap(z):
+    """1 - |z_j|^2 per coordinate of a polydisk stack, in real arithmetic:
+    the membership test of `contains` and the a_j of `_polydisk_log_norm`."""
+    return 1.0 - (z.real * z.real + z.imag * z.imag)
+
+
 def _polydisk_log_norm(z, x, value_only=False) -> Derivatives:
     """The disk and products of disks: L = sum_j log a_j, a_j = 1 - |z_j|^2.
 
@@ -575,10 +588,7 @@ def _polydisk_log_norm(z, x, value_only=False) -> Derivatives:
     L_ii = -zbar_i^2 / a_i^2 and L_{i i ibar} = -2 zbar_i / a_i^3.  Raises
     DomainViolation, naming the first point with some a_j <= 0.
     """
-    # the same floats as the disk test of `contains`, which takes Re(z zbar)
-    # from Python's complex product; NumPy's complex multiply rounds
-    # differently, so spell out the real arithmetic
-    a = 1.0 - (z.real * z.real + z.imag * z.imag)
+    a = _disk_gap(z)
     bad = np.any(a <= 0.0, axis=-1)
     if bad.any():
         raise DomainViolation("polydisk point outside the domain", int(np.argmax(bad)))
@@ -603,23 +613,6 @@ def _type_iv_norm(z):
     sq = (z.conj()[:, None, :] @ z[:, :, None])[:, 0, 0].real
     s = (z[:, None, :] @ z[:, :, None])[:, 0, 0]
     return sq, s, 1.0 + np.abs(s) ** 2 - 2.0 * sq
-
-
-def _type_iv_plain_norm(z):
-    """N = 1 + |s|^2 - 2 sum |z_k|^2 over a stack, in the real arithmetic of
-    the point route of `DomainSpec._norm`.
-
-    A stack row gets the float of its point alone, on every CPU: NumPy's
-    vectorized complex multiply fuses a multiply-add where the CPU has FMA,
-    its scalar one does not.
-    """
-    x, y = z.real, z.imag
-    s_re = s_im = sq = 0.0
-    for xk, yk in zip(x.T, y.T):
-        s_re = s_re + (xk * xk - yk * yk)
-        s_im = s_im + (xk * yk + yk * xk)
-        sq = sq + (xk * xk + yk * yk)
-    return 1.0 + (s_re * s_re + s_im * s_im) - 2.0 * sq
 
 
 def _type_iv_norm_derivatives(z, x, value_only=False) -> Derivatives:

@@ -116,9 +116,10 @@ def fiber_margin(spec: HartogsSpec, p):
     """N^mu - |w|^2; positive on the domain, crosses zero at the boundary.
 
     p is a point (n,), giving a float, or a stack (B, n), giving (B,); each
-    row gets the float that it gets alone.  Base points outside the domain
-    give a margin <= 0 even where N > 0 (an even number of singular values
-    past 1 leaves N = prod(1 - s^2) positive).
+    row gets the float that it gets alone.  A row whose base point fails the
+    spectral test of `contains` gives -|w|^2, as does one that the closed
+    form rejects, even where N > 0 (an even number of singular values past
+    1 leaves N = prod(1 - s^2) positive).
     """
     p = np.asarray(p, dtype=np.complex128)
     ps = p[None] if p.ndim == 1 else p
@@ -126,10 +127,8 @@ def fiber_margin(spec: HartogsSpec, p):
         raise ValueError(f"expected {spec.n_coords} coordinates, got shape {p.shape}")
     z, w = ps[:, :-1], ps[:, -1]
     inside = spec.base.contains(z)
-    out = np.empty(len(ps))
+    out = -np.abs(w) ** 2
     out[inside] = _fiber_argument_in_base(spec, z[inside], w[inside])
-    if not inside.all():
-        out[~inside] = np.minimum(spec.base._norm(z[~inside]), 0.0) - np.abs(w[~inside]) ** 2
     return float(out[0]) if p.ndim == 1 else out
 
 
@@ -292,11 +291,20 @@ def h_sample(spec: HartogsSpec, shrink: float = 0.9, seed=0) -> np.ndarray:
     single = np.ndim(seed) == 0
     rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
     z = spec.base._sample_stack(shrink, rngs)
+    p = np.concatenate([z, _draw_fiber(spec, z, 1.0, shrink, rngs)[:, None]], axis=1)
+    return p[0] if single else p
+
+
+def _draw_fiber(spec: HartogsSpec, z, scale, shrink: float, rngs) -> np.ndarray:
+    """Fiber coordinates (B,) uniform in the disk |scale w| <= shrink N(z)^(mu/2).
+
+    Each member takes two uniforms from its own generator.  N^mu is the
+    value of `norm_power_derivatives`, the one that decides fiber membership
+    (see `_fiber_argument`); `scale` is 1 or per member (B,).
+    """
     u = np.stack([rng.random(2) for rng in rngs])
     nmu = spec.base.norm_power_derivatives(z, spec.mu, value_only=True).value
-    w = np.sqrt(nmu) * shrink * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-    p = np.concatenate([z, w[:, None]], axis=1)
-    return p[0] if single else p
+    return np.sqrt(nmu) / scale * shrink * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
 
 
 # -- lifted maps ---------------------------------------------------------------
@@ -361,8 +369,6 @@ class PolydiskMobiusLift:
         z, w = ps[:, :-1], ps[:, -1:]
         out = np.concatenate([self.base_map(z), self.fiber_factor(z)[:, None] * w], axis=1)
         return out[0] if p.ndim == 1 else out
-
-    apply = __call__
 
     def jacobian(self, p) -> np.ndarray:
         """Holomorphic Jacobian of the lifted map at p (fiber index last).
@@ -438,13 +444,7 @@ class HartogsChart:
         zp = self.source._sample_stack(shrink, rngs)
         # at w = 1 the embedded fiber coordinate is the fiber scale
         img = self.embed(np.concatenate([zp, np.ones((len(zp), 1))], axis=1))
-        # N^mu by the C library's pow, as for a Python float: NumPy's
-        # vectorized power depends on the CPU's SIMD support and rounds
-        # differently
-        nmu = [n**self.ambient.mu for n in self.ambient.base._norm(img[:, :-1]).tolist()]
-        bound = np.sqrt(nmu) / np.abs(img[:, -1])
-        u = np.stack([rng.random(2) for rng in rngs])
-        w = bound * shrink * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+        w = _draw_fiber(self.ambient, img[:, :-1], np.abs(img[:, -1]), shrink, rngs)
         q = np.concatenate([zp, w[:, None]], axis=1)
         return q[0] if single else q
 

@@ -427,6 +427,34 @@ class TestStackedCharts:
             assert qs[j].tolist() == chart.sample(0.7, seed).tolist()
             assert h_contains(chart.ambient, chart.embed(qs[j]))
 
+    @pytest.mark.parametrize(
+        "base",
+        [
+            DomainSpec.type_i(2, 3),
+            DomainSpec.type_iii(3),
+            DomainSpec.type_iv(6),
+            DomainSpec.type_ii(4),
+            DomainSpec.polydisk(3),
+        ],
+        ids=str,
+    )
+    def test_identity_chart_samples_are_h_sample(self, base):
+        # both samplers draw the fiber under the N^mu that decides membership
+        spec = HartogsSpec(base, 1.3)
+        identity = LinearEmbedding(base, base, np.eye(base.dim, dtype=complex))
+        chart = slice_chart(spec, identity)
+        seeds = range(300)
+        assert chart.sample(0.7, seeds).tolist() == h_sample(spec, 0.7, seeds).tolist()
+
+    @pytest.mark.parametrize("shrink", [0.0, 1.5])
+    def test_shrink_outside_unit_interval_rejected(self, shrink):
+        spec = HartogsSpec(DomainSpec.type_i(2, 3), 1.5)
+        chart = slice_chart(spec, polydisk_embedding(spec.base))
+        with pytest.raises(ValueError, match="shrink"):
+            h_sample(spec, shrink, range(3))
+        with pytest.raises(ValueError, match="shrink"):
+            chart.sample(shrink, 1)
+
     @pytest.mark.parametrize("name", STACK_CHARTS)
     def test_embed_and_tangent_basis_on_stacks(self, name):
         chart = STACK_CHARTS[name]
@@ -513,14 +541,32 @@ class TestStackedMargins:
         assert margins["inside"] == fiber_margin(spec, rows["inside"]) > 0.0
         assert margins["origin"] == 0.75
         assert margins["closed-form-rejected"] == -(0.01**2)
-        for name in ("outside-fiber", "even-crossing", "negative-norm"):
-            assert margins[name] <= 0.0
+        # a row outside the base gives -|w|^2 whatever its N
+        assert margins["even-crossing"] == -(0.1**2)
+        assert margins["outside-fiber"] < 0.0 and margins["negative-norm"] == 0.0
 
     def test_domain_potential(self):
         order = ["even-crossing", "inside", "closed-form-rejected", "negative-norm", "origin"]
         margins = self._margins(DomainPotential(self.SPEC), self._base_rows(), order)
         assert margins["inside"] > 0.0 and margins["origin"] == 1.0
         assert margins["even-crossing"] <= 0.0 and margins["negative-norm"] < 0.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DomainSpec.type_i(2, 3),
+            DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2)),
+            DomainSpec.type_iii(2),
+        ],
+        ids=str,
+    )
+    def test_norm_rows_are_their_points(self, spec):
+        # a point is the stack of one in `_norm`, so Phi of a point and the
+        # stacked margin read the same N
+        z = spec._sample_stack(0.95, [np.random.default_rng(seed) for seed in range(400)])
+        pot = DomainPotential(spec)
+        assert spec._norm(z).tolist() == [spec._norm(q) for q in z]
+        assert (-np.log(pot.interior_margin(z))).tolist() == [pot.value(q) for q in z]
 
     def test_function_potential(self):
         spec = HartogsSpec(self.SPEC, 1.3)
