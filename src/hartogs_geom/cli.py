@@ -164,6 +164,11 @@ def _load_config(args) -> RunConfig:
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError("config must be a JSON object")
+    for name in ("spec", "tolerances", "truncation"):
+        if not isinstance(obj.get(name, {}), dict):
+            raise ConfigError(f"config section {name!r} must be a JSON object")
     try:
         spec = (
             HartogsSpec.from_json(obj["spec"])
@@ -195,8 +200,13 @@ def _load_config(args) -> RunConfig:
         raise ConfigError("samples must be >= 1")
     if not 0 < cfg.shrink <= 1:
         raise ConfigError("shrink must lie in (0, 1]")
-    if any(t <= 0 for t in cfg.tolerances.values()):
-        raise ConfigError("tolerances must be positive")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    for name, t in cfg.tolerances.items():
+        if isinstance(t, bool) or not isinstance(t, (int, float)):
+            raise ConfigError(f"tolerance {name!r} must be a number, got {t!r}")
+        if not (np.isfinite(t) and t > 0):
+            raise ConfigError(f"tolerance {name!r} must be finite and positive, got {t!r}")
     return cfg
 
 
@@ -541,8 +551,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"bad scan grid: {exc}") from exc
             if not mu_grid or not r_grid:
                 raise ConfigError("scan grid must be nonempty")
-            if any(not mu > 0 for mu in mu_grid):
-                raise ConfigError("scan grid mu values must be positive")
+            if any(not (np.isfinite(mu) and mu > 0) for mu in mu_grid):
+                raise ConfigError("scan grid mu values must be finite and positive")
             if any(r < 1 for r in r_grid):
                 raise ConfigError("scan grid r values must be >= 1")
             report = cmd_linear_scan(cfg, mu_grid, r_grid, args.T)

@@ -12,8 +12,9 @@ the fourth type, vector) realizations:
 
 Products are supported everywhere; the generic norm of a product is the
 product of the factor norms.  The generic norm from determinants takes
-plain coordinates as stacks and jet-valued coordinates entry by entry; it is
-the second route to the closed forms and the one jets differentiate.
+stacks, plain or of jets (an object array; a jet point is the stack of one),
+through the same code; it is the second route to the closed forms and the
+one jets differentiate.
 `log_norm_derivatives` gives the derivatives of log N up to order three in
 closed form: through the Bergman operator A = I - Z Z* for types I-III,
 where Z = sum z_k E_k is linear in the coordinates, and through the explicit
@@ -49,15 +50,20 @@ def _is_jet_coords(coords) -> bool:
     return any(isinstance(c, Jet) for c in coords)
 
 
-def _conj(x):
-    return x.conjugate() if isinstance(x, Jet) else np.conj(x)
+def _coords_array(coords) -> np.ndarray:
+    """Coordinates as an array: complex128 when plain, object when they hold jets."""
+    z = np.asarray(coords)
+    return z if z.dtype == object else z.astype(np.complex128, copy=False)
 
 
 def _realify(x, tol: float = 1e-12):
     """Real part of a structurally real quantity; asserts the imag is noise.
 
-    Takes a jet, a number or an array of numbers (a stack of determinants).
+    Takes a jet, a number or an array of either (a stack of determinants);
+    an object array is mapped entry by entry.
     """
+    if isinstance(x, np.ndarray) and x.dtype == object:
+        return np.frompyfunc(lambda v: _realify(v, tol), 1, 1)(x)
     if isinstance(x, Jet):
         scale = max(1.0, float(np.max(np.abs(x.coeffs.real))))
         if x.imag_norm() > tol * scale:
@@ -213,45 +219,23 @@ class DomainSpec:
     def matrix_realization(self, coords) -> np.ndarray:
         """Coordinates assembled into the defining matrix of types I-III."""
         self._check_len(coords)
-        jetty = _is_jet_coords(coords)
-        dtype = object if jetty else np.complex128
         if self.kind == "I":
-            m, n = self.params
-            z = np.empty((m, n), dtype=dtype)
-            for i in range(m):
-                for j in range(n):
-                    z[i, j] = coords[i * n + j]
-            return z
+            return np.array(coords, dtype=np.complex128).reshape(self.params)
         if self.kind == "II":
             (n,) = self.params
-            z = np.zeros((n, n), dtype=dtype) if not jetty else np.full((n, n), 0.0, dtype=object)
+            z = np.zeros((n, n), dtype=np.complex128)
             for u, (j, k) in zip(coords, _upper_pairs_strict(n)):
                 z[j, k] = u
                 z[k, j] = -u
             return z
         if self.kind == "III":
             (m,) = self.params
-            z = np.empty((m, m), dtype=dtype)
+            z = np.empty((m, m), dtype=np.complex128)
             for u, (j, k) in zip(coords, _upper_pairs(m)):
                 z[j, k] = u
                 z[k, j] = u
             return z
         raise ValueError(f"type {self.kind} has no matrix realization")
-
-    def _gram_complement(self, coords):
-        """I - Z Z^dagger, polymorphic over numeric and jet coordinates."""
-        z = self.matrix_realization(coords)
-        if z.dtype != object:
-            return np.eye(z.shape[0]) - z @ z.conj().T
-        m, n = z.shape
-        a = np.empty((m, m), dtype=object)
-        for i in range(m):
-            for j in range(m):
-                s = 0.0
-                for k in range(n):
-                    s = s + z[i, k] * _conj(z[j, k])
-                a[i, j] = (1.0 - s) if i == j else -s
-        return a
 
     # -- closed-form derivatives of log N ----------------------------------------
 
@@ -365,35 +349,24 @@ class DomainSpec:
     def _norm(self, coords):
         """Generic norm, without membership validation.
 
-        Plain coordinates go through stacked determinants: a stack
-        (B, dim) gives (B,), and a point (dim,) is the stack of one, giving
-        the float of its row in any stack.  This is the route that checks
-        the closed forms, which take log N from a Cholesky factor instead.
-        Jet coordinates go entry by entry.
+        A stack (B, dim) gives (B,), and a point (dim,) is the stack of one,
+        giving the entry of its row in any stack.  Plain and jet (object
+        dtype) coordinates take the same route: `_bergman` + `det` on types
+        I-III, `_type_iv_norm` on type IV.  It checks the closed forms,
+        which take log N from a Cholesky factor instead.
         """
-        jets = _is_jet_coords(coords)
-        if not jets:
-            coords = np.asarray(coords, dtype=np.complex128)
-            if coords.ndim == 1:
-                return float(self._norm(coords[None])[0])
+        z = _coords_array(coords)
+        if z.ndim == 1:
+            return self._norm(z[None]).item()
         if self.kind in ("I", "II", "III"):
-            a = self._gram_complement(coords) if jets else _bergman(self, coords)[1]
-            d = _realify(det(a))
+            d = _realify(det(_bergman(self, z)[1]))
             return d**0.5 if self.kind == "II" else d
         if self.kind == "IV":
-            if not jets:
-                return _type_iv_norm(coords)[2]
-            s_sq = 0.0
-            s_abs = 0.0
-            for c in coords:
-                s_sq = s_sq + c * c
-                s_abs = s_abs + c * _conj(c)
-            return _realify(1.0 + s_sq * _conj(s_sq) - 2.0 * s_abs)
+            return _realify(_type_iv_norm(z)[2])
         out = 1.0
         pos = 0
         for f in self.factors:
-            rows = slice(pos, pos + f.dim)
-            out = out * f._norm(coords[rows] if jets else coords[:, rows])
+            out = out * f._norm(z[:, pos : pos + f.dim])
             pos += f.dim
         return out
 
@@ -609,10 +582,16 @@ def _polydisk_log_norm(z, x, value_only=False) -> Derivatives:
 
 def _type_iv_norm(z):
     """Type IV over a stack, without membership validation: sum |z_k|^2,
-    s = sum z_k^2 and N = 1 + |s|^2 - 2 sum |z_k|^2."""
+    s = sum z_k^2 and N = 1 + |s|^2 - 2 sum |z_k|^2.
+
+    An object (jet) stack takes |s|^2 = s sbar and keeps complex entries
+    (`.real` does nothing on object arrays).  A plain stack keeps
+    np.abs(s)**2, the floats `contains` and the closed form read.
+    """
     sq = (z.conj()[:, None, :] @ z[:, :, None])[:, 0, 0].real
     s = (z[:, None, :] @ z[:, :, None])[:, 0, 0]
-    return sq, s, 1.0 + np.abs(s) ** 2 - 2.0 * sq
+    s_sq = s * np.conj(s) if z.dtype == object else np.abs(s) ** 2
+    return sq, s, 1.0 + s_sq - 2.0 * sq
 
 
 def _type_iv_norm_derivatives(z, x, value_only=False) -> Derivatives:
@@ -658,8 +637,8 @@ class LinearEmbedding:
 
     `matrix` is the (target dim) x (source dim) Jacobian; since the map is
     linear the Jacobian is constant and evaluation is a matrix product.
-    Works on numeric vectors, on stacks of them (B, source dim) and on
-    lists of jets.
+    Works on a point (source dim,) and on a stack (B, source dim), plain or
+    holding jets; jet coordinates give an object array.
     """
 
     source: DomainSpec
@@ -667,16 +646,7 @@ class LinearEmbedding:
     matrix: np.ndarray
 
     def __call__(self, coords):
-        if _is_jet_coords(coords):
-            out = []
-            for row in self.matrix:
-                acc = 0.0
-                for w, c in zip(row, coords):
-                    if w != 0.0:
-                        acc = acc + w * c
-                out.append(acc)
-            return out
-        z = np.asarray(coords, dtype=np.complex128)
+        z = _coords_array(coords)
         return z @ self.matrix.T if z.ndim == 2 else self.matrix @ z
 
 

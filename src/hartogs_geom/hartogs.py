@@ -47,14 +47,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HartogsSpec:
-    """Base domain plus fiber exponent mu > 0."""
+    """Base domain plus a finite fiber exponent mu > 0."""
 
     base: DomainSpec
     mu: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
+        if not (np.isfinite(self.mu) and self.mu > 0):
+            raise ValueError("mu must be finite and positive")
 
     @property
     def n_coords(self) -> int:
@@ -260,14 +260,16 @@ class DomainPotential:
         return out.member(0) if p.ndim == 1 else out
 
     def interior_margin(self, p):
-        """N; <= 0 outside the domain even where N > 0 (see `fiber_margin`).
+        """N inside the domain; 0.0 on a row that `contains` rejects, even
+        where N > 0 (see `fiber_margin`), without evaluating N there.
 
         p is a point (n,), giving a float, or a stack (B, n), giving (B,).
         """
         p = np.asarray(p, dtype=np.complex128)
         z = p[None] if p.ndim == 1 else p
-        n = self.spec._norm(z)
-        out = np.where(self.spec.contains(z), n, np.minimum(n, 0.0))
+        inside = self.spec.contains(z)
+        out = np.zeros(len(z))
+        out[inside] = self.spec._norm(z[inside])
         return float(out[0]) if p.ndim == 1 else out
 
 

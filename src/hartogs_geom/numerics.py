@@ -1,8 +1,8 @@
 """Scalar and matrix numerics shared across the geometry modules.
 
-Determinants work both on plain complex matrices and on object matrices
-whose entries are :class:`~hartogs_geom.jets.Jet` values, so the same
-generic-norm code can be evaluated numerically and differentiated.
+Determinants take stacks of plain complex matrices and of object matrices
+whose entries are :class:`~hartogs_geom.jets.Jet` values, so the one
+generic-norm route can be evaluated numerically and differentiated.
 :class:`Derivatives` carries closed-form derivative tensors of a real
 function of complex coordinates through the chain rule.
 """
@@ -105,24 +105,27 @@ def _value(x) -> complex:
 
 
 def det(m: np.ndarray):
-    """Determinant via LU with partial pivoting, of one matrix or a stack.
+    """Determinant via LU with partial pivoting, over a stack of any dtype.
 
-    1x1 and 2x2 matrices use exact closed forms.  Plain complex matrices go
-    through LAPACK, and a stack (B, n, n) gives (B,); object matrices (jet
-    entries) use a generic LU with pivoting on the magnitude of the value
-    part.
+    A stack (..., n, n) gives (...); one matrix (n, n) is the stack of one
+    and gives its entry.  1x1 and 2x2 matrices use exact closed forms.
+    Plain complex matrices go through LAPACK; object matrices (jet entries)
+    go one at a time through a generic LU with pivoting on the magnitude of
+    the value part.
     """
     m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or (m.ndim > 2 and m.dtype == object):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"determinant requires a square matrix, got {m.shape}")
+    if m.ndim == 2:
+        return det(m[None])[0]
     n = m.shape[-1]
     if n <= 2:
-        a = m if m.ndim == 2 else np.moveaxis(m, (-2, -1), (0, 1))  # a[i, j]: entry or (B,)
+        a = np.moveaxis(m, (-2, -1), (0, 1))  # a[i, j]: the (i, j) entries of the stack
         return a[0, 0] if n == 1 else a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     if m.dtype != object:
-        d = np.linalg.det(m.astype(np.complex128))
-        return complex(d) if m.ndim == 2 else d
-    return _lu_det_generic(m, n)
+        return np.linalg.det(m.astype(np.complex128))
+    dets = [_lu_det_generic(a, n) for a in m.reshape(-1, n, n)]
+    return np.array(dets, dtype=object).reshape(m.shape[:-2])
 
 
 def _lu_det_generic(m: np.ndarray, n: int):

@@ -40,6 +40,32 @@ POLY3_CONFIG = {
 }
 
 
+BAD_INPUTS = {
+    "config-list": ("verify-immersion", [BASE_CONFIG], ()),
+    "truncation-list": ("verify-immersion", dict(BASE_CONFIG, truncation=[40, 40]), ()),
+    "tolerance-string": ("verify-immersion", dict(BASE_CONFIG, tolerances={"pullback": "1e-3"}), ()),
+    "tolerance-nan-config": ("verify-tg", dict(BASE_CONFIG, tolerances={"tg_residual": float("nan")}), ()),
+    "tolerance-nan-flag": ("verify-immersion", BASE_CONFIG, ("--pullback", "nan")),
+    "seed-negative-flag-immersion": ("verify-immersion", BASE_CONFIG, ("--seed", "-3")),
+    "seed-negative-flag-tg": ("verify-tg", BASE_CONFIG, ("--seed", "-3")),
+    "seed-negative-config": ("verify-tg", dict(BASE_CONFIG, seed=-3), ()),
+    "mu-inf-config": (
+        "verify-immersion",
+        dict(BASE_CONFIG, spec=dict(BASE_CONFIG["spec"], mu="inf")),
+        (),
+    ),
+    "mu-grid-inf": ("linear-scan", POLY3_CONFIG, ("--mu-grid", "inf", "--r-grid", "1")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_2(tmp_path, capsys, case):
+    command, obj, extra = BAD_INPUTS[case]
+    cfg = _write_config(tmp_path, obj)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r.json"), *extra]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 class TestVerifyImmersion:
     def test_pass_and_report_schema(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG)

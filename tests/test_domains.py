@@ -5,6 +5,7 @@ import pytest
 
 from hartogs_geom.domains import (
     DomainSpec,
+    _bergman,
     _matrix_log_norm,
     _polydisk_log_norm,
     polydisk_embedding,
@@ -12,6 +13,7 @@ from hartogs_geom.domains import (
     subtriple_closure,
     triple_product,
 )
+from hartogs_geom.jets import Jet, jet_space, jet_variable
 from hartogs_geom.numerics import DomainViolation
 
 ALL_IRREDUCIBLE = [
@@ -106,7 +108,7 @@ class TestContains:
         radii = np.concatenate([radii, 1 - 1e-8 * rng.random(1000)])
         for z in radii * phase:
             for margin in (0.0, 1e-8):
-                gram = disk._gram_complement([z])
+                gram = _bergman(disk, np.array([[z]]))[1][0]
                 assert disk.contains([z], margin) == is_positive_definite(gram, margin)
 
 
@@ -166,8 +168,22 @@ class TestGenericNorm:
         spec = DomainSpec.type_ii(5)
         z = spec.sample(0.8, 3)
         n = spec.generic_norm(z)
-        a = spec._gram_complement(z)
+        a = _bergman(spec, z[None])[1][0]
         assert n * n == pytest.approx(float(np.linalg.det(a).real), rel=1e-12)
+
+    @pytest.mark.parametrize("jet_factor", [0, 1])
+    def test_jet_norm_with_a_plain_factor(self, jet_factor):
+        # jets in one factor only: the other factor's object rows are plain
+        spec = DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iv(5))
+        z = spec.sample(0.8, 2)
+        rows = slice(0, 2) if jet_factor == 0 else slice(2, 7)
+        space = jet_space((2,), (2,), 2)
+        coords = list(z)
+        for k in range(rows.start, rows.stop):
+            coords[k] = jet_variable(space, z[k], {0: 1.0, 1: 1j})
+        got = spec._norm(coords)
+        assert isinstance(got, Jet)
+        assert got.value == pytest.approx(spec._norm(z), rel=1e-14, abs=0)
 
     def test_type_i_unitary_invariance(self):
         spec = DomainSpec.type_i(2, 3)

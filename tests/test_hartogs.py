@@ -549,7 +549,8 @@ class TestStackedMargins:
         order = ["even-crossing", "inside", "closed-form-rejected", "negative-norm", "origin"]
         margins = self._margins(DomainPotential(self.SPEC), self._base_rows(), order)
         assert margins["inside"] > 0.0 and margins["origin"] == 1.0
-        assert margins["even-crossing"] <= 0.0 and margins["negative-norm"] < 0.0
+        # a row outside the base gives 0.0 whatever its N
+        assert margins["even-crossing"] == 0.0 and margins["negative-norm"] == 0.0
 
     @pytest.mark.parametrize(
         "spec",

@@ -545,6 +545,34 @@ class TestClosedFormRoute:
             _directional_second(pot, p, np.ones(len(p)))
 
 
+class TestEmbeddedJetRoute:
+    """Jet coordinates through a polydisk embedding and the generic norm."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DomainSpec.type_i(2, 3),
+            DomainSpec.type_ii(4),
+            DomainSpec.type_iii(2),
+            DomainSpec.type_iv(6),
+        ],
+        ids=str,
+    )
+    def test_pullback_is_polydisk_potential(self, spec):
+        from hartogs_geom.metric import _metric_matrix
+
+        # N(iota(z)) = prod (1 - |z_j|^2): Phi o (iota x id) is the potential
+        # of the Hartogs 2-polydisk
+        mu = 1.3
+        emb = polydisk_embedding(spec)
+        pot = _hartogs(spec, mu)
+        pulled = FunctionPotential(lambda c: pot([*emb(c[:-1]), c[-1]]), 3)
+        poly = _hartogs(DomainSpec.polydisk(2), mu)
+        for seed in range(3):
+            q = h_sample(poly.spec, 0.7, seed)
+            _assert_rel_close(_metric_matrix(pulled, q), _metric_matrix(poly, q))
+
+
 class TestMobiusPullback:
     """The closed-form metric is invariant under the lifted Moebius maps."""
 
