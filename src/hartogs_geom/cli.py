@@ -180,11 +180,13 @@ def _load_config(args) -> RunConfig:
         trunc = obj.get("truncation", {})
         cfg = RunConfig(
             spec=spec,
-            seed=int(obj.get("seed", 0)),
-            samples=int(obj.get("samples", 200)),
+            seed=_config_int(obj, "seed", 0),
+            samples=_config_int(obj, "samples", 200),
             shrink=float(obj.get("shrink", 0.6)),
             tolerances=tolerances,
-            truncation=Truncation(int(trunc.get("k_max", 40)), int(trunc.get("a_max", 40))),
+            truncation=Truncation(
+                _config_int(trunc, "k_max", 40), _config_int(trunc, "a_max", 40)
+            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
@@ -202,12 +204,22 @@ def _load_config(args) -> RunConfig:
         raise ConfigError("shrink must lie in (0, 1]")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
+    unknown = sorted(set(cfg.tolerances) - set(DEFAULT_TOLERANCES))
+    if unknown:
+        raise ConfigError(f"unknown tolerances {unknown}; known: {sorted(DEFAULT_TOLERANCES)}")
     for name, t in cfg.tolerances.items():
         if isinstance(t, bool) or not isinstance(t, (int, float)):
             raise ConfigError(f"tolerance {name!r} must be a number, got {t!r}")
         if not (np.isfinite(t) and t > 0):
             raise ConfigError(f"tolerance {name!r} must be finite and positive, got {t!r}")
     return cfg
+
+
+def _config_int(section: dict, name: str, default: int) -> int:
+    val = section.get(name, default)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"{name} must be an integer, got {val!r}")
+    return val
 
 
 def _parse_complex_vector(text: str, expected: int | None = None) -> np.ndarray:

@@ -10,6 +10,9 @@ the fourth type, vector) realizations:
 * type IV  -- z in C^n with sum |z_j|^2 < 1 and
   1 + |sum z_j^2|^2 - 2 sum |z_j|^2 > 0 (n >= 5).
 
+Types I-III read Z, its unit matrices E_k and the embedded polydisk from one
+coordinate layout, `_layout`.
+
 Products are supported everywhere; the generic norm of a product is the
 product of the factor norms.  The generic norm from determinants takes
 stacks, plain or of jets (an object array; a jet point is the stack of one),
@@ -77,14 +80,6 @@ def _realify(x, tol: float = 1e-12):
     if noise:
         raise ValueError("expected a real determinant of a Hermitian matrix")
     return x.real
-
-
-def _upper_pairs_strict(n: int) -> list[tuple[int, int]]:
-    return [(j, k) for j in range(n) for k in range(j + 1, n)]
-
-
-def _upper_pairs(n: int) -> list[tuple[int, int]]:
-    return [(j, k) for j in range(n) for k in range(j, n)]
 
 
 @dataclass(frozen=True)
@@ -217,25 +212,9 @@ class DomainSpec:
     # -- matrix realization ---------------------------------------------------
 
     def matrix_realization(self, coords) -> np.ndarray:
-        """Coordinates assembled into the defining matrix of types I-III."""
+        """Coordinates assembled into the defining matrix of types I-III (see `_layout`)."""
         self._check_len(coords)
-        if self.kind == "I":
-            return np.array(coords, dtype=np.complex128).reshape(self.params)
-        if self.kind == "II":
-            (n,) = self.params
-            z = np.zeros((n, n), dtype=np.complex128)
-            for u, (j, k) in zip(coords, _upper_pairs_strict(n)):
-                z[j, k] = u
-                z[k, j] = -u
-            return z
-        if self.kind == "III":
-            (m,) = self.params
-            z = np.empty((m, m), dtype=np.complex128)
-            for u, (j, k) in zip(coords, _upper_pairs(m)):
-                z[j, k] = u
-                z[k, j] = u
-            return z
-        raise ValueError(f"type {self.kind} has no matrix realization")
+        return _realize(self, _coords_array(coords)[None])[0]
 
     # -- closed-form derivatives of log N ----------------------------------------
 
@@ -434,16 +413,51 @@ class DomainSpec:
         kind = obj["kind"]
         if kind == "product":
             return cls.product(*(cls.from_json(p) for p in obj["params"]))
-        return cls(kind, tuple(int(p) for p in obj["params"]))
+        params = tuple(obj["params"])
+        if any(isinstance(p, bool) or not isinstance(p, int) for p in params):
+            raise ValueError(f"domain params must be integers, got {obj['params']!r}")
+        return cls(kind, params)
 
 
 # -- closed-form log-norm tensors ------------------------------------------------
 
 
 @lru_cache(maxsize=None)
+def _layout(spec: DomainSpec) -> np.ndarray:
+    """The coordinate layout of Z for types I-III: an index table shaped like Z.
+
+    Entry (a, b) of Z holds z_k where the table reads k < dim, -z_k where it
+    reads dim + k, and a structural zero where it reads 2 dim (see
+    `_realize`).  Type I fills Z row by row; types II and III fill the upper
+    triangle row by row (strict on type II, whose diagonal is zero) and
+    mirror it, with the sign flipped on type II.
+    """
+    if spec.kind == "I":
+        index = np.arange(spec.dim).reshape(spec.params)
+    elif spec.kind in ("II", "III"):
+        (n,) = spec.params
+        rows, cols = np.triu_indices(n, 1 if spec.kind == "II" else 0)
+        index = np.full((n, n), 2 * spec.dim)
+        index[rows, cols] = np.arange(spec.dim)
+        index[cols, rows] = np.arange(spec.dim) + (spec.dim if spec.kind == "II" else 0)
+    else:
+        raise ValueError(f"type {spec.kind} has no matrix realization")
+    index.flags.writeable = False
+    return index
+
+
+def _realize(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
+    """Z over a stack (B, dim) of coordinates, plain or of jets: the entries
+    of (z, -z, 0) that `_layout` names, so a structural zero stays a plain
+    zero."""
+    signed = np.concatenate([z, -z, np.zeros((len(z), 1), z.dtype)], axis=1)
+    return np.take(signed, _layout(spec), axis=1)
+
+
+@lru_cache(maxsize=None)
 def _unit_matrices(spec: DomainSpec) -> np.ndarray:
     """E_k = matrix_realization(e_k), stacked as (dim, m, n); Z = sum z_k E_k."""
-    e = np.stack([spec.matrix_realization(u) for u in np.eye(spec.dim)])
+    e = _realize(spec, np.eye(spec.dim)).astype(np.complex128)
     e.flags.writeable = False
     return e
 
@@ -479,10 +493,8 @@ def _draw_layout(spec: DomainSpec):
 
 def _bergman(spec: DomainSpec, z):
     """Z = sum z_k E_k and A = I - Z Z* over a stack (B, dim)."""
-    e = _unit_matrices(spec)
-    dim, m, n = e.shape
-    zm = (z[:, None, :] @ e.reshape(dim, m * n)).reshape(len(z), m, n)
-    return zm, np.eye(m) - zm @ _t(zm.conj())
+    zm = _realize(spec, z)
+    return zm, np.eye(zm.shape[1]) - zm @ _t(zm.conj())
 
 
 def _gram(spec: DomainSpec, z):
@@ -653,35 +665,24 @@ class LinearEmbedding:
 def polydisk_embedding(spec: DomainSpec) -> LinearEmbedding:
     """The standard rank-sized polydisk inside an irreducible domain.
 
-    Type I embeds diagonally (rectangular padding by zero columns), type II
-    on the antidiagonal of the antisymmetric realization, type III
-    diagonally, and type IV through
+    Types I-III put z_j at entry (j, j) of Z, or (j, n-1-j) on the
+    antisymmetric type II, read from `_layout`; type IV embeds through
     (z1, z2) -> ((z1+z2)/2, i(z1-z2)/2, 0, ..., 0).
     In every case N(phi(z)) = prod_j (1 - |z_j|^2).
     """
     r = spec.rank
     mat = np.zeros((spec.dim, r), dtype=np.complex128)
-    if spec.kind == "I":
-        m, n = spec.params
-        for j in range(r):
-            mat[j * n + j, j] = 1.0
-    elif spec.kind == "II":
-        (n,) = spec.params
-        pairs = _upper_pairs_strict(n)
-        for j in range(r):
-            mat[pairs.index((j, n - 1 - j)), j] = 1.0
-    elif spec.kind == "III":
-        (m,) = spec.params
-        pairs = _upper_pairs(m)
-        for j in range(r):
-            mat[pairs.index((j, j)), j] = 1.0
-    elif spec.kind == "IV":
+    if spec.kind == "IV":
         mat[0, 0] = 0.5
         mat[0, 1] = 0.5
         mat[1, 0] = 0.5j
         mat[1, 1] = -0.5j
-    else:
+    elif spec.kind == "product":
         raise ValueError("product specs compose per-factor embeddings; see product_embedding")
+    else:
+        j = np.arange(r)
+        col = spec.params[-1] - 1 - j if spec.kind == "II" else j
+        mat[_layout(spec)[j, col], j] = 1.0
     return LinearEmbedding(DomainSpec.polydisk(r), spec, mat)
 
 
@@ -724,7 +725,7 @@ def subtriple_closure(spec: DomainSpec, basis, tol: float = 1e-10) -> bool:
     mats = [np.asarray(b, dtype=np.complex128) for b in basis]
     shape = mats[0].shape
     if spec.kind in ("I", "II", "III"):
-        expected = spec.matrix_realization(np.zeros(spec.dim)).shape
+        expected = _layout(spec).shape
         if shape != expected:
             raise ValueError(f"basis shape {shape} does not match ambient {expected}")
     cols = np.stack([m.ravel() for m in mats], axis=1)

@@ -21,7 +21,6 @@ zddot^k + Gamma^k_ij zdot^i zdot^j = 0 valid for Kaehler metrics.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -64,30 +63,38 @@ class FunctionPotential:
         return float(self._fn(list(np.asarray(p, dtype=np.complex128))))
 
     def derivatives(self, p, x=None) -> Derivatives:
-        """Derivatives of the callable at p through jets (see `Derivatives`).
+        """Derivatives of the callable through jets (see `Derivatives`).
 
-        Value, gradient and Levi form come from one order-2 jet, built when
-        first read (`_directional_mixed` reads only `third`); hess and third
-        from one mixed order-3 jet per column pair a <= b of x, mirrored to
-        b < a.  A stack of points (B, n) is evaluated point by point and
-        stacked.
+        A stack of points (B, n) is evaluated point by point (`_point`) and
+        stacked, and a point (n,) is the stack of one.  Raises
+        DomainViolation, naming the first offending index, when the
+        callable rejects a point.
         """
         p = np.asarray(p, dtype=np.complex128)
-        if p.ndim == 2:
-            return self._stacked(p, x)
-        if x is None:
-            return self._order2(p)
-        k = x.shape[1]
-        hess = np.empty((k, k), dtype=np.complex128)
-        third = np.empty((k, k, self.n_coords), dtype=np.complex128)
-        for a in range(k):
-            for b in range(a, k):
-                hess[a, b], third[a, b] = self._mixed(p, x[:, a], x[:, b])
-                hess[b, a], third[b, a] = hess[a, b], third[a, b]
-        return _JetDerivatives(lambda: self._order2(p), x, hess, third)
+        if p.ndim == 1:
+            return self.derivatives(p[None], x).member(0)
+        parts = []
+        for j, pj in enumerate(p):
+            try:
+                parts.append(self._point(pj, x if x is None or x.ndim == 2 else x[j]))
+            except DomainViolation as exc:
+                raise DomainViolation(str(exc), j) from exc
 
-    def _order2(self, p) -> Derivatives:
-        """Value, gradient and Levi form from one order-2 jet."""
+        def stack(name):
+            vals = [getattr(d, name) for d in parts]
+            return None if vals[0] is None else np.stack(vals)
+
+        return Derivatives(
+            stack("value"), stack("grad"), stack("levi"), x, stack("hess"), stack("third")
+        )
+
+    def _point(self, p, x) -> Derivatives:
+        """Derivatives at one point p, with the unbatched shapes.
+
+        Value, gradient and Levi form come from one order-2 jet; with a
+        direction matrix x, hess and third from one mixed order-3 jet per
+        column pair a <= b of x, mirrored to b < a.
+        """
         n = self.n_coords
         space = jet_space((2 * n,), (2,), 2)
         f = self._fn(
@@ -100,28 +107,16 @@ class FunctionPotential:
             for j in range(i, n):
                 levi[i, j] = wirtinger(f, holo=[pairs[i]], anti=[pairs[j]])
                 levi[j, i] = np.conj(levi[i, j])
-        return Derivatives(f.value.real, grad, levi)
-
-    def _stacked(self, p, x) -> Derivatives:
-        parts = []
-        for j, pj in enumerate(p):
-            xj = x if x is None or x.ndim == 2 else x[j]
-            try:
-                parts.append(self.derivatives(pj, xj))
-            except DomainViolation as exc:
-                raise DomainViolation(str(exc), j) from exc
-
-        def stack(name):
-            return None if x is None else np.stack([getattr(d, name) for d in parts])
-
-        return Derivatives(
-            np.array([d.value for d in parts]),
-            np.stack([d.grad for d in parts]),
-            np.stack([d.levi for d in parts]),
-            x,
-            stack("hess"),
-            stack("third"),
-        )
+        hess = third = None
+        if x is not None:
+            k = x.shape[1]
+            hess = np.empty((k, k), dtype=np.complex128)
+            third = np.empty((k, k, n), dtype=np.complex128)
+            for a in range(k):
+                for b in range(a, k):
+                    hess[a, b], third[a, b] = self._mixed(p, x[:, a], x[:, b])
+                    hess[b, a], third[b, a] = hess[a, b], third[a, b]
+        return Derivatives(f.value.real, grad, levi, x, hess, third)
 
     def _mixed(self, p, u, v):
         """Phi_ij u^i v^j and Phi_{i j lbar} u^i v^j for every l, from one jet.
@@ -154,23 +149,6 @@ class FunctionPotential:
         if self._margin is None:
             return math.inf
         return float(self._margin(p))
-
-
-class _JetDerivatives(Derivatives):
-    """`Derivatives` whose value, gradient and Levi form come from `order2()`
-    on first read; hess and third are given."""
-
-    def __init__(self, order2: Callable, x, hess, third):
-        for name, v in (("_order2", order2), ("x", x), ("hess", hess), ("third", third)):
-            object.__setattr__(self, name, v)
-
-    @functools.cached_property
-    def _low(self) -> Derivatives:
-        return self._order2()
-
-    value = property(lambda self: self._low.value)
-    grad = property(lambda self: self._low.grad)
-    levi = property(lambda self: self._low.levi)
 
 
 @dataclass

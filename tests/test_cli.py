@@ -55,6 +55,29 @@ BAD_INPUTS = {
         (),
     ),
     "mu-grid-inf": ("linear-scan", POLY3_CONFIG, ("--mu-grid", "inf", "--r-grid", "1")),
+    "tolerance-unknown": ("verify-immersion", dict(BASE_CONFIG, tolerances={"pulback": 1.0}), ()),
+    "seed-float": ("verify-immersion", dict(BASE_CONFIG, seed=1.5), ()),
+    "seed-bool": ("verify-immersion", dict(BASE_CONFIG, seed=True), ()),
+    "samples-float": ("verify-immersion", dict(BASE_CONFIG, samples=2.7), ()),
+    "samples-bool": ("verify-tg", dict(BASE_CONFIG, samples=True), ()),
+    "k-max-float": ("verify-immersion", dict(BASE_CONFIG, truncation={"k_max": 8.9}), ()),
+    "a-max-float": ("verify-immersion", dict(BASE_CONFIG, truncation={"a_max": 3.2}), ()),
+    "params-float": (
+        "verify-immersion",
+        dict(BASE_CONFIG, spec={"base": {"kind": "I", "params": [2, 2.5]}, "mu": 1.5}),
+        (),
+    ),
+    "params-bool": (
+        "verify-immersion",
+        dict(BASE_CONFIG, spec={"base": {"kind": "III", "params": [True]}, "mu": 1.5}),
+        (),
+    ),
+    "params-product-factor-float": (
+        "verify-immersion",
+        dict(BASE_CONFIG, spec={"base": dict(I12_III2, params=[{"kind": "I", "params": [1, 2.0]}]),
+                                "mu": 1.5}),
+        (),
+    ),
 }
 
 

@@ -8,6 +8,7 @@ from hartogs_geom.domains import (
     _bergman,
     _matrix_log_norm,
     _polydisk_log_norm,
+    _unit_matrices,
     polydisk_embedding,
     product_embedding,
     subtriple_closure,
@@ -275,7 +276,51 @@ class TestTypeIVNormPower:
                 assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), field
 
 
+def _loop_realization(spec, coords):
+    """The realization written entry by entry: type I row by row, types II
+    and III the upper triangle row by row (strict on II), mirrored with the
+    sign flipped on II."""
+    if spec.kind == "I":
+        m, n = spec.params
+        z = np.zeros((m, n), dtype=np.complex128)
+        for k, u in enumerate(coords):
+            z[k // n, k % n] = u
+        return z
+    (n,) = spec.params
+    strict = spec.kind == "II"
+    pairs = [(j, k) for j in range(n) for k in range(j + strict, n)]
+    z = np.zeros((n, n), dtype=np.complex128)
+    for u, (j, k) in zip(coords, pairs):
+        z[j, k] = u
+        z[k, j] = -u if strict else u
+    return z
+
+
 class TestMatrixRealization:
+    @pytest.mark.parametrize(
+        "spec", [DomainSpec.type_i(2, 3), DomainSpec.type_ii(5), DomainSpec.type_iii(3)], ids=str
+    )
+    def test_matches_entry_loops(self, spec):
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        assert np.array_equal(spec.matrix_realization(z), _loop_realization(spec, z))
+        want = np.stack([_loop_realization(spec, u) for u in np.eye(spec.dim)])
+        assert np.array_equal(_unit_matrices(spec), want)
+
+    def test_type_ii_jet_zeros_stay_plain(self):
+        # the structural zeros of Z (the diagonal on type II) are no jets,
+        # so Z Z* does not multiply them through the jet table
+        spec = DomainSpec.type_ii(4)
+        space = jet_space((2 * spec.dim,), (2,), 2)
+        z = [
+            jet_variable(space, 0.1 * (k + 1), {2 * k: 1.0, 2 * k + 1: 1j})
+            for k in range(spec.dim)
+        ]
+        zm = _bergman(spec, np.array([z], dtype=object))[0][0]
+        for j in range(4):
+            for k in range(4):
+                assert isinstance(zm[j, k], Jet) == (j != k), (j, k)
+
     def test_type_ii_layout(self):
         z = DomainSpec.type_ii(2).matrix_realization([0.3 + 0.1j])
         assert z[0, 1] == 0.3 + 0.1j

@@ -746,6 +746,10 @@ class TestFunctionPotentialStacks:
         with pytest.raises(DomainViolation) as info:
             jet.derivatives(p)
         assert info.value.index == 1
+        # a point is the stack of one
+        with pytest.raises(DomainViolation) as info:
+            jet.derivatives(p[1])
+        assert info.value.index == 0
 
 
 class TestDistanceToSpan:
