@@ -97,6 +97,10 @@ class DomainSpec:
     factors: tuple["DomainSpec", ...] = field(default=())
 
     def __post_init__(self):
+        if any(isinstance(p, bool) or not isinstance(p, (int, np.integer)) for p in self.params):
+            raise ValueError(f"domain params must be integers, got {self.params!r}")
+        # NumPy integers become Python ints, which JSON reports can hold
+        object.__setattr__(self, "params", tuple(int(p) for p in self.params))
         if self.kind == "I":
             m, n = self.params
             if not (1 <= m <= n):
@@ -413,10 +417,7 @@ class DomainSpec:
         kind = obj["kind"]
         if kind == "product":
             return cls.product(*(cls.from_json(p) for p in obj["params"]))
-        params = tuple(obj["params"])
-        if any(isinstance(p, bool) or not isinstance(p, int) for p in params):
-            raise ValueError(f"domain params must be integers, got {obj['params']!r}")
-        return cls(kind, params)
+        return cls(kind, tuple(obj["params"]))
 
 
 # -- closed-form log-norm tensors ------------------------------------------------

@@ -300,19 +300,56 @@ def _acceleration(pot, p, v) -> tuple[np.ndarray, np.ndarray]:
     return -np.linalg.solve(np.conj(g), d[..., 0, 0, :, None])[..., 0], g
 
 
-# Dormand-Prince 5(4): stage weights a[s] and the fourth-order weights
+# Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
+# II.10): stage weights a[s], where the last row holds the eighth-order
+# weights b, and the error weights E5 = b - b5 and E3 = b - b3 of the
+# embedded fifth- and third-order solutions
 _DP_A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+     4.45031289275240888144113950566, 1.89151789931450038304281599044,
+     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+     4.47106157277725905176885569043e-2),
 )
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+_DP_E5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1, 0.0,
 )
+_DP_B3 = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+          11: 0.220588235294117647058823529412e-1}
+_DP_E3 = (*(b - _DP_B3.get(i, 0.0) for i, b in enumerate(_DP_A[12])), 0.0)
 
 
 def geodesic_ivp(
@@ -337,7 +374,7 @@ def geodesic_batch(
     boundary_margin: float = BOUNDARY_MARGIN,
     max_steps: int = 100_000,
 ) -> list[GeodesicTrace]:
-    """Adaptive Dormand-Prince 5(4) integration of independent geodesics.
+    """Adaptive Dormand-Prince 8(5,3) integration of independent geodesics.
 
     p0s and v0s are stacks (B, n) of initial points and velocities; the
     result holds one trace per member.  Each member keeps its own time, step
@@ -356,11 +393,13 @@ def geodesic_batch(
     the margin (naming the first such member), and RuntimeError when any
     member's step size underflows or its step budget runs out.
 
-    First same as last (FSAL): stage 7 is evaluated at the fifth-order
-    solution (its weights a[6] are the fifth-order weights), so an accepted
-    step takes that stage point as its result, the stage's rhs as the next
-    step's stage 1, and its energy from the metric the same evaluation
-    built.  Each attempted step costs six rhs evaluations.
+    First same as last (FSAL): stage 13 is evaluated at the eighth-order
+    solution (its weights a[12] are the eighth-order weights), so an
+    accepted step takes that stage point as its result, the stage's rhs as
+    the next step's stage 1, and its energy from the metric the same
+    evaluation built.  Each attempted step costs twelve rhs evaluations.
+    The error estimate combines the embedded fifth- and third-order
+    solutions per component as h |e5|^2 / hypot(|e5|, 0.1 |e3|).
     """
     p0s = np.atleast_2d(np.asarray(p0s, dtype=np.complex128))
     v0s = np.atleast_2d(np.asarray(v0s, dtype=np.complex128))
@@ -438,28 +477,30 @@ def geodesic_batch(
             break
         y0, hs = y[:, att], np.array([h[j] for j in att])[:, None]
         k = [k1[:, att]]
-        # the last pass leaves y5 at stage 7: the fifth-order solution
-        for s in range(1, 7):
-            y5 = y0 + hs * sum(c * k[m] for m, c in enumerate(_DP_A[s]))
-            live, ks, g = evaluate(y5, att)
+        # the last pass leaves y8 at stage 13: the eighth-order solution
+        for s in range(1, 13):
+            y8 = y0 + hs * sum(c * k[m] for m, c in enumerate(_DP_A[s]) if c)
+            live, ks, g = evaluate(y8, att)
             if len(live) < len(att):
                 # a trial stage overshot the boundary: those members retry
                 att = [att[pos] for pos in live]
-                y0, hs, y5 = y0[:, live], hs[live], y5[:, live]
+                y0, hs, y8 = y0[:, live], hs[live], y8[:, live]
                 k = [km[:, live] for km in k]
                 if not att:
                     break
             k.append(ks)
         if not att:
             continue
-        y4 = y0 + hs * (_DP_B4 @ np.stack(k, axis=-2))
-        scale = tol + tol * np.maximum(np.abs(y0), np.abs(y5))
-        errs = (np.abs(y5 - y4) / scale).max(axis=(0, 2))
+        e5, e3 = (np.abs(sum(c * km for c, km in zip(e, k) if c)) for e in (_DP_E5, _DP_E3))
+        # a component that stays exactly 0 has e5 = e3 = 0 and no error
+        den = np.hypot(e5, 0.1 * e3)
+        scale = tol + tol * np.maximum(np.abs(y0), np.abs(y8))
+        errs = (hs * e5**2 / np.where(den > 0, den, 1.0) / scale).max(axis=(0, 2))
         # one margin call for the members whose error test passed
         passed = errs <= 1.0
         margins = np.full(len(att), np.inf)
         if passed.any():
-            margins[passed] = pot.interior_margin(y5[0, passed])
+            margins[passed] = pot.interior_margin(y8[0, passed])
         for pos, j in enumerate(att):
             err = float(errs[pos])
             if err <= 1.0:
@@ -468,13 +509,13 @@ def geodesic_batch(
                     done[j] = True
                     continue
                 t[j] += h[j]
-                y[:, j], k1[:, j] = y5[:, pos], k[6][:, pos]
+                y[:, j], k1[:, j] = y8[:, pos], k[12][:, pos]
                 times[j].append(t[j])
-                ys[j].append(y5[:, pos])
-                energies[j].append(energy(g[pos], y5[1, pos]))
+                ys[j].append(y8[:, pos])
+                energies[j].append(energy(g[pos], y8[1, pos]))
             else:
                 rejected_steps[j] += 1
-            h[j] *= min(max(0.9 * max(err, 1e-16) ** -0.2, 0.2), 5.0)
+            h[j] *= min(max(0.9 * max(err, 1e-16) ** -0.125, 0.2), 5.0)
 
     traces = []
     for j in members:

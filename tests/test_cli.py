@@ -313,7 +313,7 @@ class TestGeodesic:
         assert report["line_deviation"] < 1e-9
         assert report["domain_retries"] == 0
         attempts = report["steps"] - 1 + report["rejected_steps"]
-        assert report["rhs_evals"] == 1 + 6 * attempts
+        assert report["rhs_evals"] == 1 + 12 * attempts
 
     def test_ball_mixed_direction_linear(self, tmp_path):
         cfg = _write_config(

@@ -1,5 +1,7 @@
 """Tests for Cartan domain membership, norms, embeddings and triple products."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,17 @@ class TestSpecMetadata:
             DomainSpec.type_i(3, 2)
         with pytest.raises(ValueError):
             DomainSpec.type_iv(4)
+
+    @pytest.mark.parametrize("params", [(2.5, 3), (2, 3.0), (True, 2)], ids=str)
+    def test_non_integral_params_rejected(self, params):
+        # a float passes the size checks and builds a spec with dim 7.5
+        with pytest.raises(ValueError, match="must be integers"):
+            DomainSpec("I", params)
+
+    def test_numpy_integer_params_accepted(self):
+        s = DomainSpec("I", (np.int64(2), np.int32(3)))
+        assert s == DomainSpec.type_i(2, 3) and s.dim == 6
+        assert json.dumps(s.to_json()) == json.dumps(DomainSpec.type_i(2, 3).to_json())
 
     def test_json_roundtrip(self):
         for s in ALL_IRREDUCIBLE + [DomainSpec.polydisk(3)]:

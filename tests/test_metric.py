@@ -1,6 +1,7 @@
 """Tests for the metric engine: tensors, geodesics, curvature, total geodesy."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -221,9 +222,9 @@ class TestGeodesics:
         with pytest.raises(ValueError):
             geodesic_ivp(pot, np.zeros(2), np.array([0.3, 0.4]), T)
 
-    def test_six_rhs_evaluations_per_attempted_step(self):
-        # first same as last: stage 1 of a step is stage 7 of the one before,
-        # so only the start point costs a seventh evaluation
+    def test_twelve_rhs_evaluations_per_attempted_step(self):
+        # first same as last: stage 1 of a step is stage 13 of the one
+        # before, so only the start point costs a thirteenth evaluation
         pot = _hartogs(DomainSpec.polydisk(2), 1.3)
         v0 = 3.0 * np.array([0.6, -0.48j, 0.64])
         tr = geodesic_ivp(pot, np.zeros(3), v0, 1.0, tol=1e-8)
@@ -231,7 +232,7 @@ class TestGeodesics:
         assert tr.domain_retries == 0
         assert tr.rejected_steps > 0
         accepted = len(tr.times) - 1
-        assert tr.rhs_evals == 1 + 6 * (accepted + tr.rejected_steps)
+        assert tr.rhs_evals == 1 + 12 * (accepted + tr.rejected_steps)
 
     @pytest.mark.parametrize(
         "spec,mu", [(DomainSpec.type_ii(4), 0.7), (DomainSpec.polydisk(2), 1.3)], ids=str
@@ -245,7 +246,7 @@ class TestGeodesics:
         n = pot.n_coords
         rng = np.random.default_rng(5)
         v0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-        tr = geodesic_ivp(pot, h_sample(pot.spec, 0.5, 1), v0 / np.linalg.norm(v0), 1.0)
+        tr = geodesic_ivp(pot, h_sample(pot.spec, 0.5, 1), v0 / np.linalg.norm(v0), 2.0)
         assert len(tr.times) > 10
         for p, v, e in zip(tr.positions, tr.velocities, tr.energies):
             assert e == float(np.real(hermitian_inner(_metric_matrix(pot, p), v, v)))
@@ -268,6 +269,48 @@ class TestGeodesics:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "t,re_z1,im_z1,re_w,im_w,energy"
         assert len(lines) == len(tr.times) + 1
+
+
+class TestDop853Tableau:
+    """The transcribed DOP853 coefficients against the order conditions."""
+
+    @staticmethod
+    def _tableau():
+        from hartogs_geom.metric import _DP_A, _DP_E3, _DP_E5
+
+        a = np.zeros((13, 13))
+        for i, row in enumerate(_DP_A):
+            a[i, : len(row)] = row
+        # the published nodes; stage 13 is the FSAL stage at the new solution
+        r = np.sqrt(6.0)
+        c = np.array(
+            [0, 2 * (6 - r) / 135, (6 - r) / 45, (6 - r) / 30, (6 + r) / 30, 1 / 3, 1 / 4,
+             4 / 13, 127 / 195, 3 / 5, 6 / 7, 1, 1]
+        )
+        return a, a[12], c, np.array(_DP_E5), np.array(_DP_E3)
+
+    @staticmethod
+    def _quadrature_errors(weights, c, orders):
+        return [abs(weights @ c ** (q - 1) - 1 / q) for q in orders]
+
+    def test_rows_sum_to_nodes(self):
+        a, _, c, _, _ = self._tableau()
+        assert np.max(np.abs(a.sum(axis=1) - c)) < 1e-14
+
+    def test_eighth_order_weights(self):
+        a, b, c, _, _ = self._tableau()
+        assert max(self._quadrature_errors(b, c, range(1, 9))) < 1e-14
+        # the tall tree of order 8 over the twelve stages
+        tall = b[:12] @ np.linalg.matrix_power(a[:12, :12], 6) @ c[:12]
+        assert abs(tall - 1 / math.factorial(8)) < 1e-14
+
+    def test_embedded_weights(self):
+        _, b, c, e5, e3 = self._tableau()
+        assert e5[-1] == e3[-1] == 0.0
+        fifth = self._quadrature_errors(b - e5, c, range(1, 7))
+        assert max(fifth[:5]) < 1e-14
+        assert fifth[5] > 1e-6
+        assert max(self._quadrature_errors(b - e3, c, range(1, 4))) < 1e-14
 
 
 class TestTotallyGeodesicResidual:
@@ -697,10 +740,11 @@ class TestBatchEqualsSingle:
     def test_domain_retry_stays_with_its_member(self):
         # member 0 is the coarse-tolerance diagonal run of
         # test_coarse_step_across_polydisk_diagonal: its trial stages cross
-        # the boundary and retry; the others must not notice
+        # the boundary and retry; the others must not notice.  Member 2 is
+        # slow, so its retries differ from both
         pot = _hartogs(DomainSpec.polydisk(2), 1.0)
         p0 = np.array([[0.5, 0.5, 0.0], [0.1, -0.2j, 0.3], [0.0, 0.0, 0.0]], dtype=complex)
-        v0 = np.array([[1.0, 1.0, 0.0], [0.5, 0.2, 0.1], [0.3, 0.3j, 0.9]], dtype=complex)
+        v0 = np.array([[1.0, 1.0, 0.0], [0.5, 0.2, 0.1], [0.01, 0.01j, 0.02]], dtype=complex)
         traces = geodesic_batch(pot, p0, v0, 50.0, tol=1.0)
         singles = [geodesic_ivp(pot, p0[j], v0[j], 50.0, tol=1.0) for j in range(3)]
         assert singles[0].domain_retries > 0
