@@ -182,7 +182,7 @@ def _load_config(args) -> RunConfig:
             spec=spec,
             seed=_config_int(obj, "seed", 0),
             samples=_config_int(obj, "samples", 200),
-            shrink=float(obj.get("shrink", 0.6)),
+            shrink=_config_float(obj, "shrink", 0.6),
             tolerances=tolerances,
             truncation=Truncation(
                 _config_int(trunc, "k_max", 40), _config_int(trunc, "a_max", 40)
@@ -215,11 +215,26 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _config_float(section: dict, name: str, default: float) -> float:
+    val = section.get(name, default)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {val!r}")
+    return float(val)
+
+
 def _config_int(section: dict, name: str, default: int) -> int:
     val = section.get(name, default)
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{name} must be an integer, got {val!r}")
     return val
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output path before any work: a directory, a file that
+    cannot be written, or a new file in a missing or read-only folder."""
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ConfigError(f"cannot write {path}")
 
 
 def _parse_complex_vector(text: str, expected: int | None = None) -> np.ndarray:
@@ -543,6 +558,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = _load_config(args)
+        for path in (args.out, getattr(args, "trace_out", None)):
+            if path:
+                _check_writable(path)
         T = getattr(args, "T", 1.0)
         if not (np.isfinite(T) and T > 0):
             raise ConfigError(f"T must be finite and positive, got {T}")

@@ -19,11 +19,12 @@ stacks, plain or of jets (an object array; a jet point is the stack of one),
 through the same code; it is the second route to the closed forms and the
 one jets differentiate.
 `log_norm_derivatives` gives the derivatives of log N up to order three in
-closed form: through the Bergman operator A = I - Z Z* for types I-III,
-where Z = sum z_k E_k is linear in the coordinates, and through the explicit
-polynomial for type IV.
-It takes one point or a stack of points, and a stack gives every tensor a
-leading batch axis computed with stacked LAPACK and matrix products.
+closed form, at one point or over a stack (every tensor then takes a leading
+batch axis, from stacked LAPACK and matrix products): through the Bergman
+operator A = I - Z Z* for types I-III, where Z = sum z_k E_k, and through the
+explicit polynomial for type IV.  The closed form is total: a point that
+fails its own spectral test gets log N = -inf, so `norm_power_derivatives`
+gives N^mu = 0 there and `log_norm_derivatives` raises.
 """
 
 from __future__ import annotations
@@ -232,13 +233,41 @@ class DomainSpec:
         third derivatives contracted over pairs of its columns.
         `value_only` stops after log N (the Cholesky diagonal of types
         I-III, sum log a_j on polydisks, log N on type IV) and leaves every
-        tensor None; the value is the same float either way.  Raises DomainViolation, naming the
-        first offending index, when a point lies outside.
+        tensor None; the value is the same float either way.  Raises
+        DomainViolation, naming the first offending index, when a point lies
+        outside: where `_log_norm` gives -inf.
         """
         z = np.asarray(coords, dtype=np.complex128)
         if z.ndim == 1:
             return self.log_norm_derivatives(z[None], x, value_only).member(0)
         self._check_stack(z)
+        out = self._log_norm(z, x, value_only)
+        outside = np.isneginf(out.value)
+        if outside.any():
+            raise DomainViolation("point lies outside the domain", int(np.argmax(outside)))
+        return out
+
+    def norm_power_derivatives(self, coords, mu: float, x=None, value_only=False) -> Derivatives:
+        """Derivatives of N^mu = exp(mu log N), from those of log N.
+
+        Takes the arguments of `log_norm_derivatives`, and never raises on a
+        point outside the base: there log N = -inf, so N^mu and all its
+        tensors are 0.  Its value is the N^mu that decides fiber membership
+        in `hartogs`, the same float with or without `value_only`.
+        """
+        z = np.asarray(coords, dtype=np.complex128)
+        if z.ndim == 1:
+            return self.norm_power_derivatives(z[None], mu, x, value_only).member(0)
+        self._check_stack(z)
+        log_n = self._log_norm(z, x, value_only)
+        a = np.exp(mu * log_n.value)
+        return log_n.compose(a, mu * a, mu**2 * a, mu**3 * a)
+
+    def _log_norm(self, z, x, value_only=False) -> Derivatives:
+        """The closed form of log N over a stack (B, dim), total: a row that
+        fails the form's own test (see `_gram`, `_polydisk_log_norm` and
+        `_type_iv_log_norm`) gets -inf and the origin's tensors, so a
+        product sums its factors and nothing divides by zero."""
         if self.is_polydisk:
             return _polydisk_log_norm(z, x, value_only)
         if self.kind == "IV":
@@ -250,13 +279,7 @@ class DomainSpec:
         parts, pos = [], 0
         for f in self.factors:
             rows = slice(pos, pos + f.dim)
-            try:
-                parts.append(f.log_norm_derivatives(z[:, rows], _base_rows(x, rows), value_only))
-            except DomainViolation as exc:
-                # a later factor may reject an earlier point
-                if exc.index:
-                    self.log_norm_derivatives(z[: exc.index], value_only=True)
-                raise
+            parts.append(f._log_norm(z[:, rows], _base_rows(x, rows), value_only))
             if levi is not None:
                 levi[:, rows, rows] = parts[-1].levi
             pos += f.dim
@@ -269,32 +292,6 @@ class DomainSpec:
         hess = sum(part.hess for part in parts)
         third = np.concatenate([part.third for part in parts], axis=-1)
         return Derivatives(value, grad, levi, x, hess, third)
-
-    def norm_power_derivatives(self, coords, mu: float, x=None, value_only=False) -> Derivatives:
-        """Derivatives of N^mu = exp(mu log N), from those of log N.
-
-        Takes the arguments of `log_norm_derivatives`.  Its value is the
-        N^mu that decides fiber membership in `hartogs`, the same float with
-        or without `value_only`.  Type IV, whose
-        closed form gives the tensors of N itself, goes from N straight to
-        N^mu with the same value: on a single point the chain rule's fixed
-        per-call cost is most of the work, and through log N it is paid
-        twice.
-        """
-        z = np.asarray(coords, dtype=np.complex128)
-        if z.ndim == 1:
-            return self.norm_power_derivatives(z[None], mu, x, value_only).member(0)
-        if self.kind == "IV":
-            self._check_stack(z)
-            norm = _type_iv_norm_derivatives(z, x, value_only)
-            n = norm.value
-            a = np.exp(mu * np.log(n))
-            return norm.compose(
-                a, mu * a / n, mu * (mu - 1) * a / n**2, mu * (mu - 1) * (mu - 2) * a / n**3
-            )
-        log_n = self.log_norm_derivatives(z, x, value_only)
-        a = np.exp(mu * log_n.value)
-        return log_n.compose(a, mu * a, mu**2 * a, mu**3 * a)
 
     def _check_stack(self, z: np.ndarray) -> None:
         if z.ndim != 2 or z.shape[1] != self.dim:
@@ -501,29 +498,31 @@ def _bergman(spec: DomainSpec, z):
 def _gram(spec: DomainSpec, z):
     """Z and A = I - Z Z* over a stack (see `_bergman`), and L = c log det A.
 
-    L comes from the Cholesky factor of A.  Raises DomainViolation, naming
-    the first point where A is not positive definite.
+    L comes from the Cholesky factor of A.  The stacked factorisation is the
+    fast path; when it fails, one factorisation per point finds the points
+    without a factor, which get L = -inf and are taken at the origin
+    (Z = 0, A = I) for a second stacked factorisation.
     """
     zm, a = _bergman(spec, z)
+    outside = np.zeros(len(z), dtype=bool)
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise DomainViolation(
-            "I - Z Z* is not positive definite (outside domain)", _first_failure(a)
-        ) from None
+        for j, aj in enumerate(a):
+            try:
+                np.linalg.cholesky(aj)
+            except np.linalg.LinAlgError:
+                outside[j] = True
+        zm, a = _bergman(spec, _at_origin(z, outside))
+        chol = np.linalg.cholesky(a)
     c = 0.5 if spec.kind == "II" else 1.0
     diag = np.diagonal(chol, axis1=-2, axis2=-1).real
-    return zm, a, 2.0 * c * np.sum(np.log(diag), axis=-1)
+    return zm, a, np.where(outside, -np.inf, 2.0 * c * np.sum(np.log(diag), axis=-1))
 
 
-def _first_failure(a: np.ndarray) -> int | None:
-    """Index of the first matrix of a stack that has no Cholesky factor."""
-    for j, aj in enumerate(a):
-        try:
-            np.linalg.cholesky(aj)
-        except np.linalg.LinAlgError:
-            return j
-    return None
+def _at_origin(z: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """The stack z with the rows flagged `outside` moved to the origin."""
+    return np.where(outside[:, None], 0.0, z)
 
 
 def _matrix_log_norm(spec: DomainSpec, z, x, value_only=False) -> Derivatives:
@@ -571,14 +570,15 @@ def _polydisk_log_norm(z, x, value_only=False) -> Derivatives:
     """The disk and products of disks: L = sum_j log a_j, a_j = 1 - |z_j|^2.
 
     Every tensor is diagonal: L_i = -zbar_i / a_i, L_{i ibar} = -1 / a_i^2,
-    L_ii = -zbar_i^2 / a_i^2 and L_{i i ibar} = -2 zbar_i / a_i^3.  Raises
-    DomainViolation, naming the first point with some a_j <= 0.
+    L_ii = -zbar_i^2 / a_i^2 and L_{i i ibar} = -2 zbar_i / a_i^3.  A point
+    with some a_j <= 0 gets L = -inf and the origin's tensors.
     """
     a = _disk_gap(z)
-    bad = np.any(a <= 0.0, axis=-1)
-    if bad.any():
-        raise DomainViolation("polydisk point outside the domain", int(np.argmax(bad)))
-    value = np.sum(np.log(a), axis=-1)
+    outside = np.any(a <= 0.0, axis=-1)
+    if outside.any():
+        z = _at_origin(z, outside)
+        a = _disk_gap(z)
+    value = np.where(outside, -np.inf, np.sum(np.log(a), axis=-1))
     if value_only:
         return Derivatives(value, None, None)
     zbar = np.conj(z)
@@ -607,20 +607,22 @@ def _type_iv_norm(z):
     return sq, s, 1.0 + s_sq - 2.0 * sq
 
 
-def _type_iv_norm_derivatives(z, x, value_only=False) -> Derivatives:
-    """Type IV: N (see `_type_iv_norm`) and its tensors.
+def _type_iv_log_norm(z, x, value_only=False) -> Derivatives:
+    """Type IV: L = log N (see `_type_iv_norm`), from the tensors of N.
 
     N_i = 2 z_i sbar - 2 zbar_i, N_ij = 2 delta_ij sbar,
     N_{i lbar} = 4 z_i zbar_l - 2 delta_il, N_{i j lbar} = 4 delta_ij zbar_l.
-    Raises DomainViolation, naming the first point with sum |z_k|^2 >= 1 or
-    N <= 0.
+    A point with sum |z_k|^2 >= 1 or N <= 0 gets L = -inf and the origin's
+    tensors.
     """
     sq, s, n = _type_iv_norm(z)
-    bad = (sq >= 1.0) | (n <= 0.0)
-    if bad.any():
-        raise DomainViolation("type IV point outside the domain", int(np.argmax(bad)))
+    outside = (sq >= 1.0) | (n <= 0.0)
+    if outside.any():
+        z = _at_origin(z, outside)
+        _, s, n = _type_iv_norm(z)
+    value = np.where(outside, -np.inf, np.log(n))
     if value_only:
-        return Derivatives(n, None, None)
+        return Derivatives(value, None, None)
     zbar = z.conj()
     sbar = np.conj(s)
     grad = 2.0 * (z * sbar[:, None] - zbar)
@@ -628,17 +630,12 @@ def _type_iv_norm_derivatives(z, x, value_only=False) -> Derivatives:
     diag = np.arange(z.shape[1])
     levi[:, diag, diag] -= 2.0
     if x is None:
-        return Derivatives(n, grad, levi)
-    xx = _t(x) @ x
-    hess = 2.0 * sbar[:, None, None] * xx
-    return Derivatives(n, grad, levi, x, hess, 4.0 * xx[..., None] * zbar[:, None, None])
-
-
-def _type_iv_log_norm(z, x, value_only=False) -> Derivatives:
-    """Type IV: L = log N, from the tensors of N."""
-    norm = _type_iv_norm_derivatives(z, x, value_only)
-    n = norm.value
-    return norm.compose(np.log(n), 1.0 / n, -1.0 / n**2, 2.0 / n**3)
+        norm = Derivatives(n, grad, levi)
+    else:
+        xx = _t(x) @ x
+        hess = 2.0 * sbar[:, None, None] * xx
+        norm = Derivatives(n, grad, levi, x, hess, 4.0 * xx[..., None] * zbar[:, None, None])
+    return norm.compose(value, 1.0 / n, -1.0 / n**2, 2.0 / n**3)
 
 
 # -- polydisk embeddings ------------------------------------------------------

@@ -13,12 +13,15 @@ The potentials differentiate in closed form (`derivatives`): the chain rule
 runs from the base's tensors of N^mu = exp(mu log N) through
 D = N^mu - |w|^2 to Phi = -log D, at one point or over a stack of points.
 Plain evaluation (`value`, `potential`) takes the same D from the base's
-value-only route, also over a stack.  The jet evaluation (`__call__` on jet
-coordinates) is the generic route and the tests' second route.
+value-only route, also over a stack.  With N^mu = 0 off the base, the one
+inequality D > 0 decides membership (`_fiber_argument`).  The jet
+evaluation (`__call__` on jet coordinates) is the generic route and the
+tests' second route.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,6 +56,10 @@ class HartogsSpec:
     mu: float
 
     def __post_init__(self):
+        if isinstance(self.mu, bool) or not isinstance(self.mu, numbers.Real):
+            raise ValueError(f"mu must be a number, got {self.mu!r}")
+        # a JSON report echoes mu as a float
+        object.__setattr__(self, "mu", float(self.mu))
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise ValueError("mu must be finite and positive")
 
@@ -65,7 +72,7 @@ class HartogsSpec:
 
     @classmethod
     def from_json(cls, obj) -> "HartogsSpec":
-        return cls(DomainSpec.from_json(obj["base"]), float(obj["mu"]))
+        return cls(DomainSpec.from_json(obj["base"]), obj["mu"])
 
 
 def _values(coords) -> np.ndarray:
@@ -83,63 +90,42 @@ def _abs_sq(w):
 def _fiber_argument(nmu, w):
     """The fiber argument D = N^mu - |w|^2, over a stack.
 
-    The one expression that decides fiber membership: the closed-form
+    The one expression that decides membership: N^mu = exp(mu log N) is the
+    value of `DomainSpec.norm_power_derivatives` (the same float with or
+    without `value_only`), and 0 off the base, so D > 0 exactly on the
+    Cartan-Hartogs domain as the closed form sees it.  The closed-form
     derivatives, plain evaluation, `fiber_margin` and `h_contains` all take
-    D from here, with N^mu = exp(mu log N) the value of
-    `DomainSpec.norm_power_derivatives` (the same float with or without
-    `value_only`), so they agree on every point however close to the fiber
+    D from here, so they agree on every point however close to the
     boundary.
     """
     return nmu - np.abs(w) ** 2
 
 
-def _fiber_argument_in_base(spec: HartogsSpec, z, w) -> np.ndarray:
-    """D over a stack whose base rows lie in the base (spectral test).
-
-    A row that the closed form still rejects, within rounding of the base
-    boundary where N = 0, gives -|w|^2.
-    """
-    d = -np.abs(w) ** 2
-    todo = np.arange(len(z))
-    while todo.size:
-        try:
-            nmu = spec.base.norm_power_derivatives(z[todo], spec.mu, value_only=True)
-        except DomainViolation as exc:
-            todo = np.delete(todo, exc.index or 0)
-            continue
-        d[todo] = _fiber_argument(nmu.value, w[todo])
-        break
-    return d
-
-
 def fiber_margin(spec: HartogsSpec, p):
-    """N^mu - |w|^2; positive on the domain, crosses zero at the boundary.
+    """D = N^mu - |w|^2 (see `_fiber_argument`); positive on the domain,
+    crosses zero at the boundary.
 
     p is a point (n,), giving a float, or a stack (B, n), giving (B,); each
-    row gets the float that it gets alone.  A row whose base point fails the
-    spectral test of `contains` gives -|w|^2, as does one that the closed
-    form rejects, even where N > 0 (an even number of singular values past
-    1 leaves N = prod(1 - s^2) positive).
+    row gets the float that it gets alone.  A row whose base point the
+    closed form rejects gives -|w|^2, even where N > 0 (an even number of
+    singular values past 1 leaves N = prod(1 - s^2) positive).
     """
     p = np.asarray(p, dtype=np.complex128)
     ps = p[None] if p.ndim == 1 else p
     if ps.ndim != 2 or ps.shape[1] != spec.n_coords:
         raise ValueError(f"expected {spec.n_coords} coordinates, got shape {p.shape}")
-    z, w = ps[:, :-1], ps[:, -1]
-    inside = spec.base.contains(z)
-    out = -np.abs(w) ** 2
-    out[inside] = _fiber_argument_in_base(spec, z[inside], w[inside])
+    nmu = spec.base.norm_power_derivatives(ps[:, :-1], spec.mu, value_only=True)
+    out = _fiber_argument(nmu.value, ps[:, -1])
     return float(out[0]) if p.ndim == 1 else out
 
 
 def h_contains(spec: HartogsSpec, p, margin: float = 0.0) -> bool:
-    """Membership: base membership plus the strict fiber inequality D > margin."""
+    """Membership with a margin: the spectral base test of `contains` and the
+    fiber inequality D > margin (see `fiber_margin`)."""
     p = np.asarray(p, dtype=np.complex128)
     if p.shape != (spec.n_coords,):
         raise ValueError(f"expected {spec.n_coords} coordinates, got shape {p.shape}")
-    if not spec.base.contains(p[:-1], margin):
-        return False
-    return bool(_fiber_argument_in_base(spec, p[None, :-1], p[None, -1])[0] > margin)
+    return spec.base.contains(p[:-1], margin) and fiber_margin(spec, p) > margin
 
 
 class HartogsPotential:
@@ -191,21 +177,14 @@ class HartogsPotential:
         if p.ndim != 2 or p.shape[1] != self.n_coords:
             raise ValueError(f"expected {self.n_coords} coordinates, got shape {p.shape}")
         z, w = p[:, :-1], p[:, -1]
-        mu = self.spec.mu
         xz = _base_rows(x, slice(None, -1))
-        try:
-            nmu = self.spec.base.norm_power_derivatives(z, mu, xz, value_only)
-        except DomainViolation as exc:
-            # an earlier point may lie outside the fiber
-            if exc.index:
-                self._stacked(p[: exc.index], value_only=True)
-            raise
+        nmu = self.spec.base.norm_power_derivatives(z, self.spec.mu, xz, value_only)
         d = _fiber_argument(nmu.value, w)
-        bad = d <= 0.0
-        if bad.any():
-            raise DomainViolation(
-                "potential argument non-positive (outside domain)", int(np.argmax(bad))
-            )
+        # N^mu = 0 off the base: one test for the base and the fiber, which
+        # also rejects a NaN coordinate
+        outside = ~(d > 0.0)
+        if outside.any():
+            raise DomainViolation("point lies outside the domain", int(np.argmax(outside)))
         if value_only:
             return Derivatives(-np.log(d), None, None)
         # D = N^mu - |w|^2: D_w = -wbar, D_{w wbar} = -1, no other fiber terms

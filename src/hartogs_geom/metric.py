@@ -407,7 +407,7 @@ def geodesic_batch(
         raise ValueError("geodesic needs a nonzero initial velocity")
     if not T > 0:
         raise ValueError("geodesic needs a positive end time T")
-    near = np.flatnonzero(pot.interior_margin(p0s) < boundary_margin)
+    near = np.flatnonzero(~(pot.interior_margin(p0s) >= boundary_margin))  # NaN counts as near
     if near.size:
         raise ValueError(f"initial point of member {near[0]} is too close to the boundary")
 

@@ -72,6 +72,10 @@ BAD_INPUTS = {
         dict(BASE_CONFIG, spec={"base": {"kind": "III", "params": [True]}, "mu": 1.5}),
         (),
     ),
+    "shrink-bool": ("verify-immersion", dict(BASE_CONFIG, shrink=True), ()),
+    "shrink-string": ("verify-immersion", dict(BASE_CONFIG, shrink="0.5"), ()),
+    "mu-bool": ("verify-immersion", dict(BASE_CONFIG, spec=dict(BASE_CONFIG["spec"], mu=True)), ()),
+    "mu-string": ("verify-immersion", dict(BASE_CONFIG, spec=dict(BASE_CONFIG["spec"], mu="2")), ()),
     "params-product-factor-float": (
         "verify-immersion",
         dict(BASE_CONFIG, spec={"base": dict(I12_III2, params=[{"kind": "I", "params": [1, 2.0]}]),
@@ -87,6 +91,27 @@ def test_bad_input_exit_2(tmp_path, capsys, case):
     cfg = _write_config(tmp_path, obj)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "r.json"), *extra]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("verify-immersion", "--out"), ("geodesic", "--out"), ("geodesic", "--trace-out")],
+)
+@pytest.mark.parametrize("target", ["missing-folder", "folder"])
+def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, command, flag, target):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    for name in ("cmd_verify_immersion", "geodesic_ivp"):
+        monkeypatch.setattr(cli, name, refuse)
+    cfg = _write_config(tmp_path, BASE_CONFIG)
+    path = tmp_path / "missing" / "out" if target == "missing-folder" else tmp_path
+    args = [command, "--config", cfg, "--out", str(tmp_path / "r.json")]
+    if command == "geodesic":
+        args += ["--p0", "0,0,0,0,0", "--v0", "0.1,0,0,0,0.1", "--trace-out", str(tmp_path / "t.csv")]
+    assert main([*args, flag, str(path)]) == 2
+    assert "config error: cannot write" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 class TestVerifyImmersion:

@@ -265,30 +265,6 @@ class TestPolydiskLogNorm:
             assert inside == disk.contains([z])
 
 
-class TestTypeIVNormPower:
-    """Type IV's direct route from N to N^mu against the route through log N."""
-
-    def test_matches_log_route(self):
-        spec = DomainSpec.type_iv(5)
-        rng = np.random.default_rng(17)
-        z = np.stack([spec.sample(0.2 + 0.06 * seed, seed) for seed in range(13)])
-        x = rng.normal(size=(13, 5, 2)) + 1j * rng.normal(size=(13, 5, 2))
-        y = rng.normal(size=(13, 5, 1)) + 1j * rng.normal(size=(13, 5, 1))
-        xy = np.concatenate([x, y], -1)
-        for mu in (0.4, 1.1, 3.0):
-            got = spec.norm_power_derivatives(z, mu, xy)
-            log_n = spec.log_norm_derivatives(z, xy)
-            a = np.exp(mu * log_n.value)
-            want = log_n.compose(a, mu * a, mu**2 * a, mu**3 * a)
-            # the value decides fiber membership: the same floats
-            assert np.array_equal(got.value, want.value)
-            for field in ("grad", "levi", "hess", "third"):
-                g, w = getattr(got, field), getattr(want, field)
-                if field in ("hess", "third"):  # the pairs (x column, y column)
-                    g, w = g[:, :2, 2:], w[:, :2, 2:]
-                assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), field
-
-
 def _loop_realization(spec, coords):
     """The realization written entry by entry: type I row by row, types II
     and III the upper triangle row by row (strict on II), mirrored with the

@@ -128,6 +128,15 @@ class TestPotential:
             with pytest.raises(DomainViolation):
                 potential(hs, p)
 
+    @pytest.mark.parametrize("spec", TYPES + [DomainSpec.polydisk(2)], ids=str)
+    def test_nan_point_rejected(self, spec):
+        hs = HartogsSpec(spec, 1.3)
+        p = h_sample(hs, 0.9, range(3))
+        p[1, 0] = np.nan
+        with pytest.raises(DomainViolation) as info:
+            potential(hs, p)
+        assert info.value.index == 1
+
     def test_even_crossing_rejected_on_bare_base(self):
         # N = 0.1936 > 0 at Z = diag(1.2, 1.2), so the sign of N alone accepts it
         spec = DomainSpec.type_i(2, 3)
@@ -492,10 +501,72 @@ def _closed_form_rejected_base_point(spec: DomainSpec) -> np.ndarray:
         z = (u @ s @ v).ravel()
         if spec.contains(z):
             try:
-                spec.norm_power_derivatives(z, 1.0, value_only=True)
+                spec.log_norm_derivatives(z, value_only=True)
             except DomainViolation:
                 return z
     raise AssertionError("no base point found that only the closed form rejects")
+
+
+OUTSIDE_BASES = {
+    "polydisk2": DomainSpec.polydisk(2),
+    "I23": DomainSpec.type_i(2, 3),
+    "IV6": DomainSpec.type_iv(6),
+    "I12xIII2": DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2)),
+}
+
+
+def _outside_rows(name: str) -> list:
+    """Every kind of base point that the closed form of OUTSIDE_BASES[name] rejects."""
+    spec = OUTSIDE_BASES[name]
+    if name == "polydisk2":
+        # a_1 <= 0, and the even crossing, where N = (1 - 1.44)^2 > 0
+        return [np.array([1.2, 0.3]), np.full(2, 1.2)]
+    if name == "I23":
+        emb = polydisk_embedding(spec)
+        # the even crossing, N < 0, and a point that `contains` accepts
+        return [emb(np.full(2, 1.2)), emb(np.array([1.2, 0.5])),
+                _closed_form_rejected_base_point(spec)]
+    if name == "IV6":
+        # sum |z|^2 >= 1 with N = 0.0441 > 0, and N = 1 - 1.44 < 0
+        return [np.array([1.1, 0, 0, 0, 0, 0]), np.array([0.6, 0.6j, 0, 0, 0, 0])]
+    z = spec.sample(0.5, 9)
+    z[2:] = 1.2  # outside the second factor only
+    return [z]
+
+
+class TestTotalNormPower:
+    """N^mu is 0 off the base, on every kind of row its closed form rejects,
+    and a stack gives each inside row the floats it gets alone."""
+
+    @pytest.mark.parametrize("name", sorted(OUTSIDE_BASES))
+    @pytest.mark.parametrize("directions", [False, True])
+    def test_outside_rows_give_zero(self, name, directions):
+        spec = OUTSIDE_BASES[name]
+        rows, outside = [], []
+        for j, row in enumerate(_outside_rows(name)):
+            rows += [spec.sample(0.9, j), np.asarray(row, dtype=np.complex128)]
+            outside += [False, True]
+        rows.append(spec.sample(0.9, 99))
+        outside.append(False)
+        z = np.stack(rows)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(len(z), spec.dim, 2)) + 1j * rng.normal(size=(len(z), spec.dim, 2))
+        x = x if directions else None
+        got = spec.norm_power_derivatives(z, 1.3, x)
+        with pytest.raises(DomainViolation) as info:
+            spec.log_norm_derivatives(z, x)
+        assert info.value.index == 1
+        fields = ["value", "grad", "levi"] + (["hess", "third"] if directions else [])
+        for j, out in enumerate(outside):
+            member = got.member(j)
+            alone = spec.norm_power_derivatives(z[j], 1.3, None if x is None else x[j])
+            for field in fields:
+                g = np.asarray(getattr(member, field))
+                assert np.array_equal(g, np.asarray(getattr(alone, field))), (j, field)
+                if out:
+                    assert not np.any(g), (j, field)
+            if not out:
+                assert member.value > 0.0
 
 
 class TestStackedMargins:

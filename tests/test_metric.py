@@ -189,6 +189,14 @@ class TestGeodesics:
         with pytest.raises(ValueError, match="member 2 is too close to the boundary"):
             geodesic_batch(pot, p0s, np.ones((4, 2)), 1.0)
 
+    def test_nan_start_names_member(self):
+        # a NaN coordinate gives a NaN margin, which no margin test passes
+        pot = _hartogs(DomainSpec.type_i(2, 2), 1.0)
+        p0s = np.zeros((3, 5), dtype=np.complex128)
+        p0s[1, 2] = np.nan
+        with pytest.raises(ValueError, match="member 1 is too close to the boundary"):
+            geodesic_batch(pot, p0s, np.ones((3, 5)), 1.0)
+
     def test_coarse_step_across_polydisk_diagonal(self):
         # with a loose tolerance the trial stages overshoot the diagonal
         # corner, where both |z_j| > 1 leave N = (1 - |z|^2)^2 > 0
