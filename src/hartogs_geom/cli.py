@@ -29,6 +29,7 @@ from .domains import DomainSpec, LinearEmbedding, product_embedding
 from .hartogs import (
     HartogsPotential,
     HartogsSpec,
+    _check_mu,
     h_sample,
     potential,
     slice_chart,
@@ -43,6 +44,7 @@ from .l2embed import (
 from .l2embed import norm_residual  # noqa: F401 - stays importable as cli.norm_residual
 from .metric import (
     BOUNDARY_MARGIN,
+    IntegrationError,
     distance_to_span,
     geodesic_batch,
     geodesic_ivp,
@@ -359,6 +361,9 @@ def cmd_geodesic(cfg: RunConfig, p0, v0, T: float, trace_path: str | None) -> Re
         raise ConfigError("v0 must be nonzero")
     if pot.interior_margin(p0) < BOUNDARY_MARGIN:
         raise ConfigError("p0 lies outside the domain or within the boundary margin")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(hermitian_inner(_metric_matrix(pot, p0), v0, v0)):
+            raise ConfigError("v0 is too large: its energy overflows")
     trace = geodesic_ivp(pot, p0, v0, T, tol=1e-10)
     drift = trace.energy_drift()
     if trace_path:
@@ -575,14 +580,13 @@ def main(argv=None) -> int:
             report = cmd_geodesic(cfg, p0, v0, args.T, args.trace_out)
         elif args.command == "linear-scan":
             try:
-                mu_grid = [float(x) for x in args.mu_grid.split(",") if x.strip()]
+                # the rule of HartogsSpec, which every scan cell builds
+                mu_grid = [_check_mu(float(x)) for x in args.mu_grid.split(",") if x.strip()]
                 r_grid = [int(x) for x in args.r_grid.split(",") if x.strip()]
             except ValueError as exc:
                 raise ConfigError(f"bad scan grid: {exc}") from exc
             if not mu_grid or not r_grid:
                 raise ConfigError("scan grid must be nonempty")
-            if any(not (np.isfinite(mu) and mu > 0) for mu in mu_grid):
-                raise ConfigError("scan grid mu values must be finite and positive")
             if any(r < 1 for r in r_grid):
                 raise ConfigError("scan grid r values must be >= 1")
             report = cmd_linear_scan(cfg, mu_grid, r_grid, args.T)
@@ -591,7 +595,8 @@ def main(argv=None) -> int:
             report = cmd_embed_residual(cfg, point)
         else:  # pragma: no cover - argparse enforces choices
             raise ConfigError(f"unknown command {args.command}")
-    except ConfigError as exc:
+    except (ConfigError, IntegrationError) as exc:
+        # an integration that cannot finish comes from its inputs (T, v0)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return _emit(report, args, time.perf_counter() - t0)

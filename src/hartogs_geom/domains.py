@@ -302,9 +302,11 @@ class DomainSpec:
     def contains(self, coords, margin: float = 0.0):
         """Membership with a spectral safety margin, of one point or a stack.
 
-        For the matrix types the test is lambda_min(I - Z Z*) > margin; for
-        type IV both defining inequalities are required with the margin.  A
-        point gives a bool, a stack (B, dim) a boolean array (B,).
+        The matrix types test for a Cholesky factor of I - Z Z* - margin I
+        (`is_positive_definite`); polydisks and type IV test the floats of
+        `_disk_gap` and `_type_iv_norm`.  At margin 0 these are the closed
+        form's tests, so `contains(z)` is log N > -inf on every base.  A point
+        gives a bool, a stack (B, dim) a boolean array (B,).
         """
         z = np.asarray(coords, dtype=np.complex128)
         if z.ndim == 1:
@@ -496,28 +498,25 @@ def _bergman(spec: DomainSpec, z):
 
 
 def _gram(spec: DomainSpec, z):
-    """Z and A = I - Z Z* over a stack (see `_bergman`), and L = c log det A.
+    """Z and A = I - Z Z* over a stack (see `_bergman`), the Cholesky factor
+    of A, and L = c log det A from its diagonal.
 
-    L comes from the Cholesky factor of A.  The stacked factorisation is the
-    fast path; when it fails, one factorisation per point finds the points
-    without a factor, which get L = -inf and are taken at the origin
-    (Z = 0, A = I) for a second stacked factorisation.
+    The stacked factorisation is the fast path; when it fails,
+    `is_positive_definite` (the test of `contains`) flags the points without
+    a factor, which get L = -inf and are taken at the origin (Z = 0, A = I)
+    for a second stacked factorisation.
     """
     zm, a = _bergman(spec, z)
     outside = np.zeros(len(z), dtype=bool)
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        for j, aj in enumerate(a):
-            try:
-                np.linalg.cholesky(aj)
-            except np.linalg.LinAlgError:
-                outside[j] = True
+        outside = ~is_positive_definite(a)
         zm, a = _bergman(spec, _at_origin(z, outside))
         chol = np.linalg.cholesky(a)
     c = 0.5 if spec.kind == "II" else 1.0
     diag = np.diagonal(chol, axis1=-2, axis2=-1).real
-    return zm, a, np.where(outside, -np.inf, 2.0 * c * np.sum(np.log(diag), axis=-1))
+    return zm, a, chol, np.where(outside, -np.inf, 2.0 * c * np.sum(np.log(diag), axis=-1))
 
 
 def _at_origin(z: np.ndarray, outside: np.ndarray) -> np.ndarray:
@@ -536,11 +535,16 @@ def _matrix_log_norm(spec: DomainSpec, z, x, value_only=False) -> Derivatives:
     e = _unit_matrices(spec)
     dim, m, n = e.shape
     c = 0.5 if spec.kind == "II" else 1.0
-    zm, a, value = _gram(spec, z)
+    zm, a, chol, value = _gram(spec, z)
     if value_only:
         return Derivatives(value, None, None)
     zh = _t(zm.conj())
-    r = np.linalg.inv(a)
+    try:
+        r = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        # a zero LU pivot, ulps from the boundary: R = (L L*)^-1 instead
+        linv = np.linalg.inv(chol)
+        r = _t(linv.conj()) @ linv
     re = r[:, None] @ e  # R E_i, (B, dim, m, n)
     flat = re.reshape(len(z), dim, m * n)
     # tr(R E_i Z*) = sum_ab (R E_i)_ab conj(Z_ab)

@@ -14,9 +14,9 @@ runs from the base's tensors of N^mu = exp(mu log N) through
 D = N^mu - |w|^2 to Phi = -log D, at one point or over a stack of points.
 Plain evaluation (`value`, `potential`) takes the same D from the base's
 value-only route, also over a stack.  With N^mu = 0 off the base, the one
-inequality D > 0 decides membership (`_fiber_argument`).  The jet
-evaluation (`__call__` on jet coordinates) is the generic route and the
-tests' second route.
+inequality D > 0 decides membership (`HartogsPotential._argument`), on jet
+coordinates (the generic route, and the tests' second route) too.
+`DomainPotential` is the same potential without the fiber.
 """
 
 from __future__ import annotations
@@ -48,6 +48,17 @@ __all__ = [
 ]
 
 
+# `norm_power_derivatives` forms mu**3, which overflows a float above ~5.6e102
+_MU_MAX = 1e102
+
+
+def _check_mu(mu) -> float:
+    """mu as a float, or ValueError unless it is a number in (0, _MU_MAX]."""
+    if isinstance(mu, bool) or not isinstance(mu, numbers.Real) or not 0.0 < mu <= _MU_MAX:
+        raise ValueError(f"mu must be a number in (0, {_MU_MAX:g}], got {mu!r}")
+    return float(mu)
+
+
 @dataclass(frozen=True)
 class HartogsSpec:
     """Base domain plus a finite fiber exponent mu > 0."""
@@ -56,12 +67,8 @@ class HartogsSpec:
     mu: float
 
     def __post_init__(self):
-        if isinstance(self.mu, bool) or not isinstance(self.mu, numbers.Real):
-            raise ValueError(f"mu must be a number, got {self.mu!r}")
         # a JSON report echoes mu as a float
-        object.__setattr__(self, "mu", float(self.mu))
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise ValueError("mu must be finite and positive")
+        object.__setattr__(self, "mu", _check_mu(self.mu))
 
     @property
     def n_coords(self) -> int:
@@ -75,11 +82,6 @@ class HartogsSpec:
         return cls(DomainSpec.from_json(obj["base"]), obj["mu"])
 
 
-def _values(coords) -> np.ndarray:
-    """The point that plain or jet coordinates are expanded around."""
-    return np.array([_value(c) for c in coords], dtype=np.complex128)
-
-
 def _abs_sq(w):
     """|w|^2 of a plain coordinate, or the real jet w * conj(w)."""
     if isinstance(w, Jet):
@@ -87,36 +89,13 @@ def _abs_sq(w):
     return abs(complex(w)) ** 2
 
 
-def _fiber_argument(nmu, w):
-    """The fiber argument D = N^mu - |w|^2, over a stack.
-
-    The one expression that decides membership: N^mu = exp(mu log N) is the
-    value of `DomainSpec.norm_power_derivatives` (the same float with or
-    without `value_only`), and 0 off the base, so D > 0 exactly on the
-    Cartan-Hartogs domain as the closed form sees it.  The closed-form
-    derivatives, plain evaluation, `fiber_margin` and `h_contains` all take
-    D from here, so they agree on every point however close to the
-    boundary.
-    """
-    return nmu - np.abs(w) ** 2
-
-
 def fiber_margin(spec: HartogsSpec, p):
-    """D = N^mu - |w|^2 (see `_fiber_argument`); positive on the domain,
-    crosses zero at the boundary.
-
-    p is a point (n,), giving a float, or a stack (B, n), giving (B,); each
-    row gets the float that it gets alone.  A row whose base point the
-    closed form rejects gives -|w|^2, even where N > 0 (an even number of
-    singular values past 1 leaves N = prod(1 - s^2) positive).
+    """D = N^mu - |w|^2, the `interior_margin` of `HartogsPotential`: a
+    float at a point (n,), (B,) over a stack (B, n), each row the float it
+    gets alone.  A row outside the base gives -|w|^2, even where N > 0 (an
+    even number of singular values past 1 leaves N = prod(1 - s^2) > 0).
     """
-    p = np.asarray(p, dtype=np.complex128)
-    ps = p[None] if p.ndim == 1 else p
-    if ps.ndim != 2 or ps.shape[1] != spec.n_coords:
-        raise ValueError(f"expected {spec.n_coords} coordinates, got shape {p.shape}")
-    nmu = spec.base.norm_power_derivatives(ps[:, :-1], spec.mu, value_only=True)
-    out = _fiber_argument(nmu.value, ps[:, -1])
-    return float(out[0]) if p.ndim == 1 else out
+    return HartogsPotential(spec).interior_margin(p)
 
 
 def h_contains(spec: HartogsSpec, p, margin: float = 0.0) -> bool:
@@ -132,62 +111,32 @@ class HartogsPotential:
     """Handle for Phi(z, w) = -log(N^mu - |w|^2) with closed-form derivatives.
 
     Calling with plain complex coordinates, a point (n,) or a stack (B, n),
-    gives -log D from the value-only route of the base (see
-    `_fiber_argument`); calling with a list containing jets returns the jet
-    of Phi.  Both raise DomainViolation when a point lies outside the domain
-    (a stack names the first offending index).  The fiber coordinate is the
-    last entry.
+    gives -log D from the value-only route of the base; calling with a list
+    containing jets returns the jet of Phi.  Both raise DomainViolation when
+    a point lies outside the domain (a stack names the first offending
+    index), by the one test D > 0 of `_stacked` on the closed-form D of
+    `_argument`.  The jet of D comes from `_jet_argument`.  The fiber
+    coordinate is the last entry.
     """
 
     def __init__(self, spec: HartogsSpec):
         self.spec = spec
         self.n_coords = spec.n_coords
 
-    def __call__(self, coords):
-        if not _is_jet_coords(coords):
-            p = np.asarray(coords, dtype=np.complex128)
-            value = self._stacked(p[None] if p.ndim == 1 else p, value_only=True).value
-            return value[0] if p.ndim == 1 else value
-        zs, w = coords[:-1], coords[-1]
-        # spectral membership: N alone can be positive outside the base
-        if not self.spec.base.contains(_values(zs)):
-            raise DomainViolation("base point lies outside the domain")
-        arg = self.spec.base._norm(zs) ** self.spec.mu - _abs_sq(w)
-        if _value(arg).real <= 0.0:
-            raise DomainViolation("potential argument non-positive (outside domain)")
-        return -np.log(arg)  # Jet.log on jets
+    def _argument(self, p, x=None, value_only=False) -> Derivatives:
+        """D = N^mu - |w|^2 and its tensors over a stack (B, n).
 
-    def value(self, p):
-        """Phi at a point (a float) or over a stack (B, n) (an array (B,))."""
-        out = self(np.asarray(p, dtype=np.complex128))
-        return float(out) if np.ndim(out) == 0 else out
-
-    def derivatives(self, p, x=None) -> Derivatives:
-        """Closed-form derivatives of Phi at one point or a stack (see `Derivatives`).
-
-        p is (n,) or (B, n); the direction matrix is shared (n, k) or per
-        point (B, n, k).  Raises DomainViolation, naming the first offending
-        index, when a point lies outside the fibration.
+        N^mu = exp(mu log N) is the value of `norm_power_derivatives` (the
+        same float with or without `value_only`), 0 off the base, so D > 0
+        exactly on the domain as the closed form sees it, on every route.
         """
-        p = np.asarray(p, dtype=np.complex128)
-        out = self._stacked(p[None] if p.ndim == 1 else p, x)
-        return out.member(0) if p.ndim == 1 else out
-
-    def _stacked(self, p, x=None, value_only=False) -> Derivatives:
-        if p.ndim != 2 or p.shape[1] != self.n_coords:
-            raise ValueError(f"expected {self.n_coords} coordinates, got shape {p.shape}")
         z, w = p[:, :-1], p[:, -1]
         xz = _base_rows(x, slice(None, -1))
         nmu = self.spec.base.norm_power_derivatives(z, self.spec.mu, xz, value_only)
-        d = _fiber_argument(nmu.value, w)
-        # N^mu = 0 off the base: one test for the base and the fiber, which
-        # also rejects a NaN coordinate
-        outside = ~(d > 0.0)
-        if outside.any():
-            raise DomainViolation("point lies outside the domain", int(np.argmax(outside)))
+        d = nmu.value - np.abs(w) ** 2
         if value_only:
-            return Derivatives(-np.log(d), None, None)
-        # D = N^mu - |w|^2: D_w = -wbar, D_{w wbar} = -1, no other fiber terms
+            return Derivatives(d, None, None)
+        # D_w = -wbar, D_{w wbar} = -1, no other fiber terms
         b, n = p.shape
         grad = np.empty((b, n), dtype=np.complex128)
         grad[:, :-1] = nmu.grad
@@ -196,60 +145,82 @@ class HartogsPotential:
         levi[:, :-1, :-1] = nmu.levi
         levi[:, -1, -1] = -1.0
         if x is None:
-            fiber = Derivatives(d, grad, levi)
-        else:
-            third = np.zeros((*nmu.third.shape[:-1], n), dtype=np.complex128)
-            third[..., :-1] = nmu.third
-            fiber = Derivatives(d, grad, levi, x, nmu.hess, third)
-        return fiber.compose(-np.log(d), -1.0 / d, 1.0 / d**2, -2.0 / d**3)
+            return Derivatives(d, grad, levi)
+        third = np.zeros((*nmu.third.shape[:-1], n), dtype=np.complex128)
+        third[..., :-1] = nmu.third
+        return Derivatives(d, grad, levi, x, nmu.hess, third)
+
+    def _jet_argument(self, coords):
+        """The jet of D = N^mu - |w|^2, N from the determinant route."""
+        return self.spec.base._norm(coords[:-1]) ** self.spec.mu - _abs_sq(coords[-1])
+
+    def __call__(self, coords):
+        if _is_jet_coords(coords):
+            # the closed form decides membership at the value parts
+            self._stacked([_value(c) for c in coords], value_only=True)
+            return -np.log(self._jet_argument(coords))  # Jet.log
+        return self._stacked(coords, value_only=True).value
+
+    def value(self, p):
+        """Phi at a point (a float) or over a stack (B, n) (an array (B,))."""
+        return self(np.asarray(p, dtype=np.complex128))
+
+    def derivatives(self, p, x=None) -> Derivatives:
+        """Closed-form derivatives of Phi at one point or a stack (see `Derivatives`).
+
+        p is (n,) or (B, n); the direction matrix is shared (n, k) or per
+        point (B, n, k).  Raises DomainViolation, naming the first offending
+        index, when a point lies outside the domain.
+        """
+        return self._stacked(p, x)
 
     def interior_margin(self, p):
-        """`fiber_margin`: a float at a point, (B,) over a stack."""
-        return fiber_margin(self.spec, p)
+        """D: a float at a point, (B,) over a stack; positive exactly on the domain."""
+        p = np.asarray(p, dtype=np.complex128)
+        d = self._argument(self._rows(p), value_only=True).value
+        return float(d[0]) if p.ndim == 1 else d
+
+    def _rows(self, p: np.ndarray) -> np.ndarray:
+        """A point (n,) as the stack of one; a stack (B, n) as it is."""
+        ps = p[None] if p.ndim == 1 else p
+        if ps.ndim != 2 or ps.shape[1] != self.n_coords:
+            raise ValueError(f"expected {self.n_coords} coordinates, got shape {p.shape}")
+        return ps
+
+    def _stacked(self, p, x=None, value_only=False) -> Derivatives:
+        """Phi = -log D at a point (n,) or over a stack (B, n), after the one
+        membership test D > 0."""
+        p = np.asarray(p, dtype=np.complex128)
+        arg = self._argument(self._rows(p), x, value_only)
+        d = arg.value
+        # D <= 0 off the base and off the fiber; ~(d > 0) rejects NaN too
+        outside = ~(d > 0.0)
+        if outside.any():
+            raise DomainViolation("point lies outside the domain", int(np.argmax(outside)))
+        if value_only:
+            out = Derivatives(-np.log(d), None, None)
+        else:
+            out = arg.compose(-np.log(d), -1.0 / d, 1.0 / d**2, -2.0 / d**3)
+        return out.member(0) if p.ndim == 1 else out
 
 
-class DomainPotential:
+class DomainPotential(HartogsPotential):
     """Hyperbolic potential -log N of a bare bounded symmetric domain.
 
-    Useful for metric computations on the base alone (no Hartogs fiber).
-    Plain and jet coordinates raise DomainViolation outside the domain, as
-    for `HartogsPotential`.
+    `HartogsPotential` without the fiber: D = N from `norm_power_derivatives`
+    at mu = 1 (0 off the base), so every route, membership and the margin N
+    are the Hartogs potential's.  For metric computations on the base alone.
     """
 
     def __init__(self, spec: DomainSpec):
         self.spec = spec
         self.n_coords = spec.dim
 
-    def __call__(self, coords):
-        if not self.spec.contains(_values(coords)):
-            raise DomainViolation("point lies outside the domain")
-        n = self.spec._norm(coords)
-        if _value(n).real <= 0.0:
-            raise DomainViolation("generic norm non-positive (outside domain)")
-        return -np.log(n)  # Jet.log on jets
+    def _argument(self, z, x=None, value_only=False) -> Derivatives:
+        return self.spec.norm_power_derivatives(z, 1.0, x, value_only)
 
-    def value(self, p) -> float:
-        return float(self(np.asarray(p, dtype=np.complex128)))
-
-    def derivatives(self, p, x=None) -> Derivatives:
-        """Closed-form derivatives of -log N at one point or a stack (see `Derivatives`)."""
-        p = np.asarray(p, dtype=np.complex128)
-        log_n = self.spec.log_norm_derivatives(p[None] if p.ndim == 1 else p, x)
-        out = log_n.compose(-log_n.value, -1.0, 0.0, 0.0)
-        return out.member(0) if p.ndim == 1 else out
-
-    def interior_margin(self, p):
-        """N inside the domain; 0.0 on a row that `contains` rejects, even
-        where N > 0 (see `fiber_margin`), without evaluating N there.
-
-        p is a point (n,), giving a float, or a stack (B, n), giving (B,).
-        """
-        p = np.asarray(p, dtype=np.complex128)
-        z = p[None] if p.ndim == 1 else p
-        inside = self.spec.contains(z)
-        out = np.zeros(len(z))
-        out[inside] = self.spec._norm(z[inside])
-        return float(out[0]) if p.ndim == 1 else out
+    def _jet_argument(self, coords):
+        return self.spec._norm(coords)
 
 
 def potential(spec: HartogsSpec, p):
@@ -281,7 +252,7 @@ def _draw_fiber(spec: HartogsSpec, z, scale, shrink: float, rngs) -> np.ndarray:
 
     Each member takes two uniforms from its own generator.  N^mu is the
     value of `norm_power_derivatives`, the one that decides fiber membership
-    (see `_fiber_argument`); `scale` is 1 or per member (B,).
+    (see `HartogsPotential._argument`); `scale` is 1 or per member (B,).
     """
     u = np.stack([rng.random(2) for rng in rngs])
     nmu = spec.base.norm_power_derivatives(z, spec.mu, value_only=True).value

@@ -22,7 +22,6 @@ component last, matching the point layout.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -108,14 +107,14 @@ class LinearGeodesicVerdict:
 # -- the embedding -------------------------------------------------------------
 
 
-def _multi_indices(r: int, k_max: int) -> list[tuple[int, ...]]:
-    out = [
-        k
-        for k in itertools.product(range(k_max + 1), repeat=r)
-        if sum(k) <= k_max
-    ]
-    out.sort(key=lambda k: (sum(k), k))
-    return out
+@lru_cache(maxsize=128)
+def _multi_indices(r: int, k_max: int) -> tuple[tuple[int, ...], ...]:
+    """Every k in N^r with |k| <= k_max, in (|k|, k) order: C(k_max + r, r)
+    tuples, each built once from those of r - 1 with the remaining degree."""
+    if r == 0:
+        return ((),)
+    out = [(k, *rest) for k in range(k_max + 1) for rest in _multi_indices(r - 1, k_max - k)]
+    return tuple(sorted(out, key=lambda k: (sum(k), k)))
 
 
 @lru_cache(maxsize=64)

@@ -43,9 +43,14 @@ __all__ = [
     "sectional_curvature",
     "hermitian_inner",
     "distance_to_span",
+    "IntegrationError",
 ]
 
 BOUNDARY_MARGIN = 1e-7
+
+
+class IntegrationError(RuntimeError):
+    """A geodesic whose step size underflowed or whose step budget ran out."""
 
 
 class FunctionPotential:
@@ -390,8 +395,8 @@ def geodesic_batch(
     `boundary_margin`: one stacked `interior_margin` call tests the start
     points, and one per step the members whose error test passed.  Raises
     ValueError for T <= 0, a zero initial velocity or a start point within
-    the margin (naming the first such member), and RuntimeError when any
-    member's step size underflows or its step budget runs out.
+    the margin (naming the first such member), and IntegrationError when
+    any member's step size underflows or its step budget runs out.
 
     First same as last (FSAL): stage 13 is evaluated at the eighth-order
     solution (its weights a[12] are the eighth-order weights), so an
@@ -464,14 +469,14 @@ def geodesic_batch(
             if done[j]:
                 continue
             if steps[j] == max_steps:
-                raise RuntimeError("geodesic exceeded the step budget")
+                raise IntegrationError("geodesic exceeded the step budget")
             steps[j] += 1
             if t[j] >= T:
                 done[j] = True
                 continue
             h[j] = min(h[j], T - t[j])
             if h[j] < 1e-14 * max(1.0, T):
-                raise RuntimeError("geodesic step size underflow")
+                raise IntegrationError("geodesic step size underflow")
             att.append(j)
         if not att:
             break

@@ -9,6 +9,7 @@ function of complex coordinates through the chain rule.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -156,10 +157,13 @@ def _lu_det_generic(m: np.ndarray, n: int):
 
 
 def is_positive_definite(m: np.ndarray, margin: float = 0.0):
-    """True iff the Hermitian matrix m has smallest eigenvalue > margin.
+    """True iff the Hermitian matrix m - margin I has a Cholesky factor
+    (lambda_min(m) > margin up to rounding; the closed form's test of log N).
 
-    A stack (B, n, n) gives a boolean array (B,).  Raises ValueError when a
-    matrix is not Hermitian within 1e-12 (relative to its largest entry).
+    A stack (B, n, n) gives (B,): one stacked factorisation, then one per
+    matrix only when some has none.  A matrix holding NaN has none.  Raises
+    ValueError when a matrix is not Hermitian within 1e-12 (relative to its
+    largest entry).
     """
     h = np.asarray(m, dtype=np.complex128)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
@@ -168,7 +172,16 @@ def is_positive_definite(m: np.ndarray, margin: float = 0.0):
     asym = np.max(np.abs(h - _t(h.conj())), axis=(-2, -1))
     if np.any(asym > 1e-12 * scale):
         raise ValueError(f"matrix is not Hermitian (asymmetry {np.max(asym):.3e})")
-    inside = np.linalg.eigvalsh(h)[..., 0] > margin
+    shifted = (h - margin * np.eye(h.shape[-1])).reshape(-1, *h.shape[-2:])
+    try:
+        diag = np.diagonal(np.linalg.cholesky(shifted), axis1=-2, axis2=-1)
+    except np.linalg.LinAlgError:
+        # one factorisation per matrix; a matrix without one keeps a zero
+        diag = np.zeros(shifted.shape[:-1], dtype=np.complex128)
+        for j, a in enumerate(shifted):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                diag[j] = np.diagonal(np.linalg.cholesky(a))
+    inside = np.all(diag.real > 0.0, axis=-1).reshape(h.shape[:-2])
     return bool(inside) if h.ndim == 2 else inside
 
 

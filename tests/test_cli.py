@@ -76,6 +76,22 @@ BAD_INPUTS = {
     "shrink-string": ("verify-immersion", dict(BASE_CONFIG, shrink="0.5"), ()),
     "mu-bool": ("verify-immersion", dict(BASE_CONFIG, spec=dict(BASE_CONFIG["spec"], mu=True)), ()),
     "mu-string": ("verify-immersion", dict(BASE_CONFIG, spec=dict(BASE_CONFIG["spec"], mu="2")), ()),
+    "mu-huge-config": (
+        "verify-immersion",
+        dict(BASE_CONFIG, spec=dict(BASE_CONFIG["spec"], mu=1e103)),  # mu**3 overflows
+        (),
+    ),
+    "mu-grid-huge": ("linear-scan", POLY3_CONFIG, ("--mu-grid", "1e300", "--r-grid", "2", "--T", "0.1")),
+    # the energy of v0 overflows before any step
+    "geodesic-v0-huge": ("geodesic", {}, ("--p0", "0,0,0,0,0", "--v0", "1e200,0,0,0,0", "--T", "1")),
+    # every trial step leaves the domain until the step size underflows
+    "geodesic-step-underflow": (
+        "geodesic",
+        {},
+        ("--p0", "0,0,0,0,0", "--v0", "1e100,0,0,0,0", "--T", "1"),
+    ),
+    # the first step is already below the underflow bound 1e-14 T
+    "scan-step-underflow": ("linear-scan", POLY3_CONFIG, ("--mu-grid", "0.5", "--r-grid", "2", "--T", "1e300")),
     "params-product-factor-float": (
         "verify-immersion",
         dict(BASE_CONFIG, spec={"base": dict(I12_III2, params=[{"kind": "I", "params": [1, 2.0]}]),

@@ -112,7 +112,7 @@ class TestContains:
             assert 0 < inside.sum() < 60
 
     def test_disk_matches_spectral_test(self):
-        # the disk skips the eigenvalue solver; its answer must not change
+        # the disk skips the Cholesky factorisation; its answer must not change
         from hartogs_geom.numerics import is_positive_definite
 
         disk = DomainSpec.type_i(1, 1)

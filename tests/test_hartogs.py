@@ -151,8 +151,11 @@ class TestPotential:
         pot = DomainPotential(spec)
         for seed in range(4):
             z = spec.sample(0.9, seed)
-            n = float(spec._norm(z))
+            # the margin is D = N = exp(log N), the argument the closed form
+            # tests; the determinant route agrees to rounding
+            n = spec.norm_power_derivatives(z, 1.0).value
             assert pot.interior_margin(z) == n
+            assert pot.interior_margin(z) == pytest.approx(float(spec._norm(z)), rel=1e-12)
             assert pot.value(z) == -np.log(n)
 
     @pytest.mark.parametrize("spec", TYPES, ids=str)
@@ -487,9 +490,10 @@ class TestStackedCharts:
 
 
 def _closed_form_rejected_base_point(spec: DomainSpec) -> np.ndarray:
-    """A type I point that `contains` accepts but the closed form rejects: its
-    largest singular value lies within a few ulps of 1, where the eigenvalue
-    test and the Cholesky factor can disagree."""
+    """A type I point that the closed form rejects, and `contains` with it:
+    its largest singular value lies within a few ulps below 1, where the
+    Cholesky factor of I - Z Z* can fail although N > 0 in exact
+    arithmetic."""
     rng = np.random.default_rng(0)
     m, n = spec.params
     for _ in range(20000):
@@ -499,12 +503,62 @@ def _closed_form_rejected_base_point(spec: DomainSpec) -> np.ndarray:
         s[0, 0] = 1.0 - rng.integers(0, 6) * 1.1e-16
         s[1, 1] = 0.5
         z = (u @ s @ v).ravel()
-        if spec.contains(z):
+        try:
+            spec.log_norm_derivatives(z, value_only=True)
+        except DomainViolation:
+            assert not spec.contains(z)
+            return z
+    raise AssertionError("no near-boundary base point found that the closed form rejects")
+
+
+def _near_boundary_base_points(spec: DomainSpec, count: int, seed: int) -> np.ndarray:
+    """Points of I(m, n) as U S V, or of III(m) as U S U^T, whose largest
+    singular value is 1 + k 1.1e-16 with k in -5..5; the others lie in
+    [0, 0.9)."""
+    rng = np.random.default_rng(seed)
+    m, n = spec.params if spec.kind == "I" else spec.params * 2
+    rows, cols = np.triu_indices(m) if spec.kind == "III" else np.indices((m, n)).reshape(2, -1)
+    out = []
+    for _ in range(count):
+        u, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        s = np.zeros((m, n))
+        s[np.arange(m), np.arange(m)] = 0.9 * rng.random(m)
+        s[0, 0] = 1.0 + rng.integers(-5, 6) * 1.1e-16
+        zm = u @ s @ (u.T if spec.kind == "III" else v)
+        out.append(zm[rows, cols])
+    # the coordinates realize the matrix they were read from
+    assert np.allclose(spec.matrix_realization(out[-1]), zm, rtol=0.0, atol=1e-15)
+    return np.array(out)
+
+
+class TestOneBaseVerdict:
+    """`contains`, the closed form of log N and every route of
+    `DomainPotential` give one verdict on points within a few ulps of the
+    boundary, where an eigenvalue test and a Cholesky factor can differ."""
+
+    @pytest.mark.parametrize("spec", [DomainSpec.type_i(2, 3), DomainSpec.type_iii(3)], ids=str)
+    def test_verdicts_agree_near_the_boundary(self, spec):
+        z = _near_boundary_base_points(spec, 3000, 17)
+        pot = DomainPotential(spec)
+
+        def accepts(call, q):
             try:
-                spec.log_norm_derivatives(z, value_only=True)
+                call(q)
             except DomainViolation:
-                return z
-    raise AssertionError("no base point found that only the closed form rejects")
+                return False
+            return True
+
+        verdicts = np.stack([
+            spec.contains(z),
+            pot.interior_margin(z) > 0.0,
+            [accepts(lambda q: spec.log_norm_derivatives(q, value_only=True), q) for q in z],
+            [accepts(pot.value, q) for q in z],
+            [accepts(pot.derivatives, q) for q in z],
+        ])
+        assert np.count_nonzero(np.any(verdicts != verdicts[0], axis=0)) == 0
+        # the points straddle the boundary
+        assert 0 < verdicts[0].sum() < len(z)
 
 
 OUTSIDE_BASES = {
@@ -523,7 +577,7 @@ def _outside_rows(name: str) -> list:
         return [np.array([1.2, 0.3]), np.full(2, 1.2)]
     if name == "I23":
         emb = polydisk_embedding(spec)
-        # the even crossing, N < 0, and a point that `contains` accepts
+        # the even crossing, N < 0, and a near-boundary point that `contains` rejects
         return [emb(np.full(2, 1.2)), emb(np.array([1.2, 0.5])),
                 _closed_form_rejected_base_point(spec)]
     if name == "IV6":
@@ -633,8 +687,8 @@ class TestStackedMargins:
         ids=str,
     )
     def test_norm_rows_are_their_points(self, spec):
-        # a point is the stack of one in `_norm`, so Phi of a point and the
-        # stacked margin read the same N
+        # a point is the stack of one in `_norm` and in the closed form, so
+        # Phi of a point and the stacked margin read the same N
         z = spec._sample_stack(0.95, [np.random.default_rng(seed) for seed in range(400)])
         pot = DomainPotential(spec)
         assert spec._norm(z).tolist() == [spec._norm(q) for q in z]

@@ -1,5 +1,8 @@
 """Tests for the sequence-space embedding and linear-support classification."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from hartogs_geom.l2embed import (
     norm_table,
     series_residual,
 )
+from hartogs_geom.l2embed import _multi_indices
 
 
 class TestEmbed:
@@ -219,6 +223,20 @@ class TestLineConstraints:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             line_constraints(1, 1.0, [0.0, 0.0])
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("k_max", [0, 1, 5, 8])
+    def test_multi_indices_are_the_filtered_product(self, r, k_max):
+        want = [k for k in itertools.product(range(k_max + 1), repeat=r) if sum(k) <= k_max]
+        want.sort(key=lambda k: (sum(k), k))
+        assert list(_multi_indices(r, k_max)) == want
+
+    def test_high_rank_verdict_is_fast(self):
+        # 6435 multi-indices at r = 7: enumerated by total degree, not
+        # filtered from the 9^7 tuples of the product
+        start = time.perf_counter()
+        line_constraints(7, 1 / 7, np.ones(8) / np.sqrt(8))
+        assert time.perf_counter() - start < 5.0
 
 
 class TestLineDeviation:

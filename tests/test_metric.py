@@ -25,6 +25,7 @@ from hartogs_geom.hartogs import (
 )
 from hartogs_geom.metric import (
     FunctionPotential,
+    IntegrationError,
     christoffel_at,
     distance_to_span,
     geodesic_batch,
@@ -223,6 +224,15 @@ class TestGeodesics:
         pot = _hartogs(DomainSpec.polydisk(1), 1.0)
         with pytest.raises(ValueError):
             geodesic_ivp(pot, np.zeros(2), np.zeros(2), 1.0)
+
+    def test_step_budget_and_underflow_raise(self):
+        pot = _hartogs(DomainSpec.polydisk(1), 1.0)
+        v0 = np.array([0.3, 0.2j])
+        with pytest.raises(IntegrationError, match="step budget"):
+            geodesic_ivp(pot, np.zeros(2), v0, 1.0, max_steps=3)
+        # the first step h = 0.01 lies below the underflow bound 1e-14 T
+        with pytest.raises(IntegrationError, match="underflow"):
+            geodesic_ivp(pot, np.zeros(2), v0, 1e13)
 
     @pytest.mark.parametrize("T", [0.0, -1.0])
     def test_nonpositive_end_time_rejected(self, T):

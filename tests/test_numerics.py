@@ -79,6 +79,13 @@ class TestPositiveDefinite:
         assert is_positive_definite(a, 0.0)
         assert not is_positive_definite(a, 0.8)
 
+    def test_nan_has_no_factor(self):
+        # LAPACK factors a NaN matrix without an error; the verdict is still no
+        a = np.stack([np.eye(2), np.diag([1.0, np.nan]), np.diag([0.5, -0.1])])
+        assert is_positive_definite(a).tolist() == [True, False, False]
+        assert is_positive_definite(a[:2]).tolist() == [True, False]
+        assert not is_positive_definite(a[1])
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             is_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]))
