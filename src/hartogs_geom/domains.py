@@ -24,13 +24,14 @@ batch axis, from stacked LAPACK and matrix products): through the Bergman
 operator A = I - Z Z* for types I-III, where Z = sum z_k E_k, and through the
 explicit polynomial for type IV.  The closed form is total: a point that
 fails its own spectral test gets log N = -inf, so `norm_power_derivatives`
-gives N^mu = 0 there and `log_norm_derivatives` raises.
+gives N^mu = 0 there and `log_norm_derivatives` raises.  It and `contains`
+reject the points off every base (`_off_every_base`) before any arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -267,7 +268,12 @@ class DomainSpec:
         """The closed form of log N over a stack (B, dim), total: a row that
         fails the form's own test (see `_gram`, `_polydisk_log_norm` and
         `_type_iv_log_norm`) gets -inf and the origin's tensors, so a
-        product sums its factors and nothing divides by zero."""
+        product sums its factors and nothing divides by zero; a row off every
+        base (`_off_every_base`) is moved to the origin before any arithmetic."""
+        far = _off_every_base(z)
+        if far.any():
+            out = self._log_norm(_at_origin(z, far), x, value_only)
+            return replace(out, value=np.where(far, -np.inf, out.value))
         if self.is_polydisk:
             return _polydisk_log_norm(z, x, value_only)
         if self.kind == "IV":
@@ -304,24 +310,25 @@ class DomainSpec:
 
         The matrix types test for a Cholesky factor of I - Z Z* - margin I
         (`is_positive_definite`); polydisks and type IV test the floats of
-        `_disk_gap` and `_type_iv_norm`.  At margin 0 these are the closed
-        form's tests, so `contains(z)` is log N > -inf on every base.  A point
-        gives a bool, a stack (B, dim) a boolean array (B,).
+        `_disk_gap` and `_type_iv_norm`, after `_off_every_base`.  At margin 0
+        these are the closed form's tests, so `contains(z)` is log N > -inf on
+        every base.  A point gives a bool, a stack (B, dim) a boolean array (B,).
         """
         z = np.asarray(coords, dtype=np.complex128)
         if z.ndim == 1:
             self._check_len(z)
             return bool(self.contains(z[None], margin)[0])
         self._check_stack(z)
+        inside = ~_off_every_base(z)
+        z = _at_origin(z, ~inside)
         if self.is_polydisk:
             # I - Z Z* is the 1 x 1 matrix 1 - |z_j|^2 per disk, its own eigenvalue
-            return (_disk_gap(z) > margin).all(axis=-1)
+            return inside & (_disk_gap(z) > margin).all(axis=-1)
         if self.kind in ("I", "II", "III"):
-            return is_positive_definite(_bergman(self, z)[1], margin)
+            return inside & is_positive_definite(_bergman(self, z)[1], margin)
         if self.kind == "IV":
             sq, _, n = _type_iv_norm(z)
-            return (sq < 1.0 - margin) & (n > margin)
-        inside = np.ones(len(z), dtype=bool)
+            return inside & (sq < 1.0 - margin) & (n > margin)
         pos = 0
         for f in self.factors:
             inside &= f.contains(z[:, pos : pos + f.dim], margin)
@@ -517,6 +524,13 @@ def _gram(spec: DomainSpec, z):
     c = 0.5 if spec.kind == "II" else 1.0
     diag = np.diagonal(chol, axis1=-2, axis2=-1).real
     return zm, a, chol, np.where(outside, -np.inf, 2.0 * c * np.sum(np.log(diag), axis=-1))
+
+
+def _off_every_base(z: np.ndarray) -> np.ndarray:
+    """Rows with a coordinate that is NaN or of modulus >= 2, infinite
+    included: off every base (any |z_k| >= 1 is), and each form's own test
+    decides the rest, whose squares cannot overflow, to the last bit."""
+    return ~(np.abs(z).max(axis=-1) < 2.0)
 
 
 def _at_origin(z: np.ndarray, outside: np.ndarray) -> np.ndarray:

@@ -15,8 +15,9 @@ with sum |f|^2 = -log(prod (1-|z_j|^2)^mu - |w|^2), the Kaehler potential.
 Pulling a curve gamma(t) = (xi_1 v(t), ..., xi_r v(t), xi_w v(t)) through the
 embedding turns the geodesic equation into residual series in t; evaluating
 their t-derivatives at 0 order by order classifies the directions xi that
-admit a geodesic with linear support.  Direction vectors carry the fiber
-component last, matching the point layout.
+admit a geodesic with linear support; all their terms (k, a) read, at once,
+the coefficient table `_binomial_rows` of `embed` and `norm_table`.
+Direction vectors carry the fiber component last, matching the point layout.
 """
 
 from __future__ import annotations
@@ -240,14 +241,6 @@ def _poly_mul(a: np.ndarray, b: np.ndarray, deg: int) -> np.ndarray:
     return np.convolve(a, b)[: deg + 1]
 
 
-def _poly_pow(a: np.ndarray, m: int, deg: int) -> np.ndarray:
-    out = np.zeros(deg + 1, dtype=np.complex128)
-    out[0] = 1.0
-    for _ in range(m):
-        out = _poly_mul(out, a, deg)
-    return out
-
-
 def _poly_d2(a: np.ndarray) -> np.ndarray:
     out = np.zeros_like(a)
     for n in range(2, len(a)):
@@ -275,52 +268,35 @@ def series_residual(r: int, mu: float, xi, v_coeffs, order: int) -> np.ndarray:
         raise ValueError("profile must satisfy v(0) = 0, v'(0) = 1")
     deg = order + 2
     v = np.concatenate([v, np.zeros(6 - len(v))])[: deg + 1]
-    vb = np.conj(v)
+    x = np.abs(xi) ** 2
 
-    base = xi[:r]
-    fib = xi[r]
-    amod2 = np.abs(xi) ** 2
+    # the terms (a, k) with |k| + a <= cap: term[t, j] = C(mu a + k_j - 1, k_j)
+    # |xi_j|^{2 k_j} from the embedding's table, dterm[t, j] its derivative in |xi_j|^2
+    k = _multi_index_array(r, _SERIES_CAP - 1)
+    a, i = np.nonzero(np.arange(1, _SERIES_CAP + 1)[:, None] + k.sum(axis=1) <= _SERIES_CAP)
+    k, a = k[i], a + 1
+    binom = _binomial_rows(mu, _SERIES_CAP, _SERIES_CAP - 1)[a[:, None] - 1, k]
+    term = binom * x[:r] ** k
+    dterm = k * binom * x[:r] ** np.maximum(k - 1, 0)
+    # the fiber equation weighs prod_j term |xi_w|^{2(a-1)}, base equation s the
+    # product with factor s differentiated, times |xi_w|^{2a} / a, plus the disk
+    # sum mu sum_m |xi_s|^{2(m-1)}; both gathered by degree m = |k| + a
+    fiber = np.prod(term, axis=1) * x[r] ** (a - 1)
+    base = np.prod(np.where(np.eye(r, dtype=bool)[:, None], dterm, term), axis=-1)
+    base *= x[r] ** a / a
+    degree = np.arange(_SERIES_CAP + 1) == (a + k.sum(axis=1))[:, None]
+    weights = np.vstack([base, fiber]) @ degree
+    weights[:r, 1:] += mu * x[:r, None] ** np.arange(_SERIES_CAP)
 
-    # core[m] = [(vbar^m)'' v^(m-1)](t) as a truncated polynomial
-    core = {
-        m: _poly_mul(_poly_d2(_poly_pow(vb, m, deg + 2)[: deg + 3]), _poly_pow(v, m - 1, deg), deg)
-        for m in range(1, _SERIES_CAP + 1)
-    }
-
-    out = np.zeros(r + 1, dtype=np.complex128)
-    fact = float(math.factorial(order))
-
-    # fiber equation
-    acc = np.zeros(deg + 1, dtype=np.complex128)
-    for a in range(1, _SERIES_CAP + 1):
-        for k in _multi_indices(r, _SERIES_CAP - a):
-            m = sum(k) + a
-            coef = 1.0  # a * A^2 = prod of generalized binomials
-            for j, kj in enumerate(k):
-                if kj:
-                    coef *= gen_binomial(mu * a, kj) * amod2[j] ** kj
-            coef *= amod2[r] ** (a - 1)
-            acc += coef * core[m]
-    out[r] = np.conj(fib) * acc[order] * fact
-
-    # base equations
-    for s in range(r):
-        acc = np.zeros(deg + 1, dtype=np.complex128)
-        for k in range(1, _SERIES_CAP + 1):
-            acc += mu * amod2[s] ** (k - 1) * core[k]
-        for a in range(1, _SERIES_CAP + 1):
-            for k in _multi_indices(r, _SERIES_CAP - a):
-                if k[s] == 0:
-                    continue
-                m = sum(k) + a
-                coef = k[s] * gen_binomial(mu * a, k[s]) / a * amod2[s] ** (k[s] - 1)
-                for j, kj in enumerate(k):
-                    if kj and j != s:
-                        coef *= gen_binomial(mu * a, kj) * amod2[j] ** kj
-                coef *= amod2[r] ** a
-                acc += coef * core[m]
-        out[s] = np.conj(base[s]) * acc[order] * fact
-    return out
+    # core[m] = [(vbar^m)'' v^(m-1)](t) as a truncated polynomial; core[0] = 0
+    core = np.zeros((_SERIES_CAP + 1, deg + 1), dtype=np.complex128)
+    vb_m, v_m = np.zeros(deg + 3, dtype=np.complex128), np.zeros(deg + 1, dtype=np.complex128)
+    vb_m[0] = v_m[0] = 1.0
+    for m in range(1, _SERIES_CAP + 1):
+        vb_m = _poly_mul(vb_m, v.conj(), deg + 2)
+        core[m] = _poly_mul(_poly_d2(vb_m), v_m, deg)
+        v_m = _poly_mul(v_m, v, deg)
+    return np.conj(xi) * (weights @ core)[:, order] * float(math.factorial(order))
 
 
 # -- classification ----------------------------------------------------------------

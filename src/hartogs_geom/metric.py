@@ -394,9 +394,11 @@ def geodesic_batch(
     "boundary_reached" when a step would land closer to the boundary than
     `boundary_margin`: one stacked `interior_margin` call tests the start
     points, and one per step the members whose error test passed.  Raises
-    ValueError for T <= 0, a zero initial velocity or a start point within
-    the margin (naming the first such member), and IntegrationError when
-    any member's step size underflows or its step budget runs out.
+    ValueError for T <= 0, or, naming the first such member, a zero initial
+    velocity, a start point within the margin or a start energy or
+    acceleration that overflows (read from the first rhs evaluation), and
+    IntegrationError when any member's step size underflows or its step
+    budget runs out.
 
     First same as last (FSAL): stage 13 is evaluated at the eighth-order
     solution (its weights a[12] are the eighth-order weights), so an
@@ -408,13 +410,27 @@ def geodesic_batch(
     """
     p0s = np.atleast_2d(np.asarray(p0s, dtype=np.complex128))
     v0s = np.atleast_2d(np.asarray(v0s, dtype=np.complex128))
-    if np.any(np.all(v0s == 0, axis=1)):
-        raise ValueError("geodesic needs a nonzero initial velocity")
+    zero = np.flatnonzero(np.all(v0s == 0, axis=1))
+    if zero.size:
+        raise ValueError(f"initial velocity v0 of member {zero[0]} is zero")
     if not T > 0:
         raise ValueError("geodesic needs a positive end time T")
     near = np.flatnonzero(~(pot.interior_margin(p0s) >= boundary_margin))  # NaN counts as near
     if near.size:
         raise ValueError(f"initial point of member {near[0]} is too close to the boundary")
+
+    # states and rhs are stacked as (2, members, n): positions, then
+    # velocities, each a contiguous block for `_acceleration`
+    y = np.stack([p0s, v0s])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the finding
+        acc, g = _acceleration(pot, y[0], y[1])
+        start = (v0s[:, None] @ g @ v0s.conj()[:, :, None])[:, 0, 0]
+    huge = np.flatnonzero(~(np.isfinite(start) & np.isfinite(acc).all(axis=1)))
+    if huge.size:
+        raise ValueError(
+            f"initial velocity v0 of member {huge[0]} is too large: its energy or acceleration overflows"
+        )
+    k1 = np.stack([y[1], acc])
 
     members = range(len(p0s))
     rhs_evals = [1] * len(p0s)
@@ -451,11 +467,6 @@ def geodesic_batch(
             return live, np.stack([rows[1], acc]), g
         return live, None, None
 
-    # states and rhs are stacked as (2, members, n): positions, then
-    # velocities, each a contiguous block for `_acceleration`
-    y = np.stack([p0s, v0s])
-    acc, g = _acceleration(pot, y[0], y[1])
-    k1 = np.stack([y[1], acc])
     t = [0.0] * len(p0s)
     times = [[0.0] for _ in members]
     ys = [[y[:, j].copy()] for j in members]

@@ -2,12 +2,17 @@
 
 Everything here deliberately avoids the jet engine: finite differences with
 Richardson extrapolation for derivatives, cofactor expansion for
-determinants.  These provide the second route of every dual-route check.
+determinants, and term-by-term loops for the linear-support residual
+series.  These provide the second route of every dual-route check.
 """
 
 from __future__ import annotations
 
+from itertools import product
+from math import factorial
+
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 
 def cofactor_det(m: np.ndarray) -> complex:
@@ -124,4 +129,67 @@ def third_fd(pot, p, x, y, h: float = 2e-3) -> np.ndarray:
                         for bl, cl in ((4, 1.0), (5, 1j)):
                             acc += cs * ct * cl * fd_richardson(f, np.zeros(6), (bs, bt, bl), h)
                 out[a, b, l] = acc / 8.0
+    return out
+
+
+def series_residual_loops(r: int, mu: float, xi, v_coeffs, order: int, cap: int = 8) -> np.ndarray:
+    """`l2embed.series_residual` by explicit loops over every term (a, k).
+
+    The fiber equation sums prod_j C(mu a + k_j - 1, k_j) |xi_j|^{2 k_j}
+    |xi_w|^{2(a-1)} core[|k| + a] over |k| + a <= cap; base equation s sums
+    the same products differentiated in |xi_s|^2, times |xi_w|^{2a} / a, plus
+    mu sum_m |xi_s|^{2(m-1)} core[m].  core[m] = [(vbar^m)'' v^(m-1)](t) is
+    taken from NumPy's polynomial module and the generalized binomials from
+    their product formula, so nothing is shared with the package.
+    """
+    def binom(x, k):
+        out = 1.0
+        for i in range(k):
+            out *= (x + i) / (i + 1)
+        return out
+
+    xi = np.asarray(xi, dtype=np.complex128)
+    deg = order + 2
+    v = np.zeros(deg + 3, dtype=np.complex128)
+    given = np.asarray(v_coeffs, dtype=np.complex128)[: deg + 1]
+    v[: len(given)] = given
+
+    def cut(p):
+        out = np.zeros(deg + 1, dtype=np.complex128)
+        p = np.asarray(p)[: deg + 1]
+        out[: len(p)] = p
+        return out
+
+    def core(m):
+        vbar_m = P.polypow(np.conj(v), m)[: deg + 3]
+        return cut(P.polymul(P.polyder(vbar_m, 2), P.polypow(v, m - 1)))
+
+    cores = {m: core(m) for m in range(1, cap + 1)}
+    amod2 = np.abs(xi) ** 2
+    terms = [
+        (a, k) for a in range(1, cap + 1) for k in product(range(cap), repeat=r) if sum(k) + a <= cap
+    ]
+    out = np.zeros(r + 1, dtype=np.complex128)
+
+    acc = np.zeros(deg + 1, dtype=np.complex128)
+    for a, k in terms:
+        coef = amod2[r] ** (a - 1)
+        for j, kj in enumerate(k):
+            coef *= binom(mu * a, kj) * amod2[j] ** kj
+        acc += coef * cores[sum(k) + a]
+    out[r] = np.conj(xi[r]) * acc[order] * factorial(order)
+
+    for s in range(r):
+        acc = np.zeros(deg + 1, dtype=np.complex128)
+        for m in range(1, cap + 1):
+            acc += mu * amod2[s] ** (m - 1) * cores[m]
+        for a, k in terms:
+            if k[s] == 0:
+                continue
+            coef = k[s] * binom(mu * a, k[s]) / a * amod2[s] ** (k[s] - 1) * amod2[r] ** a
+            for j, kj in enumerate(k):
+                if j != s:
+                    coef *= binom(mu * a, kj) * amod2[j] ** kj
+            acc += coef * cores[sum(k) + a]
+        out[s] = np.conj(xi[s]) * acc[order] * factorial(order)
     return out

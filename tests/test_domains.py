@@ -126,6 +126,38 @@ class TestContains:
                 assert disk.contains([z], margin) == is_positive_definite(gram, margin)
 
 
+OFF_EVERY_BASE = [np.nan, np.inf, 1e200, -1e200j, 1.0]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DomainSpec.type_i(2, 2),
+        DomainSpec.type_ii(4),
+        DomainSpec.type_iii(2),
+        DomainSpec.type_iv(5),
+        DomainSpec.polydisk(2),
+        DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iv(5)),
+    ],
+    ids=str,
+)
+def test_rows_off_every_base(spec):
+    # a NaN, infinite or huge coordinate is decided before anything is
+    # squared: no RuntimeWarning, and the row is outside with N^mu = 0
+    z = np.full((len(OFF_EVERY_BASE) + 1, spec.dim), 0.1, dtype=np.complex128)
+    for j, bad in enumerate(OFF_EVERY_BASE, 1):
+        z[j, j % spec.dim] = bad
+    assert spec.contains(z).tolist() == [True] + [False] * len(OFF_EVERY_BASE)
+    for j in range(1, len(z)):
+        with pytest.raises(DomainViolation) as exc:
+            spec.log_norm_derivatives(z[[0, j]])
+        assert exc.value.index == 1
+    nmu = spec.norm_power_derivatives(z, 1.3, np.ones((spec.dim, 2)))
+    assert nmu.value[0] > 0.0
+    for t in (nmu.value, nmu.grad, nmu.levi, nmu.hess, nmu.third):
+        assert not np.any(t[1:])
+
+
 class TestGenericNorm:
     @pytest.mark.parametrize("spec", ALL_IRREDUCIBLE, ids=str)
     def test_norm_at_origin_is_one(self, spec):

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartogs_geom.domains import DomainSpec
 from hartogs_geom.hartogs import HartogsSpec, potential
@@ -19,6 +21,8 @@ from hartogs_geom.l2embed import (
     series_residual,
 )
 from hartogs_geom.l2embed import _multi_indices
+
+from _oracles import series_residual_loops
 
 
 class TestEmbed:
@@ -171,6 +175,22 @@ class TestSeriesResidual:
                 )
             )
         assert np.max(np.abs(got - want)) < 1e-10
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank_one=st.booleans())
+    def test_matches_the_term_loops(self, r, order, seed, rank_one):
+        # random profiles and directions, some components exactly zero, and
+        # mu on and off the hyperbolic-space condition r mu = 1
+        rng = np.random.default_rng(seed)
+        mu = 1.0 / r if rank_one else float(rng.uniform(0.2, 3.0))
+        xi = rng.normal(size=r + 1) + 1j * rng.normal(size=r + 1)
+        xi[rng.random(r + 1) < 0.3] = 0.0
+        v = np.concatenate([[0.0, 1.0], rng.normal(size=4) + 1j * rng.normal(size=4)])
+        got = series_residual(r, mu, xi, v, order)
+        want = series_residual_loops(r, mu, xi, v, order)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):

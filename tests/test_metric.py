@@ -224,6 +224,19 @@ class TestGeodesics:
         pot = _hartogs(DomainSpec.polydisk(1), 1.0)
         with pytest.raises(ValueError):
             geodesic_ivp(pot, np.zeros(2), np.zeros(2), 1.0)
+        with pytest.raises(ValueError, match="member 1 is zero"):
+            geodesic_batch(pot, np.zeros((2, 2)), [[0.1, 0.0], [0.0, 0.0]], 1.0)
+
+    def test_overflowing_velocity_names_member(self):
+        # the start energy overflows: rejected before any step, without a
+        # RuntimeWarning (an error under the test filter)
+        pot = _hartogs(DomainSpec.type_i(2, 2), 1.0)
+        v0s = np.full((3, 5), 0.1, dtype=np.complex128)
+        v0s[1] = 1e200
+        with pytest.raises(ValueError, match="member 1 is too large"):
+            geodesic_batch(pot, np.zeros((3, 5)), v0s, 1.0)
+        with pytest.raises(ValueError, match="member 0 is too large"):
+            geodesic_ivp(pot, np.zeros(5), v0s[1], 1.0)
 
     def test_step_budget_and_underflow_raise(self):
         pot = _hartogs(DomainSpec.polydisk(1), 1.0)
