@@ -15,6 +15,7 @@ codes: 0 all checks pass, 1 a check failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import DomainSpec, LinearEmbedding, product_embedding
+from .domains import DomainSpec, LinearEmbedding, polydisk_embedding
 from .hartogs import (
     HartogsPotential,
     HartogsSpec,
@@ -238,6 +239,15 @@ def _check_writable(path: str) -> None:
         raise ConfigError(f"cannot write {path}")
 
 
+@contextlib.contextmanager
+def _as_config_error(prefix: str = ""):
+    """Report a ValueError of the enclosed calls, a check of their inputs, as a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
+
+
 def _parse_complex_vector(text: str, expected: int | None = None) -> np.ndarray:
     try:
         vec = np.array([complex(part.strip().replace(" ", "")) for part in text.split(",")])
@@ -255,12 +265,13 @@ def _parse_complex_vector(text: str, expected: int | None = None) -> np.ndarray:
 
 def cmd_verify_immersion(cfg: RunConfig) -> Report:
     base = cfg.spec.base
-    emb = product_embedding(base)
+    emb = polydisk_embedding(base)
     h_poly = HartogsSpec(DomainSpec.polydisk(base.rank), cfg.spec.mu)
     pulls, norms = [], []
     for start in range(0, cfg.samples, IMMERSION_CHUNK):
         stop = min(start + IMMERSION_CHUNK, cfg.samples)
-        p = h_sample(h_poly, cfg.shrink, range(cfg.seed + start, cfg.seed + stop))
+        with _as_config_error():
+            p = h_sample(h_poly, cfg.shrink, range(cfg.seed + start, cfg.seed + stop))
         z = p[:, :-1]
         img = emb(z)
         phi = potential(cfg.spec, np.concatenate([img, p[:, -1:]], axis=1))
@@ -294,7 +305,7 @@ def _build_chart(cfg: RunConfig, selector: str, sub_rank: int):
         want = _POLYDISK_ALIASES.get(selector)
         if want and base.kind != want:
             raise ConfigError(f"selector {selector} requires a type {want} base")
-        return slice_chart(cfg.spec, product_embedding(base))
+        return slice_chart(cfg.spec, polydisk_embedding(base))
     if not base.is_polydisk:
         raise ConfigError(f"selector {selector} requires a polydisk base")
     n = base.dim
@@ -323,19 +334,22 @@ def cmd_verify_tg(cfg: RunConfig, selector: str, sub_rank: int = 1) -> Report:
     residuals = []
     for start in range(0, cfg.samples, TG_CHUNK):
         stop = min(start + TG_CHUNK, cfg.samples)
-        qs = chart.sample(cfg.shrink, range(cfg.seed + start, cfg.seed + stop))
+        with _as_config_error():
+            qs = chart.sample(cfg.shrink, range(cfg.seed + start, cfg.seed + stop))
         residuals.extend(tg_residual(pot, chart, qs).tolist())
     max_resid, i_resid = _worst(residuals)
 
     # five confinement geodesics from one stacked sample, tangent to the chart
     rng = np.random.default_rng(cfg.seed)
     basis0 = chart.tangent_basis(np.zeros(chart.n_params))
-    p0s = chart.embed(chart.sample(0.4, range(cfg.seed + 1000, cfg.seed + 1005)))
+    with _as_config_error():
+        p0s = chart.embed(chart.sample(0.4, range(cfg.seed + 1000, cfg.seed + 1005)))
     coeffs = rng.normal(size=(len(p0s), 2, basis0.shape[1]))
     v0s = (coeffs[:, 0] + 1j * coeffs[:, 1]) @ basis0.T
     gs = _metric_matrix(pot, p0s)
     v0s = [v / np.sqrt(np.real(hermitian_inner(g, v, v)) + 1e-300) * 0.4 for g, v in zip(gs, v0s)]
-    traces = geodesic_batch(pot, p0s, v0s, 1.0, tol=1e-9)
+    with _as_config_error(f"confinement geodesics at mu = {cfg.spec.mu:g}: "):
+        traces = geodesic_batch(pot, p0s, v0s, 1.0, tol=1e-9)
     max_dev = max(float(np.max(distance_to_span(tr.positions, basis0))) for tr in traces)
     max_drift = max(tr.energy_drift() for tr in traces)
 
@@ -356,11 +370,9 @@ def cmd_verify_tg(cfg: RunConfig, selector: str, sub_rank: int = 1) -> Report:
 
 def cmd_geodesic(cfg: RunConfig, p0, v0, T: float, trace_path: str | None) -> Report:
     pot = HartogsPotential(cfg.spec)
-    try:
-        # its ValueErrors are the start checks: zero v0, p0 near the boundary, overflow
+    # its ValueErrors are the start checks: zero v0, p0 near the boundary, overflow
+    with _as_config_error():
         trace = geodesic_ivp(pot, p0, v0, T, tol=1e-10)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     drift = trace.energy_drift()
     if trace_path:
         with open(trace_path, "w", newline="") as fh:

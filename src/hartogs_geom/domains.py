@@ -308,32 +308,22 @@ class DomainSpec:
     def contains(self, coords, margin: float = 0.0):
         """Membership with a spectral safety margin, of one point or a stack.
 
-        The matrix types test for a Cholesky factor of I - Z Z* - margin I
-        (`is_positive_definite`); polydisks and type IV test the floats of
-        `_disk_gap` and `_type_iv_norm`, after `_off_every_base`.  At margin 0
-        these are the closed form's tests, so `contains(z)` is log N > -inf on
-        every base.  A point gives a bool, a stack (B, dim) a boolean array (B,).
+        z is inside with margin m when every spectral value (singular values
+        of Z on types I-III, the polydisk radii of z on type IV) has
+        1 - lambda_j^2 > m: when z / sqrt(1 - m) passes the closed form's
+        test log N > -inf, after `_off_every_base`.  A margin >= 1 admits no
+        row.  A point gives a bool, a stack (B, dim) a boolean array (B,).
         """
         z = np.asarray(coords, dtype=np.complex128)
         if z.ndim == 1:
             self._check_len(z)
             return bool(self.contains(z[None], margin)[0])
         self._check_stack(z)
-        inside = ~_off_every_base(z)
-        z = _at_origin(z, ~inside)
-        if self.is_polydisk:
-            # I - Z Z* is the 1 x 1 matrix 1 - |z_j|^2 per disk, its own eigenvalue
-            return inside & (_disk_gap(z) > margin).all(axis=-1)
-        if self.kind in ("I", "II", "III"):
-            return inside & is_positive_definite(_bergman(self, z)[1], margin)
-        if self.kind == "IV":
-            sq, _, n = _type_iv_norm(z)
-            return inside & (sq < 1.0 - margin) & (n > margin)
-        pos = 0
-        for f in self.factors:
-            inside &= f.contains(z[:, pos : pos + f.dim], margin)
-            pos += f.dim
-        return inside
+        if not margin < 1.0:
+            return np.zeros(len(z), dtype=bool)
+        far = _off_every_base(z)
+        scaled = _at_origin(z, far) / np.sqrt(1.0 - margin)
+        return ~far & (self._log_norm(scaled, None, value_only=True).value > -np.inf)
 
     def _norm(self, coords):
         """Generic norm, without membership validation.
@@ -389,7 +379,8 @@ class DomainSpec:
 
     def _sample_stack(self, shrink: float, rngs) -> np.ndarray:
         """One interior point per generator, stacked (B, dim), with spectral
-        margin 1 - shrink^2.
+        margin 1 - shrink^2: every spectral value below shrink, so that
+        z / shrink passes the closed form's test (see `contains`).
 
         The rejection loop of every sampler: the stack is tested at once and
         only rejected members draw again, each from its own stream, so a
@@ -408,7 +399,7 @@ class DomainSpec:
         raise RuntimeError("sample rejection budget exhausted")
 
     def sample(self, shrink: float = 0.9, seed: int = 0) -> np.ndarray:
-        """Deterministic interior point with spectral margin 1 - shrink^2."""
+        """Deterministic interior point with spectral margin 1 - shrink^2 (see `_sample_stack`)."""
         return self._sample_stack(shrink, [np.random.default_rng(seed)])[0]
 
     # -- serialization -----------------------------------------------------------
@@ -580,7 +571,7 @@ def _matrix_log_norm(spec: DomainSpec, z, x, value_only=False) -> Derivatives:
 
 def _disk_gap(z):
     """1 - |z_j|^2 per coordinate of a polydisk stack, in real arithmetic:
-    the membership test of `contains` and the a_j of `_polydisk_log_norm`."""
+    the a_j of `_polydisk_log_norm`, whose signs decide membership."""
     return 1.0 - (z.real * z.real + z.imag * z.imag)
 
 
@@ -617,7 +608,7 @@ def _type_iv_norm(z):
 
     An object (jet) stack takes |s|^2 = s sbar and keeps complex entries
     (`.real` does nothing on object arrays).  A plain stack keeps
-    np.abs(s)**2, the floats `contains` and the closed form read.
+    np.abs(s)**2, the floats the closed form reads.
     """
     sq = (z.conj()[:, None, :] @ z[:, :, None])[:, 0, 0].real
     s = (z[:, None, :] @ z[:, :, None])[:, 0, 0]
@@ -679,41 +670,31 @@ class LinearEmbedding:
 
 
 def polydisk_embedding(spec: DomainSpec) -> LinearEmbedding:
-    """The standard rank-sized polydisk inside an irreducible domain.
+    """The standard rank-sized polydisk inside a domain, block by block over
+    its irreducible factors.
 
     Types I-III put z_j at entry (j, j) of Z, or (j, n-1-j) on the
     antisymmetric type II, read from `_layout`; type IV embeds through
     (z1, z2) -> ((z1+z2)/2, i(z1-z2)/2, 0, ..., 0).
     In every case N(phi(z)) = prod_j (1 - |z_j|^2).
     """
-    r = spec.rank
-    mat = np.zeros((spec.dim, r), dtype=np.complex128)
-    if spec.kind == "IV":
-        mat[0, 0] = 0.5
-        mat[0, 1] = 0.5
-        mat[1, 0] = 0.5j
-        mat[1, 1] = -0.5j
-    elif spec.kind == "product":
-        raise ValueError("product specs compose per-factor embeddings; see product_embedding")
-    else:
-        j = np.arange(r)
-        col = spec.params[-1] - 1 - j if spec.kind == "II" else j
-        mat[_layout(spec)[j, col], j] = 1.0
-    return LinearEmbedding(DomainSpec.polydisk(r), spec, mat)
-
-
-def product_embedding(spec: DomainSpec) -> LinearEmbedding:
-    """Block combination of the factor polydisk embeddings of a product."""
-    embeddings = [polydisk_embedding(f) for f in spec.irreducible_factors]
-    r = sum(e.source.dim for e in embeddings)
-    mat = np.zeros((spec.dim, r), dtype=np.complex128)
+    mat = np.zeros((spec.dim, spec.rank), dtype=np.complex128)
     row = col = 0
-    for e in embeddings:
-        d, k = e.matrix.shape
-        mat[row : row + d, col : col + k] = e.matrix
-        row += d
-        col += k
-    return LinearEmbedding(DomainSpec.polydisk(r), spec, mat)
+    for f in spec.irreducible_factors:
+        block = mat[row : row + f.dim, col : col + f.rank]
+        if f.kind == "IV":
+            block[:2, :2] = [[0.5, 0.5], [0.5j, -0.5j]]
+        else:
+            j = np.arange(f.rank)
+            entry = f.params[-1] - 1 - j if f.kind == "II" else j
+            block[_layout(f)[j, entry], j] = 1.0
+        row += f.dim
+        col += f.rank
+    return LinearEmbedding(DomainSpec.polydisk(spec.rank), spec, mat)
+
+
+# the block combination for products, under its earlier name
+product_embedding = polydisk_embedding
 
 
 # -- Jordan triple structure ---------------------------------------------------

@@ -89,22 +89,13 @@ def _abs_sq(w):
     return abs(complex(w)) ** 2
 
 
-def fiber_margin(spec: HartogsSpec, p):
-    """D = N^mu - |w|^2, the `interior_margin` of `HartogsPotential`: a
-    float at a point (n,), (B,) over a stack (B, n), each row the float it
-    gets alone.  A row outside the base gives -|w|^2, even where N > 0 (an
-    even number of singular values past 1 leaves N = prod(1 - s^2) > 0).
-    """
-    return HartogsPotential(spec).interior_margin(p)
-
-
 def h_contains(spec: HartogsSpec, p, margin: float = 0.0) -> bool:
     """Membership with a margin: the spectral base test of `contains` and the
-    fiber inequality D > margin (see `fiber_margin`)."""
+    fiber inequality D > margin, D the `interior_margin` of `HartogsPotential`."""
     p = np.asarray(p, dtype=np.complex128)
     if p.shape != (spec.n_coords,):
         raise ValueError(f"expected {spec.n_coords} coordinates, got shape {p.shape}")
-    return spec.base.contains(p[:-1], margin) and fiber_margin(spec, p) > margin
+    return spec.base.contains(p[:-1], margin) and HartogsPotential(spec).interior_margin(p) > margin
 
 
 class HartogsPotential:
@@ -129,11 +120,13 @@ class HartogsPotential:
         N^mu = exp(mu log N) is the value of `norm_power_derivatives` (the
         same float with or without `value_only`), 0 off the base, so D > 0
         exactly on the domain as the closed form sees it, on every route.
+        The domain has |w| < 1 (N <= 1), so |w| is capped at 2 before it is
+        squared: a huge or infinite w gives D < 0 without an overflow.
         """
         z, w = p[:, :-1], p[:, -1]
         xz = _base_rows(x, slice(None, -1))
         nmu = self.spec.base.norm_power_derivatives(z, self.spec.mu, xz, value_only)
-        d = nmu.value - np.abs(w) ** 2
+        d = nmu.value - np.minimum(np.abs(w), 2.0) ** 2
         if value_only:
             return Derivatives(d, None, None)
         # D_w = -wbar, D_{w wbar} = -1, no other fiber terms
@@ -175,7 +168,9 @@ class HartogsPotential:
         return self._stacked(p, x)
 
     def interior_margin(self, p):
-        """D: a float at a point, (B,) over a stack; positive exactly on the domain."""
+        """D of `_argument`: a float at a point, (B,) over a stack, each row the
+        float it gets alone; positive exactly on the domain.  A row outside the
+        base gives -|w|^2 (|w| capped at 2), even where N > 0."""
         p = np.asarray(p, dtype=np.complex128)
         d = self._argument(self._rows(p), value_only=True).value
         return float(d[0]) if p.ndim == 1 else d
@@ -239,6 +234,7 @@ def h_sample(spec: HartogsSpec, shrink: float = 0.9, seed=0) -> np.ndarray:
     `seed` is one seed, giving a point (n,), or a sequence of seeds, giving
     a stack (B, n) whose row j is the point of seed[j] alone: each member
     draws from its own generator, z first and then the two fiber uniforms.
+    Raises ValueError, naming mu, when N^mu underflows to 0 at a drawn z.
     """
     single = np.ndim(seed) == 0
     rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
@@ -253,9 +249,12 @@ def _draw_fiber(spec: HartogsSpec, z, scale, shrink: float, rngs) -> np.ndarray:
     Each member takes two uniforms from its own generator.  N^mu is the
     value of `norm_power_derivatives`, the one that decides fiber membership
     (see `HartogsPotential._argument`); `scale` is 1 or per member (B,).
+    Raises ValueError when N^mu underflows to 0 at a row of z (an empty fiber).
     """
     u = np.stack([rng.random(2) for rng in rngs])
     nmu = spec.base.norm_power_derivatives(z, spec.mu, value_only=True).value
+    if not nmu.all():
+        raise ValueError(f"mu = {spec.mu:g} is too large: N^mu is 0 at a sampled base point")
     return np.sqrt(nmu) / scale * shrink * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
 
 
@@ -389,7 +388,7 @@ class HartogsChart:
         `seed` is one seed, giving a point (k,), or a sequence of seeds,
         giving a stack (B, k) whose row j is the point of seed[j] alone:
         each member draws z' from its own generator and then its two fiber
-        uniforms, as in `h_sample`.
+        uniforms, as in `h_sample` (a too large mu raises ValueError as there).
         """
         single = np.ndim(seed) == 0
         rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]

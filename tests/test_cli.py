@@ -110,6 +110,26 @@ def test_bad_input_exit_2(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize(
+    "command,mu", [("verify-tg", 90), ("verify-tg", 2000), ("verify-immersion", 2000)]
+)
+def test_too_large_mu_exit_2(tmp_path, capsys, command, mu):
+    # at mu = 90 the confinement geodesics start within the boundary margin;
+    # at mu = 2000 N^mu underflows to 0 at the sampled base points
+    spec = {"base": {"kind": "I", "params": [2, 2]}, "mu": mu}
+    cfg = _write_config(tmp_path, {"spec": spec, "samples": 5})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"mu = {mu}" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_large_mu_immersion_still_runs(tmp_path):
+    spec = {"base": {"kind": "I", "params": [2, 2]}, "mu": 700}
+    cfg = _write_config(tmp_path, {"spec": spec, "samples": 5})
+    assert main(["verify-immersion", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize(
     "command,flag",
     [("verify-immersion", "--out"), ("geodesic", "--out"), ("geodesic", "--trace-out")],
 )

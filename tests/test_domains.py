@@ -17,7 +17,7 @@ from hartogs_geom.domains import (
     triple_product,
 )
 from hartogs_geom.jets import Jet, jet_space, jet_variable
-from hartogs_geom.numerics import DomainViolation
+from hartogs_geom.numerics import DomainViolation, is_positive_definite
 
 ALL_IRREDUCIBLE = [
     DomainSpec.type_i(1, 1),
@@ -113,8 +113,6 @@ class TestContains:
 
     def test_disk_matches_spectral_test(self):
         # the disk skips the Cholesky factorisation; its answer must not change
-        from hartogs_geom.numerics import is_positive_definite
-
         disk = DomainSpec.type_i(1, 1)
         rng = np.random.default_rng(3)
         phase = np.exp(2j * np.pi * rng.random(3000))
@@ -124,6 +122,60 @@ class TestContains:
             for margin in (0.0, 1e-8):
                 gram = _bergman(disk, np.array([[z]]))[1][0]
                 assert disk.contains([z], margin) == is_positive_definite(gram, margin)
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DomainSpec.type_i(2, 3),
+            DomainSpec.type_ii(4),
+            DomainSpec.type_iii(3),
+            DomainSpec.polydisk(3),
+            DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2)),
+        ],
+        ids=str,
+    )
+    def test_margin_matches_factor_cholesky(self, spec):
+        # the second route: I - Z Z* - margin I has a Cholesky factor on every
+        # factor, on stacks that straddle the margin
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(3000, spec.dim)) + 1j * rng.normal(size=(3000, spec.dim))
+        z *= rng.uniform(0.1, 1.3, size=(3000, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
+        for margin in (0.0, 0.3):
+            want = np.ones(len(z), dtype=bool)
+            pos = 0
+            for f in spec.irreducible_factors:
+                want &= is_positive_definite(_bergman(f, z[:, pos : pos + f.dim])[1], margin)
+                pos += f.dim
+            inside = spec.contains(z, margin)
+            assert inside.tolist() == want.tolist()
+            assert 0 < inside.sum() < len(z)
+
+    @pytest.mark.parametrize("spec", [DomainSpec.type_iv(5), DomainSpec.type_iv(7)], ids=str)
+    def test_type_iv_margin_is_spectral(self, spec):
+        # e^{i theta} Q iota(lam), Q real orthogonal, is inside with margin m
+        # exactly when 1 - max(lam)^2 > m; lam = (0.9, 0.9) first
+        rng = np.random.default_rng(11)
+        lam = np.concatenate([[[0.9, 0.9]], rng.uniform(0.0, 1.1, size=(2000, 2))])
+        q = np.linalg.qr(rng.normal(size=(len(lam), spec.dim, spec.dim)))[0]
+        phase = np.exp(2j * np.pi * rng.random((len(lam), 1)))
+        z = phase * (q @ polydisk_embedding(spec)(lam)[..., None])[..., 0]
+        gap = 1.0 - lam.max(axis=1) ** 2
+        for margin in (0.1, 0.3, 0.5):
+            want = gap > margin
+            # rows whose answer rounding could flip are not compared
+            clear = np.abs(gap - margin) > 1e-9
+            assert spec.contains(z, margin)[clear].tolist() == want[clear].tolist()
+            assert 0 < want.sum() < len(z)
+        assert spec.contains(z[0], 0.1)
+        assert not spec.contains(z[0], 0.2)
+
+    def test_margin_of_one_or_more_admits_nothing(self):
+        spec = DomainSpec.product(DomainSpec.type_i(2, 2), DomainSpec.type_iv(5))
+        z = np.zeros((2, spec.dim))
+        for margin in (1.0, 1.5, np.inf, np.nan):
+            assert spec.contains(z, margin).tolist() == [False, False]
+        assert spec.contains(z, 0.999).tolist() == [True, True]
 
 
 OFF_EVERY_BASE = [np.nan, np.inf, 1e200, -1e200j, 1.0]
@@ -369,12 +421,12 @@ class TestPolydiskEmbedding:
         assert z[0, 0] == 0.3 and z[1, 1] == -0.5j
         assert np.all(z[:, 2] == 0)
 
-    @pytest.mark.parametrize("spec", ALL_IRREDUCIBLE, ids=str)
+    @pytest.mark.parametrize("spec", ALL_IRREDUCIBLE + PRODUCTS, ids=str)
     def test_origin_fixed(self, spec):
         emb = polydisk_embedding(spec)
         assert np.all(emb(np.zeros(spec.rank)) == 0)
 
-    @pytest.mark.parametrize("spec", ALL_IRREDUCIBLE, ids=str)
+    @pytest.mark.parametrize("spec", ALL_IRREDUCIBLE + PRODUCTS, ids=str)
     def test_norm_identity(self, spec):
         emb = polydisk_embedding(spec)
         rng = np.random.default_rng(42)
@@ -386,16 +438,21 @@ class TestPolydiskEmbedding:
             worst = max(worst, err)
         assert worst < 1e-13
 
-    def test_product_raises_and_combinator_works(self):
-        spec = DomainSpec.product(DomainSpec.type_i(2, 2), DomainSpec.type_ii(4))
-        with pytest.raises(ValueError):
-            polydisk_embedding(spec)
-        emb = product_embedding(spec)
-        rng = np.random.default_rng(3)
-        z = rng.uniform(0, 0.9, spec.rank) * np.exp(2j * np.pi * rng.random(spec.rank))
-        assert float(spec._norm(emb(z))) == pytest.approx(
-            float(np.prod(1 - np.abs(z) ** 2)), abs=1e-13
+    def test_product_is_the_block_matrix_of_its_factors(self):
+        spec = DomainSpec.product(
+            DomainSpec.type_i(2, 2), DomainSpec.type_ii(4), DomainSpec.type_iv(5)
         )
+        emb = polydisk_embedding(spec)
+        # the earlier name of the product case gives the same matrix
+        assert np.array_equal(product_embedding(spec).matrix, emb.matrix)
+        assert emb.source == DomainSpec.polydisk(spec.rank) and emb.target == spec
+        blocks = np.zeros_like(emb.matrix)
+        row = col = 0
+        for f in spec.factors:
+            blocks[row : row + f.dim, col : col + f.rank] = polydisk_embedding(f).matrix
+            row += f.dim
+            col += f.rank
+        assert np.array_equal(emb.matrix, blocks)
 
 
 class TestTripleProduct:

@@ -12,7 +12,6 @@ from hartogs_geom.domains import (
     DomainSpec,
     LinearEmbedding,
     polydisk_embedding,
-    product_embedding,
 )
 from hartogs_geom.hartogs import (
     DomainPotential,
@@ -612,7 +611,7 @@ class TestClosedFormRoute:
         # positive at even rank, so the sign of N alone would not notice
         from hartogs_geom.metric import _directional_second
 
-        emb = product_embedding(spec) if spec.kind == "product" else polydisk_embedding(spec)
+        emb = polydisk_embedding(spec)
         p = np.append(emb(np.full(spec.rank, 1.2)), 0.0)
         pot = _hartogs(spec, 1.3)
         with pytest.raises(DomainViolation):
@@ -718,7 +717,7 @@ class TestBatchEqualsSingle:
     def test_tg_residual_stack(self, spec, mu):
         hs = HartogsSpec(spec, mu)
         pot = HartogsPotential(hs)
-        emb = product_embedding(spec) if spec.kind == "product" else polydisk_embedding(spec)
+        emb = polydisk_embedding(spec)
         chart = slice_chart(hs, emb)
         qs = np.stack([chart.sample(0.7, seed) for seed in range(7)])
         stacked = tg_residual(pot, chart, qs)
@@ -789,7 +788,7 @@ class TestBatchEqualsSingle:
 
         pot = _hartogs(spec, 1.3)
         p = np.stack([h_sample(pot.spec, 0.5, seed) for seed in range(5)])
-        emb = product_embedding(spec) if spec.kind == "product" else polydisk_embedding(spec)
+        emb = polydisk_embedding(spec)
         fiber_out, base_out = p.copy(), p.copy()
         fiber_out[3, -1] = 1.01 * np.sqrt(spec.generic_norm(p[3, :-1]) ** 1.3)
         base_out[2] = np.append(emb(np.full(spec.rank, 1.2)), 0.0)
