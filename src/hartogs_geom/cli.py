@@ -64,6 +64,9 @@ DEFAULT_TOLERANCES = {
 }
 SCAN_LINEAR_MAX = 1e-6
 SCAN_CURVED_MIN = 1e-5
+# largest rank of a linear-scan cell: `series_residual` builds an array of
+# shape (r, C(r + 8, 7), r), about 90 MB at r = 12 and 3.8 GB at r = 20
+SCAN_R_MAX = 12
 # verify-tg samples per stacked chart sample and tg_residual call.  A call
 # amortizes its overhead over the chunk; the cap keeps the stacked
 # temporaries small at any --samples.  Larger chunks run a few per cent
@@ -462,7 +465,8 @@ def cmd_embed_residual(cfg: RunConfig, point) -> Report:
     keys = (10, 20, 40, 60)
     # one table sized to the largest truncation answers every smaller one
     size = Truncation(max(*keys, trunc.k_max), max(*keys, trunc.a_max))
-    norms = norm_table(base.rank, cfg.spec.mu, point[:-1], point[-1], size)
+    with _as_config_error(f"truncation k_max = {trunc.k_max}, a_max = {trunc.a_max}: "):
+        norms = norm_table(base.rank, cfg.spec.mu, point[:-1], point[-1], size)
     table = {k: abs(norms.norm_sq(Truncation(k, k)) - phi) for k in keys}
     resid = abs(norms.norm_sq(trunc) - phi)
     floor = 1e-14
@@ -595,8 +599,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"bad scan grid: {exc}") from exc
             if not mu_grid or not r_grid:
                 raise ConfigError("scan grid must be nonempty")
-            if any(r < 1 for r in r_grid):
-                raise ConfigError("scan grid r values must be >= 1")
+            if any(not 1 <= r <= SCAN_R_MAX for r in r_grid):
+                raise ConfigError(f"scan grid r values must lie in 1..{SCAN_R_MAX}")
             report = cmd_linear_scan(cfg, mu_grid, r_grid, args.T)
         elif args.command == "embed-residual":
             point = _parse_complex_vector(args.point, cfg.spec.n_coords)

@@ -125,10 +125,15 @@ def _multi_index_array(r: int, k_max: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _binomial_rows(mu: float, a_max: int, k_max: int) -> np.ndarray:
-    """Read-only rows[a - 1, k] = gen_binomial(mu a, k) for a <= a_max, k <= k_max."""
-    rows = np.array(
-        [[gen_binomial(mu * a, k) for k in range(k_max + 1)] for a in range(1, a_max + 1)]
-    )
+    """Read-only rows[a - 1, k] = gen_binomial(mu a, k) for a <= a_max, k <= k_max;
+    ValueError, naming mu and the table size, when an entry overflows a float."""
+    try:
+        rows = np.array(
+            [[gen_binomial(mu * a, k) for k in range(k_max + 1)] for a in range(1, a_max + 1)]
+        )
+    except OverflowError as exc:
+        msg = f"C(mu a + k - 1, k) at mu = {mu:g} overflows a float for a <= {a_max}, k <= {k_max}"
+        raise ValueError(msg) from exc
     rows.flags.writeable = False
     return rows
 

@@ -1,12 +1,12 @@
 """Kaehler metric, Christoffel symbols, geodesics and curvature from a potential.
 
 Everything is computed from a potential handle: any object exposing
-`n_coords` (complex dimension), `derivatives(p, x)` (the metric and the
-third-order terms contracted over every pair of columns of one direction
-matrix x, from one evaluation, see `numerics.Derivatives`) and
-`interior_margin(p)` (positive inside the domain; a float at a point (n,),
-an array (B,) over a stack (B, n)), plus `__call__(coords)` on jet-valued
-coordinates for the order-4 curvature term only.
+`n_coords` (complex dimension) and `derivatives(p, x)` (Phi, the metric and
+the third-order terms contracted over every pair of columns of one direction
+matrix x, from one evaluation, see `numerics.Derivatives`), plus
+`__call__(coords)` on jet-valued coordinates for the order-4 curvature term
+only.  Geodesics read their distance to the boundary from the same
+evaluation: the margin is e^{-Phi}.
 `HartogsPotential` and `DomainPotential` answer `derivatives` in closed
 form; `FunctionPotential` answers it with jets.
 
@@ -21,7 +21,6 @@ zddot^k + Gamma^k_ij zdot^i zdot^j = 0 valid for Kaehler metrics.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,12 +53,12 @@ class IntegrationError(RuntimeError):
 
 
 class FunctionPotential:
-    """Ad-hoc potential handle from a plain callable over jet coordinates."""
+    """Ad-hoc potential handle from a plain callable Phi over jet coordinates;
+    a geodesic reads its boundary margin e^{-Phi}, as on the closed forms."""
 
-    def __init__(self, fn: Callable, n_coords: int, margin_fn: Callable | None = None):
+    def __init__(self, fn: Callable, n_coords: int):
         self._fn = fn
         self.n_coords = n_coords
-        self._margin = margin_fn
 
     def __call__(self, coords):
         return self._fn(coords)
@@ -144,16 +143,6 @@ class FunctionPotential:
         st = [(0, 1), (2, 3)]
         third = [wirtinger(f, holo=st, anti=[(4 + 2 * l, 5 + 2 * l)]) for l in range(n)]
         return wirtinger(f, holo=st), np.array(third)
-
-    def interior_margin(self, p):
-        """The margin callable at a point (a float), or row by row over a
-        stack (B, n) ((B,)); +inf without one."""
-        p = np.asarray(p, dtype=np.complex128)
-        if p.ndim == 2:
-            return np.array([self.interior_margin(pj) for pj in p])
-        if self._margin is None:
-            return math.inf
-        return float(self._margin(p))
 
 
 @dataclass
@@ -296,13 +285,15 @@ def hermitian_inner(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.dot(u, g @ np.conj(v)))
 
 
-def _acceleration(pot, p, v) -> tuple[np.ndarray, np.ndarray]:
-    """The geodesic acceleration at (p, v) and the metric g it solved with.
+def _acceleration(pot, p, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The geodesic acceleration at (p, v), the metric g it solved with and Phi.
 
-    p and v may be stacks (B, n); the results then carry the B axis.
+    p and v may be stacks (B, n); the results then carry the B axis.  One
+    direction has no (a, b) pair to symmetrise, so `third` is read as it is.
     """
-    g, d = _metric_and_third(pot, p, v[..., None])
-    return -np.linalg.solve(np.conj(g), d[..., 0, 0, :, None])[..., 0], g
+    t = pot.derivatives(p, v[..., None])
+    g = _hermitian(t.levi)
+    return -np.linalg.solve(np.conj(g), t.third[..., 0, 0, :, None])[..., 0], g, t.value
 
 
 # Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
@@ -392,13 +383,12 @@ def geodesic_batch(
 
     Returns the accepted steps; a member stops early with status
     "boundary_reached" when a step would land closer to the boundary than
-    `boundary_margin`: one stacked `interior_margin` call tests the start
-    points, and one per step the members whose error test passed.  Raises
-    ValueError for T <= 0, or, naming the first such member, a zero initial
-    velocity, a start point within the margin or a start energy or
-    acceleration that overflows (read from the first rhs evaluation), and
-    IntegrationError when any member's step size underflows or its step
-    budget runs out.
+    `boundary_margin`, read as e^{-Phi} from its stage 13, evaluated there.
+    Raises ValueError for T <= 0, or, naming the first such member, a zero
+    initial velocity, a start point outside the domain or within the margin,
+    or a start energy or acceleration that overflows (all read from the
+    first rhs evaluation, on the stages' retry path), and IntegrationError
+    when any member's step size underflows or its step budget runs out.
 
     First same as last (FSAL): stage 13 is evaluated at the eighth-order
     solution (its weights a[12] are the eighth-order weights), so an
@@ -415,25 +405,12 @@ def geodesic_batch(
         raise ValueError(f"initial velocity v0 of member {zero[0]} is zero")
     if not T > 0:
         raise ValueError("geodesic needs a positive end time T")
-    near = np.flatnonzero(~(pot.interior_margin(p0s) >= boundary_margin))  # NaN counts as near
-    if near.size:
-        raise ValueError(f"initial point of member {near[0]} is too close to the boundary")
 
     # states and rhs are stacked as (2, members, n): positions, then
     # velocities, each a contiguous block for `_acceleration`
     y = np.stack([p0s, v0s])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the finding
-        acc, g = _acceleration(pot, y[0], y[1])
-        start = (v0s[:, None] @ g @ v0s.conj()[:, :, None])[:, 0, 0]
-    huge = np.flatnonzero(~(np.isfinite(start) & np.isfinite(acc).all(axis=1)))
-    if huge.size:
-        raise ValueError(
-            f"initial velocity v0 of member {huge[0]} is too large: its energy or acceleration overflows"
-        )
-    k1 = np.stack([y[1], acc])
-
     members = range(len(p0s))
-    rhs_evals = [1] * len(p0s)
+    rhs_evals = [0] * len(p0s)
     rejected_steps = [0] * len(p0s)
     domain_retries = [0] * len(p0s)
     h = [min(0.01, T)] * len(p0s)
@@ -444,15 +421,15 @@ def geodesic_batch(
     def evaluate(ys, att):
         """The rhs at the stacked states ys of the members att.
 
-        Returns the positions in att that it reached, their rhs and their
-        metrics.  A member whose state leaves the domain is charged its
-        evaluation and a retry, its step size shrinks, and the others are
-        evaluated again.
+        Returns the positions in att that it reached, their rhs, their
+        metrics and their margins e^{-Phi}.  A member whose state leaves the
+        domain is charged its evaluation and a retry, its step size shrinks,
+        and the others are evaluated again.
         """
         live, rows = list(range(len(att))), ys
         while live:
             try:
-                acc, g = _acceleration(pot, rows[0], rows[1])
+                acc, g, phi = _acceleration(pot, rows[0], rows[1])
             except DomainViolation as exc:
                 if exc.index is None and len(live) > 1:
                     raise
@@ -464,8 +441,22 @@ def geodesic_batch(
                 continue
             for pos in live:
                 rhs_evals[att[pos]] += 1
-            return live, np.stack([rows[1], acc]), g
-        return live, None, None
+            return live, np.stack([rows[1], acc]), g, np.exp(-phi)
+        return live, None, None, None
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the finding
+        live, k1, g, margin = evaluate(y, list(members))
+        near = np.ones(len(p0s), dtype=bool)  # outside the domain counts as near
+        if live:
+            near[live] = ~(margin >= boundary_margin)  # and so does NaN
+        if near.any():
+            raise ValueError(f"initial point of member {np.argmax(near)} is too close to the boundary")
+        start = (v0s[:, None] @ g @ v0s.conj()[:, :, None])[:, 0, 0]
+    huge = np.flatnonzero(~(np.isfinite(start) & np.isfinite(k1[1]).all(axis=1)))
+    if huge.size:
+        raise ValueError(
+            f"initial velocity v0 of member {huge[0]} is too large: its energy or acceleration overflows"
+        )
 
     t = [0.0] * len(p0s)
     times = [[0.0] for _ in members]
@@ -496,7 +487,7 @@ def geodesic_batch(
         # the last pass leaves y8 at stage 13: the eighth-order solution
         for s in range(1, 13):
             y8 = y0 + hs * sum(c * k[m] for m, c in enumerate(_DP_A[s]) if c)
-            live, ks, g = evaluate(y8, att)
+            live, ks, g, margin = evaluate(y8, att)
             if len(live) < len(att):
                 # a trial stage overshot the boundary: those members retry
                 att = [att[pos] for pos in live]
@@ -512,15 +503,11 @@ def geodesic_batch(
         den = np.hypot(e5, 0.1 * e3)
         scale = tol + tol * np.maximum(np.abs(y0), np.abs(y8))
         errs = (hs * e5**2 / np.where(den > 0, den, 1.0) / scale).max(axis=(0, 2))
-        # one margin call for the members whose error test passed
-        passed = errs <= 1.0
-        margins = np.full(len(att), np.inf)
-        if passed.any():
-            margins[passed] = pot.interior_margin(y8[0, passed])
         for pos, j in enumerate(att):
             err = float(errs[pos])
             if err <= 1.0:
-                if margins[pos] < boundary_margin:
+                # stage 13 was evaluated at the landing point y8
+                if margin[pos] < boundary_margin:
                     status[j] = "boundary_reached"
                     done[j] = True
                     continue

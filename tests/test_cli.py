@@ -487,6 +487,17 @@ class TestLinearScan:
         cfg = _write_config(tmp_path, POLY3_CONFIG)
         assert main(["linear-scan", "--config", cfg, "--mu-grid=-1"]) == 2
 
+    def test_rank_above_bound_exit_2(self, tmp_path, capsys):
+        # at mu = 1/r the mixed-equal cell reaches `series_residual`, whose
+        # arrays grow as r^2 C(r + 8, 7): r = 13 is refused before any is built
+        cfg = _write_config(tmp_path, POLY3_CONFIG)
+        out = tmp_path / "r.json"
+        argv = ["linear-scan", "--config", cfg, "--mu-grid", repr(1 / 13), "--r-grid", "2,13"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "1..12" in err
+        assert not out.exists()
+
     def test_negative_end_time_exit_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, POLY3_CONFIG)
         assert main(["linear-scan", "--config", cfg, "--T", "-1"]) == 2
@@ -525,6 +536,21 @@ class TestEmbedResidual:
         )
         code = main(["embed-residual", "--config", cfg, "--point", "0.3,2.0"])
         assert code == 2
+
+    @pytest.mark.parametrize("mu,k_max,a_max", [(1e10, 40, 40), (1.5, 500, 500)])
+    def test_overflowing_coefficients_exit_2(self, tmp_path, capsys, mu, k_max, a_max):
+        # C(mu a + k - 1, k) overflows a float in the table that sums the norms
+        poly2 = {"kind": "product", "params": [{"kind": "I", "params": [1, 1]}] * 2}
+        obj = {"spec": {"base": poly2, "mu": mu}}
+        if k_max != 40:
+            obj["truncation"] = {"k_max": k_max, "a_max": a_max}
+        cfg = _write_config(tmp_path, obj)
+        out = tmp_path / "r.json"
+        assert main(["embed-residual", "--config", cfg, "--point", "0,0,0.05", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"mu = {mu:g}" in err
+        assert f"k_max = {k_max}, a_max = {a_max}" in err
+        assert not out.exists()
 
 
 class TestOutputFormats:

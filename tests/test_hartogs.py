@@ -710,15 +710,15 @@ class TestStackedMargins:
         assert (-np.log(pot.interior_margin(z))).tolist() == [pot.value(q) for q in z]
 
     def test_function_potential(self):
+        # the jet route has no margin of its own: a geodesic reads e^{-Phi}
+        # from its evaluation, which is D inside and a DomainViolation outside
         spec = HartogsSpec(self.SPEC, 1.3)
-        rows = {
-            "inside": h_sample(spec, 0.9, 3),
-            "even-crossing": np.append(self._base_rows()["even-crossing"], 0.0),
-        }
-        order = ["inside", "even-crossing"]
         pot = HartogsPotential(spec)
-        bounded = FunctionPotential(pot, spec.n_coords, pot.interior_margin)
-        margins = self._margins(bounded, rows, order)
-        assert margins["inside"] > 0.0 >= margins["even-crossing"]
-        unbounded = FunctionPotential(pot, spec.n_coords)
-        assert list(self._margins(unbounded, rows, order).values()) == [np.inf, np.inf]
+        jet = FunctionPotential(pot, spec.n_coords)
+        inside = h_sample(spec, 0.9, [3, 4])
+        margins = np.exp(-jet.derivatives(inside).value)
+        assert margins == pytest.approx(pot.interior_margin(inside), rel=1e-12)
+        crossing = np.append(self._base_rows()["even-crossing"], 0.0)
+        with pytest.raises(DomainViolation) as info:
+            jet.derivatives(np.stack([inside[0], crossing]))
+        assert info.value.index == 1

@@ -108,6 +108,14 @@ class TestNormTable:
         with pytest.raises(ValueError):
             table.norm_sq(Truncation(5, 6))
 
+    def test_overflowing_coefficients_rejected(self):
+        # C(mu a + k - 1, k) overflows a float: a ValueError naming mu and
+        # the table size, on both routes that read the coefficient table
+        with pytest.raises(ValueError, match=r"mu = 1e\+10 .* a <= 60, k <= 60"):
+            norm_table(2, 1e10, [0.0, 0.0], 0.05, Truncation(60, 60))
+        with pytest.raises(ValueError, match="mu = 1.5"):
+            embed(1, 1.5, [0.0], 0.05, Truncation(500, 500))
+
     def test_residual_outside_domain_rejected(self):
         with pytest.raises(ValueError):
             norm_residual(1, 2.0, np.array([0.3, 0.95]), Truncation(10, 10))

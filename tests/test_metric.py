@@ -182,6 +182,33 @@ class TestGeodesics:
         assert tr.status == "boundary_reached"
         assert tr.times[-1] < 50.0
 
+    def test_boundary_reached_through_jets(self):
+        # the jet route reads its margin e^{-Phi} from its own evaluation, as
+        # the closed form does, so both stop at the same step
+        pot = _hartogs(DomainSpec.polydisk(1), 1.0)
+        p0, v0 = np.array([0.0, 0.9]), np.array([0.0, 1.0])
+        want = geodesic_ivp(pot, p0, v0, 50.0, tol=1e-8, max_steps=100)
+        got = geodesic_ivp(FunctionPotential(pot, 2), p0, v0, 50.0, tol=1e-8, max_steps=100)
+        assert got.status == want.status == "boundary_reached"
+        assert (len(got.times), got.rhs_evals, got.rejected_steps) == (
+            len(want.times),
+            want.rhs_evals,
+            want.rejected_steps,
+        )
+
+    def test_margin_comes_from_the_evaluations(self):
+        # the start check and the boundary stop read e^{-Phi} from the rhs
+        # evaluations; a separate margin call is never made
+        class NoMargin(HartogsPotential):
+            def interior_margin(self, p):
+                raise AssertionError("geodesic_batch asked for interior_margin")
+
+        pot = NoMargin(HartogsSpec(DomainSpec.polydisk(1), 1.0))
+        tr = geodesic_ivp(pot, np.array([0.0, 0.9]), np.array([0.0, 1.0]), 50.0, tol=1e-8)
+        assert tr.status == "boundary_reached"
+        with pytest.raises(ValueError, match="member 1 is too close to the boundary"):
+            geodesic_batch(pot, [[0.0, 0.3], [0.0, 1.0 - 1e-9]], np.ones((2, 2)), 1.0)
+
     def test_start_near_boundary_names_member(self):
         # one stacked margin call tests every start point
         pot = _hartogs(DomainSpec.polydisk(1), 1.0)
