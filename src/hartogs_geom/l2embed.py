@@ -193,12 +193,17 @@ class NormTable:
 
 
 def _truncated_product(p: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Column-wise product of polynomials (row k holds t^k), cut at their length."""
-    out = np.zeros_like(p)
-    n = len(p)
-    for i in range(n):
-        out[i:] += p[i] * c[: n - i]
-    return out
+    """Column-wise product of polynomials (row k holds t^k), cut at their length.
+
+    One contraction over toe[k, a, i] = c[k - i, a], a strided Toeplitz view
+    of the zero-padded columns (0 for i > k; no n x cols x n copy): row k
+    sums p[i] c[k - i] in the order i = 0..k, then exact zeros, so every float
+    equals that of the term-by-term shifted sum.
+    """
+    n, cols = c.shape
+    pad = np.concatenate([np.zeros((n - 1, cols)), c])
+    toe = np.lib.stride_tricks.sliding_window_view(pad, n, axis=0)[:, :, ::-1]
+    return np.einsum("kai,ia->ka", toe, p)
 
 
 def norm_table(r: int, mu: float, z, w, trunc: Truncation) -> NormTable:
@@ -207,8 +212,9 @@ def norm_table(r: int, mu: float, z, w, trunc: Truncation) -> NormTable:
     With x_j = |z_j|^2, fiber block a contributes (|w|^{2a} / a) times the
     coefficients of prod_j sum_k gen_binomial(mu a, k) x_j^k up to degree
     k_max, and disk block j contributes mu x_j^k / k: O(a_max r k_max^2)
-    work instead of one component per multi-index.  The point is not checked
-    for membership.
+    work instead of one component per multi-index, one `_truncated_product`
+    contraction per factor after the first.  The point is not checked for
+    membership.
     """
     x = np.abs(np.asarray(z, dtype=np.complex128)) ** 2
     if len(x) != r:

@@ -49,7 +49,8 @@ BOUNDARY_MARGIN = 1e-7
 
 
 class IntegrationError(RuntimeError):
-    """A geodesic whose step size underflowed or whose step budget ran out."""
+    """A geodesic whose step size underflowed, whose step budget ran out, or
+    whose stage met a singular metric or an error estimate that is not finite."""
 
 
 class FunctionPotential:
@@ -361,6 +362,7 @@ def geodesic_ivp(
     return geodesic_batch(pot, [p0], [v0], T, tol, boundary_margin, max_steps)[0]
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # an overflow is the finding
 def geodesic_batch(
     pot,
     p0s,
@@ -387,8 +389,12 @@ def geodesic_batch(
     Raises ValueError for T <= 0, or, naming the first such member, a zero
     initial velocity, a start point outside the domain or within the margin,
     or a start energy or acceleration that overflows (all read from the
-    first rhs evaluation, on the stages' retry path), and IntegrationError
-    when any member's step size underflows or its step budget runs out.
+    first rhs evaluation, on the stages' retry path), and IntegrationError,
+    naming the member, when its step size underflows, its step budget runs
+    out, a stage's metric is singular, or a step's error estimate is not
+    finite (an overflowed stage, read once per step from the estimate).
+    Overflow, division by zero and invalid values raise no RuntimeWarning
+    anywhere in the integration: these checks are the finding.
 
     First same as last (FSAL): stage 13 is evaluated at the eighth-order
     solution (its weights a[12] are the eighth-order weights), so an
@@ -424,7 +430,8 @@ def geodesic_batch(
         Returns the positions in att that it reached, their rhs, their
         metrics and their margins e^{-Phi}.  A member whose state leaves the
         domain is charged its evaluation and a retry, its step size shrinks,
-        and the others are evaluated again.
+        and the others are evaluated again; a singular stage metric raises
+        IntegrationError naming its member.
         """
         live, rows = list(range(len(att))), ys
         while live:
@@ -439,19 +446,28 @@ def geodesic_batch(
                 h[j] *= 0.25
                 rows = ys[:, live]
                 continue
+            except np.linalg.LinAlgError:
+                # the stacked solve names no member: the first that fails alone
+                for pos in live:
+                    try:
+                        _acceleration(pot, rows[0, pos : pos + 1], rows[1, pos : pos + 1])
+                    except np.linalg.LinAlgError:
+                        raise IntegrationError(
+                            f"geodesic of member {att[pos]} met a singular metric"
+                        ) from None
+                raise
             for pos in live:
                 rhs_evals[att[pos]] += 1
             return live, np.stack([rows[1], acc]), g, np.exp(-phi)
         return live, None, None, None
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the finding
-        live, k1, g, margin = evaluate(y, list(members))
-        near = np.ones(len(p0s), dtype=bool)  # outside the domain counts as near
-        if live:
-            near[live] = ~(margin >= boundary_margin)  # and so does NaN
-        if near.any():
-            raise ValueError(f"initial point of member {np.argmax(near)} is too close to the boundary")
-        start = (v0s[:, None] @ g @ v0s.conj()[:, :, None])[:, 0, 0]
+    live, k1, g, margin = evaluate(y, list(members))
+    near = np.ones(len(p0s), dtype=bool)  # outside the domain counts as near
+    if live:
+        near[live] = ~(margin >= boundary_margin)  # and so does NaN
+    if near.any():
+        raise ValueError(f"initial point of member {np.argmax(near)} is too close to the boundary")
+    start = (v0s[:, None] @ g @ v0s.conj()[:, :, None])[:, 0, 0]
     huge = np.flatnonzero(~(np.isfinite(start) & np.isfinite(k1[1]).all(axis=1)))
     if huge.size:
         raise ValueError(
@@ -471,14 +487,14 @@ def geodesic_batch(
             if done[j]:
                 continue
             if steps[j] == max_steps:
-                raise IntegrationError("geodesic exceeded the step budget")
+                raise IntegrationError(f"geodesic of member {j} exceeded the step budget")
             steps[j] += 1
             if t[j] >= T:
                 done[j] = True
                 continue
             h[j] = min(h[j], T - t[j])
             if h[j] < 1e-14 * max(1.0, T):
-                raise IntegrationError("geodesic step size underflow")
+                raise IntegrationError(f"geodesic of member {j}: step size underflow")
             att.append(j)
         if not att:
             break
@@ -503,6 +519,10 @@ def geodesic_batch(
         den = np.hypot(e5, 0.1 * e3)
         scale = tol + tol * np.maximum(np.abs(y0), np.abs(y8))
         errs = (hs * e5**2 / np.where(den > 0, den, 1.0) / scale).max(axis=(0, 2))
+        finite = np.isfinite(errs)
+        if not finite.all():
+            j = att[np.argmin(finite)]
+            raise IntegrationError(f"geodesic of member {j} overflowed: its error estimate is not finite")
         for pos, j in enumerate(att):
             err = float(errs[pos])
             if err <= 1.0:

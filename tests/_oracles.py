@@ -193,3 +193,13 @@ def series_residual_loops(r: int, mu: float, xi, v_coeffs, order: int, cap: int 
             acc += coef * cores[sum(k) + a]
         out[s] = np.conj(xi[s]) * acc[order] * factorial(order)
     return out
+
+
+def truncated_product_loop(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """`l2embed._truncated_product` as a term-by-term shifted sum: row i of p
+    times the columns of c, added at rows i onward, cut at their length."""
+    out = np.zeros_like(p)
+    n = len(p)
+    for i in range(n):
+        out[i:] += p[i] * c[: n - i]
+    return out

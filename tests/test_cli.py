@@ -1,6 +1,7 @@
 """Tests for the command-line verification harness."""
 
 import json
+import time
 
 import pytest
 
@@ -107,6 +108,19 @@ def test_bad_input_exit_2(tmp_path, capsys, case):
     cfg = _write_config(tmp_path, obj)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "r.json"), *extra]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu", ["1e10", "1e102"])
+def test_overflowing_scan_exit_2_at_once(tmp_path, capsys, mu):
+    # the pure-base geodesic overflows its stages (a NaN error estimate at
+    # 1e10, a singular stage metric at 1e102): exit 2 within a few steps,
+    # with no traceback and no RuntimeWarning (an error under the test filter)
+    t0 = time.perf_counter()
+    argv = ["linear-scan", "--mu-grid", mu, "--r-grid", "1", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert "config error:" in err and "member 0" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -20,9 +20,9 @@ from hartogs_geom.l2embed import (
     norm_table,
     series_residual,
 )
-from hartogs_geom.l2embed import _multi_indices
+from hartogs_geom.l2embed import _binomial_rows, _multi_indices, _truncated_product
 
-from _oracles import series_residual_loops
+from _oracles import series_residual_loops, truncated_product_loop
 
 
 class TestEmbed:
@@ -100,6 +100,25 @@ class TestNormTable:
             assert got == norm_table(r, mu, z, w, trunc).norm_sq(trunc)
             resid = norm_residual(r, mu, np.append(z, w), trunc)
             assert resid == pytest.approx(abs(want - phi), rel=1e-14, abs=1e-14 * phi)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from([(1, 1), (1, 5), (7, 1), (6, 0), (5, 9), (12, 3), (61, 60)]),
+        mu=st.sampled_from([1 / 3, 0.5, 1.5, 7.1]),
+        x=st.tuples(st.sampled_from([0.0, 0.3, 0.99]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_truncated_product_matches_loop(self, shape, mu, x, seed):
+        # the strided Toeplitz contraction gives the shifted sum's floats,
+        # bit for bit, on the coefficient columns that `norm_table` multiplies
+        n, cols = shape
+        binom = _binomial_rows(mu, max(cols, 1), n - 1).T[:, :cols]
+        weights = np.random.default_rng(seed).random(cols)
+        p = binom * (x[0] ** np.arange(n))[:, None] * weights
+        c = binom * (x[1] ** np.arange(n))[:, None]
+        got, want = _truncated_product(p, c), truncated_product_loop(p, c)
+        assert got.shape == want.shape == (n, cols)
+        assert np.array_equal(got, want)
 
     def test_truncation_beyond_table_rejected(self):
         table = norm_table(2, 1.0, [0.1, 0.2], 0.1, Truncation(5, 5))

@@ -273,6 +273,25 @@ class TestGeodesics:
         with pytest.raises(IntegrationError, match="underflow"):
             geodesic_ivp(pot, np.zeros(2), v0, 1e13)
 
+    @pytest.mark.parametrize(
+        "mu,match", [(1e10, "member 1 overflowed"), (1e102, "member 1 met a singular metric")]
+    )
+    def test_non_finite_stage_raises_at_once(self, mu, match):
+        # the pure-base member overflows its stages: at mu = 1e10 the error
+        # estimate turns NaN, at 1e102 the stage metric is singular; either
+        # ends the batch within a few steps, without a RuntimeWarning
+        evals = [0]
+
+        class Counting(HartogsPotential):
+            def derivatives(self, p, x=None):
+                evals[0] += len(np.atleast_2d(p))
+                assert evals[0] <= 1000, "the member ran on past its overflow"
+                return super().derivatives(p, x)
+
+        pot = Counting(HartogsSpec(DomainSpec.polydisk(1), mu))
+        with pytest.raises(IntegrationError, match=match):
+            geodesic_batch(pot, np.zeros((2, 2)), [[0.0, 1.0], [1.0, 0.0]], 0.5)
+
     @pytest.mark.parametrize("T", [0.0, -1.0])
     def test_nonpositive_end_time_rejected(self, T):
         pot = _hartogs(DomainSpec.polydisk(1), 1.0)
