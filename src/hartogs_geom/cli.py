@@ -58,7 +58,6 @@ DEFAULT_TOLERANCES = {
     "pullback": 1e-12,
     "tg_residual": 1e-9,
     "energy_drift": 1e-8,
-    "metric_fd": 1e-7,
     "embed": 1e-10,
     "confinement": 1e-6,
 }
@@ -294,40 +293,34 @@ def cmd_verify_immersion(cfg: RunConfig) -> Report:
     )
 
 
-_POLYDISK_ALIASES = {
-    "typeI-polydisk": "I",
-    "typeII-polydisk": "II",
-    "typeIII-polydisk": "III",
-    "typeIV-polydisk": "IV",
-}
+_POLYDISK_ALIASES = {f"type{kind}-polydisk": kind for kind in ("I", "II", "III", "IV")}
 
 
 def _build_chart(cfg: RunConfig, selector: str, sub_rank: int):
+    """A coordinate sub-polydisk of the base's rank-r polydisk (see
+    `polydisk_embedding`) with its fiber, a totally geodesic slice on every
+    base: all of it (`polydisk`; an alias also checks the base's type), its
+    first `sub_rank` coordinates (`factor-slice`, 1 <= sub_rank < r), or the
+    diagonal disk of its first two (`diagonal-slice`, r >= 2)."""
     base = cfg.spec.base
+    poly = polydisk_embedding(base)
+    r = base.rank
     if selector == "polydisk" or selector in _POLYDISK_ALIASES:
         want = _POLYDISK_ALIASES.get(selector)
         if want and base.kind != want:
             raise ConfigError(f"selector {selector} requires a type {want} base")
-        return slice_chart(cfg.spec, polydisk_embedding(base))
-    if not base.is_polydisk:
-        raise ConfigError(f"selector {selector} requires a polydisk base")
-    n = base.dim
+        return slice_chart(cfg.spec, poly)
     if selector == "factor-slice":
-        if not 1 <= sub_rank < n:
-            raise ConfigError("sub-rank must lie in 1..n-1")
-        mat = np.zeros((n, sub_rank), dtype=np.complex128)
-        mat[:sub_rank, :] = np.eye(sub_rank)
-        emb = LinearEmbedding(DomainSpec.polydisk(sub_rank), base, mat)
-        return slice_chart(cfg.spec, emb)
-    if selector == "diagonal-slice":
-        if n < 2:
-            raise ConfigError("diagonal slice needs a polydisk of dimension >= 2")
-        mat = np.zeros((n, 1), dtype=np.complex128)
-        mat[0, 0] = 1.0
-        mat[1, 0] = 1.0
-        emb = LinearEmbedding(DomainSpec.polydisk(1), base, mat)
-        return slice_chart(cfg.spec, emb)
-    raise ConfigError(f"unknown slice selector {selector!r}")
+        if not 1 <= sub_rank < r:
+            raise ConfigError(f"sub-rank must lie in 1..r-1 for a base of rank r = {r}")
+        mat = poly.matrix[:, :sub_rank]
+    elif selector == "diagonal-slice":
+        if r < 2:
+            raise ConfigError(f"diagonal slice needs a base of rank >= 2, got rank {r}")
+        mat = poly.matrix[:, :2].sum(axis=1, keepdims=True)
+    else:
+        raise ConfigError(f"unknown slice selector {selector!r}")
+    return slice_chart(cfg.spec, LinearEmbedding(DomainSpec.polydisk(mat.shape[1]), base, mat))
 
 
 def cmd_verify_tg(cfg: RunConfig, selector: str, sub_rank: int = 1) -> Report:

@@ -249,12 +249,16 @@ def _draw_fiber(spec: HartogsSpec, z, scale, shrink: float, rngs) -> np.ndarray:
     Each member takes two uniforms from its own generator.  N^mu is the
     value of `norm_power_derivatives`, the one that decides fiber membership
     (see `HartogsPotential._argument`); `scale` is 1 or per member (B,).
-    Raises ValueError when N^mu underflows to 0 at a row of z (an empty fiber).
+    Raises ValueError naming the first row j with N^mu = 0, an empty fiber:
+    its base point lies outside the base (log N = -inf), or mu is too large.
     """
     u = np.stack([rng.random(2) for rng in rngs])
     nmu = spec.base.norm_power_derivatives(z, spec.mu, value_only=True).value
     if not nmu.all():
-        raise ValueError(f"mu = {spec.mu:g} is too large: N^mu is 0 at a sampled base point")
+        j = int(np.argmin(nmu))
+        if np.isneginf(spec.base._log_norm(z[j : j + 1], None, value_only=True).value[0]):
+            raise ValueError(f"sampled base point {j} lies outside the base")
+        raise ValueError(f"mu = {spec.mu:g} is too large: N^mu is 0 at sampled base point {j}")
     return np.sqrt(nmu) / scale * shrink * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
 
 

@@ -3,11 +3,13 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from hartogs_geom import cli
 from hartogs_geom.cli import IMMERSION_CHUNK, build_parser, main
-from hartogs_geom.domains import DomainSpec
+from hartogs_geom.domains import DomainSpec, LinearEmbedding, polydisk_embedding
+from hartogs_geom.hartogs import HartogsSpec, slice_chart
 
 
 def _write_config(tmp_path, obj, name="cfg.json"):
@@ -26,6 +28,15 @@ BASE_CONFIG = {
 I12_III2 = {
     "kind": "product",
     "params": [{"kind": "I", "params": [1, 2]}, {"kind": "III", "params": [2]}],
+}
+
+# one base of each family, and a product, none of them a polydisk
+NON_POLYDISK_BASES = {
+    "I(2,3)": {"kind": "I", "params": [2, 3]},
+    "III(3)": {"kind": "III", "params": [3]},
+    "II(4)": {"kind": "II", "params": [4]},
+    "IV(6)": {"kind": "IV", "params": [6]},
+    "I(1,2)xIII(2)": I12_III2,
 }
 
 POLY3_CONFIG = {
@@ -57,6 +68,8 @@ BAD_INPUTS = {
     ),
     "mu-grid-inf": ("linear-scan", POLY3_CONFIG, ("--mu-grid", "inf", "--r-grid", "1")),
     "tolerance-unknown": ("verify-immersion", dict(BASE_CONFIG, tolerances={"pulback": 1.0}), ()),
+    # no command reads a finite-difference tolerance, so none is accepted
+    "tolerance-metric-fd": ("verify-immersion", dict(BASE_CONFIG, tolerances={"metric_fd": 1e-7}), ()),
     "seed-float": ("verify-immersion", dict(BASE_CONFIG, seed=1.5), ()),
     "seed-bool": ("verify-immersion", dict(BASE_CONFIG, seed=True), ()),
     "samples-float": ("verify-immersion", dict(BASE_CONFIG, samples=2.7), ()),
@@ -369,6 +382,101 @@ class TestVerifyTg:
             main(["verify-tg", "--config", cfg, "--slice", "nonsense"])
         assert exc.value.code == 2
 
+    def test_unknown_selector_is_config_error(self):
+        # the selector check of `_build_chart` itself, behind argparse's
+        with pytest.raises(cli.ConfigError, match="unknown slice selector"):
+            cli._build_chart(cli.RunConfig(HartogsSpec(DomainSpec.type_i(2, 2), 1.0)), "nonsense", 1)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.5])
+    @pytest.mark.parametrize(
+        "slice_args", [("factor-slice", "--sub-rank", "1"), ("diagonal-slice",)], ids=lambda a: a[0]
+    )
+    @pytest.mark.parametrize("base", sorted(NON_POLYDISK_BASES))
+    def test_sub_polydisk_slices_on_every_family(self, tmp_path, base, slice_args, mu):
+        # a sub-polydisk of the embedded polydisk is totally geodesic in any base
+        obj = {"spec": {"base": NON_POLYDISK_BASES[base], "mu": mu}, "seed": 5, "samples": 16}
+        cfg = _write_config(tmp_path, obj)
+        out = tmp_path / "r.json"
+        assert main(["verify-tg", "--config", cfg, "--slice", *slice_args, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["selector"] == slice_args[0]
+        assert [c["status"] for c in report["checks"]] == ["pass"] * 3
+
+    @pytest.mark.parametrize(
+        "r,selector,sub_rank",
+        [
+            (2, "polydisk", 1),
+            (2, "factor-slice", 1),
+            (2, "diagonal-slice", 1),
+            (3, "polydisk", 1),
+            (3, "factor-slice", 1),
+            (3, "factor-slice", 2),
+            (3, "diagonal-slice", 1),
+        ],
+    )
+    def test_polydisk_reports_match_coordinate_charts(
+        self, tmp_path, monkeypatch, r, selector, sub_rank
+    ):
+        base = {"kind": "product", "params": [{"kind": "I", "params": [1, 1]}] * r}
+        cfg = _write_config(tmp_path, {"spec": {"base": base, "mu": 1.3}, "seed": 5, "samples": 20})
+        argv = ["verify-tg", "--config", cfg, "--slice", selector, "--sub-rank", str(sub_rank), "--out"]
+        assert main([*argv, str(tmp_path / "route.json")]) == 0
+        monkeypatch.setattr(cli, "_build_chart", _coordinate_chart)
+        assert main([*argv, str(tmp_path / "oracle.json")]) == 0
+        assert (tmp_path / "route.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "base,slice_args",
+        [
+            ({"kind": "I", "params": [1, 3]}, ("diagonal-slice",)),
+            ({"kind": "I", "params": [2, 3]}, ("factor-slice", "--sub-rank", "2")),
+        ],
+        ids=["I(1,3)-diagonal", "I(2,3)-factor-2"],
+    )
+    def test_slice_larger_than_rank_exit_2(self, tmp_path, capsys, base, slice_args):
+        cfg = _write_config(tmp_path, {"spec": {"base": base, "mu": 1.0}, "samples": 4})
+        assert main(["verify-tg", "--config", cfg, "--slice", *slice_args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "rank" in err
+
+    @pytest.mark.parametrize("mu", [0.7, 1.5])
+    @pytest.mark.parametrize("line", ["I(2,2)-diag(t,t/2)", "IV(6)-(e1+ie2/2)/1.2"])
+    def test_non_geodesic_lines_fail(self, tmp_path, monkeypatch, line, mu):
+        # negative controls: complex lines through 0 that are not totally
+        # geodesic; they read 0.76-2.4, far above the floor pinned here
+        if line.startswith("I("):
+            base = DomainSpec.type_i(2, 2)
+            mat = polydisk_embedding(base).matrix @ np.array([[1.0], [0.5]])
+        else:
+            base = DomainSpec.type_iv(6)
+            mat = np.zeros((6, 1), dtype=np.complex128)
+            mat[:2, 0] = [1.0 / 1.2, 0.5j / 1.2]
+        emb = LinearEmbedding(DomainSpec.polydisk(1), base, mat)
+        monkeypatch.setattr(cli, "_build_chart", lambda cfg, selector, sub_rank: slice_chart(cfg.spec, emb))
+        obj = {"spec": {"base": base.to_json(), "mu": mu}, "seed": 5, "samples": 40}
+        cfg = _write_config(tmp_path, obj)
+        out = tmp_path / "r.json"
+        assert main(["verify-tg", "--config", cfg, "--out", str(out)]) == 1
+        tg = json.loads(out.read_text())["checks"][0]
+        assert tg["name"] == "tg_residual_max" and tg["measured"] >= 1e-3
+
+
+def _coordinate_chart(cfg, selector, sub_rank):
+    """Slice charts of a polydisk base from coordinate matrices built by hand
+    (the identity, the first `sub_rank` unit columns, e1 + e2): the second
+    route for `_build_chart` on polydisk bases."""
+    base = cfg.spec.base
+    n = base.dim
+    if selector == "polydisk":
+        mat = np.eye(n, dtype=np.complex128)
+    elif selector == "factor-slice":
+        mat = np.zeros((n, sub_rank), dtype=np.complex128)
+        mat[:sub_rank, :] = np.eye(sub_rank)
+    else:
+        mat = np.zeros((n, 1), dtype=np.complex128)
+        mat[:2, 0] = 1.0
+    return slice_chart(cfg.spec, LinearEmbedding(DomainSpec.polydisk(mat.shape[1]), base, mat))
+
 
 class TestGeodesic:
     def test_trace_and_energy(self, tmp_path):
@@ -577,6 +685,12 @@ class TestOutputFormats:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "name,status,measured,tolerance"
         assert len(lines) == 3
+
+    def test_metric_fd_flag_is_gone(self, tmp_path):
+        cfg = _write_config(tmp_path, BASE_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-immersion", "--config", cfg, "--metric-fd", "1e-7"])
+        assert exc.value.code == 2
 
     def test_flag_overrides_echoed(self, tmp_path):
         cfg = _write_config(tmp_path, BASE_CONFIG)

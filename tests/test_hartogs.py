@@ -19,6 +19,7 @@ from hartogs_geom.hartogs import (
     potential,
     slice_chart,
     transported_chart,
+    _draw_fiber,
 )
 from hartogs_geom.metric import FunctionPotential, _metric_matrix, tg_residual
 from hartogs_geom.numerics import DomainViolation
@@ -502,6 +503,34 @@ class TestStackedCharts:
             assert images[j].tolist() == lift(pj).tolist()
             assert jacobians[j].tolist() == lift.jacobian(pj).tolist()
             assert factors[j] == lift.fiber_factor(pj[:-1])
+
+
+class TestEmptyFiberMessage:
+    """A sampler that meets an empty fiber names the row and the cause."""
+
+    def _draw(self, spec, z):
+        return _draw_fiber(spec, z, 1.0, 0.9, [np.random.default_rng(s) for s in range(len(z))])
+
+    def test_base_point_outside(self):
+        z = np.zeros((3, 6), dtype=complex)
+        z[1, 0] = 1.1  # sum |z|^2 > 1
+        with pytest.raises(ValueError, match="sampled base point 1 lies outside the base"):
+            self._draw(HartogsSpec(DomainSpec.type_iv(6), 1.3), z)
+
+    def test_mu_too_large(self):
+        z = np.zeros((3, 4), dtype=complex)
+        z[2, 0] = 0.6  # N = 0.64 inside, and 0.64^2000 underflows
+        with pytest.raises(ValueError, match=r"mu = 2000 is too large: N\^mu is 0 at sampled base point 2"):
+            self._draw(HartogsSpec(DomainSpec.type_i(2, 2), 2000.0), z)
+
+    def test_unscaled_type_iv_line(self):
+        # e1 + i e2 / 2 leaves IV(6) at |t| > 0.89, inside the source disk
+        base = DomainSpec.type_iv(6)
+        mat = np.zeros((6, 1), dtype=complex)
+        mat[:2, 0] = [1.0, 0.5j]
+        chart = slice_chart(HartogsSpec(base, 1.3), LinearEmbedding(DomainSpec.polydisk(1), base, mat))
+        with pytest.raises(ValueError, match="lies outside the base"):
+            chart.sample(0.99, range(40))
 
 
 def _closed_form_rejected_base_point(spec: DomainSpec) -> np.ndarray:
