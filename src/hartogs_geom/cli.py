@@ -296,7 +296,7 @@ def cmd_verify_immersion(cfg: RunConfig) -> Report:
 _POLYDISK_ALIASES = {f"type{kind}-polydisk": kind for kind in ("I", "II", "III", "IV")}
 
 
-def _build_chart(cfg: RunConfig, selector: str, sub_rank: int):
+def _build_chart(cfg: RunConfig, selector: str, sub_rank: int | None):
     """A coordinate sub-polydisk of the base's rank-r polydisk (see
     `polydisk_embedding`) with its fiber, a totally geodesic slice on every
     base: all of it (`polydisk`; an alias also checks the base's type), its
@@ -323,7 +323,12 @@ def _build_chart(cfg: RunConfig, selector: str, sub_rank: int):
     return slice_chart(cfg.spec, LinearEmbedding(DomainSpec.polydisk(mat.shape[1]), base, mat))
 
 
-def cmd_verify_tg(cfg: RunConfig, selector: str, sub_rank: int = 1) -> Report:
+def cmd_verify_tg(cfg: RunConfig, selector: str, sub_rank: int | None = None) -> Report:
+    echo = {"selector": selector}
+    if selector == "factor-slice":  # the one selector with a sub-rank, echoed
+        echo["sub_rank"] = sub_rank = 1 if sub_rank is None else sub_rank
+    elif sub_rank is not None:
+        raise ConfigError(f"--sub-rank applies to --slice factor-slice only, not to {selector}")
     chart = _build_chart(cfg, selector, sub_rank)
     pot = HartogsPotential(cfg.spec)
 
@@ -360,7 +365,7 @@ def cmd_verify_tg(cfg: RunConfig, selector: str, sub_rank: int = 1) -> Report:
             Check("geodesic_confinement_max", max_dev < tol_conf, max_dev, tol_conf),
             Check("geodesic_energy_drift", max_drift < tol_drift, max_drift, tol_drift),
         ],
-        extra={"selector": selector},
+        extra=echo,
     )
 
 
@@ -542,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="polydisk",
         choices=["polydisk", *_POLYDISK_ALIASES, "factor-slice", "diagonal-slice"],
     )
-    p.add_argument("--sub-rank", type=int, default=1)
+    p.add_argument("--sub-rank", type=int, default=None, help="factor-slice only (default 1)")
 
     p = sub.add_parser("geodesic", help="integrate one geodesic and dump its trace")
     _add_common(p)

@@ -90,8 +90,9 @@ class DomainSpec:
 
     `kind` is one of "I", "II", "III", "IV", "product"; `params` carries the
     size parameters of an irreducible factor, `factors` the components of a
-    product.  Genus metadata follows the standard classification tables
-    (2(n-1) for type II, m+1 for type III); it never enters a computation.
+    product.  Rank, dimension, genus and the parameter check all read each
+    factor's invariants (r, a, b) (see `_signature`); genus never enters a
+    computation.
     """
 
     kind: str
@@ -103,29 +104,16 @@ class DomainSpec:
             raise ValueError(f"domain params must be integers, got {self.params!r}")
         # NumPy integers become Python ints, which JSON reports can hold
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))
-        if self.kind == "I":
-            m, n = self.params
-            if not (1 <= m <= n):
-                raise ValueError("type I requires n >= m >= 1")
-        elif self.kind == "II":
-            (n,) = self.params
-            if n < 2:
-                raise ValueError("type II requires n >= 2")
-        elif self.kind == "III":
-            (m,) = self.params
-            if m < 1:
-                raise ValueError("type III requires m >= 1")
-        elif self.kind == "IV":
-            (n,) = self.params
-            if n < 5:
-                raise ValueError("type IV requires n >= 5")
-        elif self.kind == "product":
+        if self.kind == "product":
             if not self.factors:
                 raise ValueError("product requires at least one factor")
             if any(f.kind == "product" for f in self.factors):
                 raise ValueError("product factors must be irreducible")
-        else:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
+            return
+        r, a, b = self._signature
+        if r < 1 or b < 0 or (self.kind == "IV" and self.params[0] < 5):
+            raise ValueError(f"type {self.kind} params {list(self.params)} give (r, a, b) = "
+                             f"{(r, a, b)}; a domain needs r >= 1, b >= 0 and, on type IV, n >= 5")
 
     # -- constructors -------------------------------------------------------
 
@@ -159,48 +147,42 @@ class DomainSpec:
         return cls.product(*(cls.type_i(1, 1) for _ in range(n)))
 
     # -- metadata ------------------------------------------------------------
-    # dim, irreducible_factors and is_polydisk are read on every evaluation;
-    # each is cached in the instance __dict__, which equality and hashing
-    # (fields only) do not see
+    # _signature, dim, irreducible_factors and is_polydisk are cached in the
+    # instance __dict__, which equality and hashing (fields only) do not see;
+    # the last three are read on every evaluation
+
+    @cached_property
+    def _signature(self) -> tuple[int, int, int]:
+        """The invariants (r, a, b) of an irreducible factor, its rank and root
+        multiplicities: dim = r + r(r-1)a/2 + rb and genus = (r-1)a + b + 2
+        (Loos 1977; Faraut-Koranyi, J. Funct. Anal. 88, 1990)."""
+        if self.kind == "I":
+            m, n = self.params
+            return m, 2, n - m
+        if self.kind == "II":
+            (n,) = self.params
+            return n // 2, 4, 2 * (n % 2)
+        if self.kind == "III":
+            (m,) = self.params
+            return m, 1, 0
+        if self.kind == "IV":
+            (n,) = self.params
+            return 2, n - 2, 0
+        raise ValueError(f"no (r, a, b) for kind {self.kind!r}: I-IV have one, products per factor")
 
     @property
     def rank(self) -> int:
-        if self.kind == "I":
-            return self.params[0]
-        if self.kind == "II":
-            return self.params[0] // 2
-        if self.kind == "III":
-            return self.params[0]
-        if self.kind == "IV":
-            return 2
-        return sum(f.rank for f in self.factors)
+        return sum(f._signature[0] for f in self.irreducible_factors)
 
     @property
     def genus(self) -> int:
-        if self.kind == "I":
-            m, n = self.params
-            return n + m
-        if self.kind == "II":
-            return 2 * (self.params[0] - 1)
-        if self.kind == "III":
-            return self.params[0] + 1
-        if self.kind == "IV":
-            return self.params[0]
-        raise ValueError("genus is defined per irreducible factor")
+        r, a, b = self._signature
+        return (r - 1) * a + b + 2
 
     @cached_property
     def dim(self) -> int:
-        if self.kind == "I":
-            return self.params[0] * self.params[1]
-        if self.kind == "II":
-            n = self.params[0]
-            return n * (n - 1) // 2
-        if self.kind == "III":
-            m = self.params[0]
-            return m * (m + 1) // 2
-        if self.kind == "IV":
-            return self.params[0]
-        return sum(f.dim for f in self.factors)
+        sigs = (f._signature for f in self.irreducible_factors)
+        return sum(r + r * (r - 1) // 2 * a + r * b for r, a, b in sigs)
 
     @cached_property
     def irreducible_factors(self) -> tuple["DomainSpec", ...]:
@@ -339,7 +321,8 @@ class DomainSpec:
             return self._norm(z[None]).item()
         if self.kind in ("I", "II", "III"):
             d = _realify(det(_bergman(self, z)[1]))
-            return d**0.5 if self.kind == "II" else d
+            c = _det_power(self)
+            return d if c == 1.0 else d**c
         if self.kind == "IV":
             return _realify(_type_iv_norm(z)[2])
         out = 1.0
@@ -489,6 +472,11 @@ def _draw_layout(spec: DomainSpec):
     return np.array(scale), np.array(radii), np.array(angles)
 
 
+def _det_power(spec: DomainSpec) -> float:
+    """c in N = det(I - Z Z*)^c: 1/2 on type II (each singular value twice)."""
+    return 0.5 if spec.kind == "II" else 1.0
+
+
 def _bergman(spec: DomainSpec, z):
     """Z = sum z_k E_k and A = I - Z Z* over a stack (B, dim)."""
     zm = _realize(spec, z)
@@ -512,9 +500,9 @@ def _gram(spec: DomainSpec, z):
         outside = ~is_positive_definite(a)
         zm, a = _bergman(spec, _at_origin(z, outside))
         chol = np.linalg.cholesky(a)
-    c = 0.5 if spec.kind == "II" else 1.0
     diag = np.diagonal(chol, axis1=-2, axis2=-1).real
-    return zm, a, chol, np.where(outside, -np.inf, 2.0 * c * np.sum(np.log(diag), axis=-1))
+    log_n = 2.0 * _det_power(spec) * np.sum(np.log(diag), axis=-1)
+    return zm, a, chol, np.where(outside, -np.inf, log_n)
 
 
 def _off_every_base(z: np.ndarray) -> np.ndarray:
@@ -530,7 +518,7 @@ def _at_origin(z: np.ndarray, outside: np.ndarray) -> np.ndarray:
 
 
 def _matrix_log_norm(spec: DomainSpec, z, x, value_only=False) -> Derivatives:
-    """Types I-III: L = c log det A, A = I - Z Z*, c = 1/2 for type II else 1.
+    """Types I-III: L = c log det A, A = I - Z Z*, c = `_det_power(spec)`.
 
     With R = A^-1 and P_i = R E_i Z*, the derivatives follow from
     dR = R (dA) R: L_i = -c tr P_i, L_ij = -c tr(P_i P_j) and
@@ -539,7 +527,7 @@ def _matrix_log_norm(spec: DomainSpec, z, x, value_only=False) -> Derivatives:
     """
     e = _unit_matrices(spec)
     dim, m, n = e.shape
-    c = 0.5 if spec.kind == "II" else 1.0
+    c = _det_power(spec)
     zm, a, chol, value = _gram(spec, z)
     if value_only:
         return Derivatives(value, None, None)

@@ -234,31 +234,43 @@ def h_sample(spec: HartogsSpec, shrink: float = 0.9, seed=0) -> np.ndarray:
     `seed` is one seed, giving a point (n,), or a sequence of seeds, giving
     a stack (B, n) whose row j is the point of seed[j] alone: each member
     draws from its own generator, z first and then the two fiber uniforms.
-    Raises ValueError, naming mu, when N^mu underflows to 0 at a drawn z.
+    Raises ValueError, naming mu and the seed, when N^mu underflows to 0.
     """
+    return _sample_slice(spec, spec.base, lambda q: q, shrink, seed)
+
+
+def _sample_slice(spec: HartogsSpec, source: DomainSpec, embed, shrink: float, seed):
+    """The body of `h_sample` (the identity slice) and `HartogsChart.sample`:
+    z' in `source`, then the fiber, from each seed's own generator."""
     single = np.ndim(seed) == 0
-    rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
-    z = spec.base._sample_stack(shrink, rngs)
-    p = np.concatenate([z, _draw_fiber(spec, z, 1.0, shrink, rngs)[:, None]], axis=1)
-    return p[0] if single else p
+    seeds = [seed] if single else list(seed)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    zp = source._sample_stack(shrink, rngs)
+    # at w = 1 the embedded fiber coordinate is the fiber scale
+    img = embed(np.concatenate([zp, np.ones((len(zp), 1))], axis=1))
+    w = _draw_fiber(spec, img[:, :-1], np.abs(img[:, -1]), shrink, rngs, seeds)
+    q = np.concatenate([zp, w[:, None]], axis=1)
+    return q[0] if single else q
 
 
-def _draw_fiber(spec: HartogsSpec, z, scale, shrink: float, rngs) -> np.ndarray:
+def _draw_fiber(spec: HartogsSpec, z, scale, shrink: float, rngs, seeds) -> np.ndarray:
     """Fiber coordinates (B,) uniform in the disk |scale w| <= shrink N(z)^(mu/2).
 
     Each member takes two uniforms from its own generator.  N^mu is the
     value of `norm_power_derivatives`, the one that decides fiber membership
-    (see `HartogsPotential._argument`); `scale` is 1 or per member (B,).
-    Raises ValueError naming the first row j with N^mu = 0, an empty fiber:
-    its base point lies outside the base (log N = -inf), or mu is too large.
+    (see `HartogsPotential._argument`); `scale` is per member (B,).
+    Raises ValueError naming the seed of the first row with N^mu = 0, an
+    empty fiber: its base point lies outside the base (log N = -inf), or mu
+    is too large.  `--seed <that seed> --samples 1` draws the point again.
     """
     u = np.stack([rng.random(2) for rng in rngs])
     nmu = spec.base.norm_power_derivatives(z, spec.mu, value_only=True).value
     if not nmu.all():
         j = int(np.argmin(nmu))
+        at = f"sampled base point of seed {seeds[j]}"
         if np.isneginf(spec.base._log_norm(z[j : j + 1], None, value_only=True).value[0]):
-            raise ValueError(f"sampled base point {j} lies outside the base")
-        raise ValueError(f"mu = {spec.mu:g} is too large: N^mu is 0 at sampled base point {j}")
+            raise ValueError(f"{at} lies outside the base")
+        raise ValueError(f"mu = {spec.mu:g} is too large: N^mu is 0 at the {at}")
     return np.sqrt(nmu) / scale * shrink * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
 
 
@@ -394,14 +406,7 @@ class HartogsChart:
         each member draws z' from its own generator and then its two fiber
         uniforms, as in `h_sample` (a too large mu raises ValueError as there).
         """
-        single = np.ndim(seed) == 0
-        rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
-        zp = self.source._sample_stack(shrink, rngs)
-        # at w = 1 the embedded fiber coordinate is the fiber scale
-        img = self.embed(np.concatenate([zp, np.ones((len(zp), 1))], axis=1))
-        w = _draw_fiber(self.ambient, img[:, :-1], np.abs(img[:, -1]), shrink, rngs)
-        q = np.concatenate([zp, w[:, None]], axis=1)
-        return q[0] if single else q
+        return _sample_slice(self.ambient, self.source, self.embed, shrink, seed)
 
 
 def slice_chart(spec: HartogsSpec, emb: LinearEmbedding) -> HartogsChart:

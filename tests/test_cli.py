@@ -150,6 +150,21 @@ def test_too_large_mu_exit_2(tmp_path, capsys, command, mu):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_empty_fiber_names_a_reproducible_seed(tmp_path, capsys):
+    # the first empty fiber of 2000 samples is sample 316, row 60 of the
+    # chunk that starts at 256: the message names its seed, and that seed
+    # alone fails with the same message
+    assert IMMERSION_CHUNK == 64
+    spec = {"base": {"kind": "I", "params": [2, 2]}, "mu": 862}
+    cfg = _write_config(tmp_path, {"spec": spec})
+    errs = []
+    for extra in (("--samples", "2000"), ("--seed", "316", "--samples", "1")):
+        assert main(["verify-immersion", "--config", cfg, *extra]) == 2
+        errs.append(capsys.readouterr().err)
+    msg = "config error: mu = 862 is too large: N^mu is 0 at the sampled base point of seed 316\n"
+    assert errs == [msg, msg]
+
+
 def test_large_mu_immersion_still_runs(tmp_path):
     spec = {"base": {"kind": "I", "params": [2, 2]}, "mu": 700}
     cfg = _write_config(tmp_path, {"spec": spec, "samples": 5})
@@ -330,7 +345,9 @@ class TestVerifyTg:
         build_parser.cache_clear()
         assert main([*argv, str(fresh)]) == 0
         assert json.loads(sliced.read_text())["selector"] == "factor-slice"
+        assert json.loads(sliced.read_text())["sub_rank"] == 2
         assert json.loads(plain.read_text())["selector"] == "polydisk"
+        assert "sub_rank" not in json.loads(plain.read_text())
         assert plain.read_bytes() == fresh.read_bytes()
 
     @pytest.mark.parametrize(
@@ -376,6 +393,28 @@ class TestVerifyTg:
         cfg = _write_config(tmp_path, BASE_CONFIG)
         assert main(["verify-tg", "--config", cfg, "--slice", "typeII-polydisk"]) == 2
 
+    @pytest.mark.parametrize("sub_rank", [None, "1", "2"])
+    def test_factor_slice_echoes_sub_rank(self, tmp_path, sub_rank):
+        # factor-slice takes sub-rank 1 when the flag is omitted
+        cfg = _write_config(tmp_path, dict(POLY3_CONFIG, samples=4))
+        out = tmp_path / "r.json"
+        flag = () if sub_rank is None else ("--sub-rank", sub_rank)
+        assert main(["verify-tg", "--config", cfg, "--slice", "factor-slice", *flag, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["selector"], report["sub_rank"]) == ("factor-slice", int(sub_rank or 1))
+
+    @pytest.mark.parametrize("sub_rank", ["1", "7"])
+    @pytest.mark.parametrize("selector", ["polydisk", "typeI-polydisk", "diagonal-slice"])
+    def test_sub_rank_belongs_to_factor_slice(self, tmp_path, capsys, selector, sub_rank):
+        base = {"kind": "I", "params": [2, 3]}
+        cfg = _write_config(tmp_path, {"spec": {"base": base, "mu": 1.0}, "samples": 4})
+        out = tmp_path / "r.json"
+        argv = ["verify-tg", "--config", cfg, "--slice", selector, "--sub-rank", sub_rank, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "factor-slice" in err
+        assert not out.exists()
+
     def test_unknown_selector_exit_2(self, tmp_path):
         cfg = _write_config(tmp_path, BASE_CONFIG)
         with pytest.raises(SystemExit) as exc:
@@ -419,7 +458,8 @@ class TestVerifyTg:
     ):
         base = {"kind": "product", "params": [{"kind": "I", "params": [1, 1]}] * r}
         cfg = _write_config(tmp_path, {"spec": {"base": base, "mu": 1.3}, "seed": 5, "samples": 20})
-        argv = ["verify-tg", "--config", cfg, "--slice", selector, "--sub-rank", str(sub_rank), "--out"]
+        flag = ("--sub-rank", str(sub_rank)) if selector == "factor-slice" else ()
+        argv = ["verify-tg", "--config", cfg, "--slice", selector, *flag, "--out"]
         assert main([*argv, str(tmp_path / "route.json")]) == 0
         monkeypatch.setattr(cli, "_build_chart", _coordinate_chart)
         assert main([*argv, str(tmp_path / "oracle.json")]) == 0

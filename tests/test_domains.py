@@ -83,6 +83,83 @@ class TestSpecMetadata:
             assert DomainSpec.from_json(s.to_json()) == s
 
 
+# (rank, dim, genus) from the per-family chains that each factor's invariants
+# (r, a, b) replaced, written out; the same table passed before the change
+METADATA_TABLE = {
+    ("I", (1, 1)): (1, 1, 2), ("I", (1, 2)): (1, 2, 3), ("I", (2, 2)): (2, 4, 4),
+    ("I", (1, 3)): (1, 3, 4), ("I", (2, 3)): (2, 6, 5), ("I", (3, 3)): (3, 9, 6),
+    ("I", (1, 4)): (1, 4, 5), ("I", (2, 4)): (2, 8, 6), ("I", (3, 4)): (3, 12, 7),
+    ("I", (4, 4)): (4, 16, 8), ("I", (1, 5)): (1, 5, 6), ("I", (2, 5)): (2, 10, 7),
+    ("I", (3, 5)): (3, 15, 8), ("I", (4, 5)): (4, 20, 9), ("I", (5, 5)): (5, 25, 10),
+    ("I", (1, 6)): (1, 6, 7), ("I", (2, 6)): (2, 12, 8), ("I", (3, 6)): (3, 18, 9),
+    ("I", (4, 6)): (4, 24, 10), ("I", (5, 6)): (5, 30, 11), ("I", (6, 6)): (6, 36, 12),
+    ("I", (1, 7)): (1, 7, 8), ("I", (2, 7)): (2, 14, 9), ("I", (3, 7)): (3, 21, 10),
+    ("I", (4, 7)): (4, 28, 11), ("I", (5, 7)): (5, 35, 12), ("I", (6, 7)): (6, 42, 13),
+    ("I", (7, 7)): (7, 49, 14), ("I", (1, 8)): (1, 8, 9), ("I", (2, 8)): (2, 16, 10),
+    ("I", (3, 8)): (3, 24, 11), ("I", (4, 8)): (4, 32, 12), ("I", (5, 8)): (5, 40, 13),
+    ("I", (6, 8)): (6, 48, 14), ("I", (7, 8)): (7, 56, 15), ("I", (8, 8)): (8, 64, 16),
+    ("II", (2,)): (1, 1, 2), ("II", (3,)): (1, 3, 4), ("II", (4,)): (2, 6, 6),
+    ("II", (5,)): (2, 10, 8), ("II", (6,)): (3, 15, 10), ("II", (7,)): (3, 21, 12),
+    ("II", (8,)): (4, 28, 14), ("II", (9,)): (4, 36, 16), ("II", (10,)): (5, 45, 18),
+    ("II", (11,)): (5, 55, 20),
+    ("III", (1,)): (1, 1, 2), ("III", (2,)): (2, 3, 3), ("III", (3,)): (3, 6, 4),
+    ("III", (4,)): (4, 10, 5), ("III", (5,)): (5, 15, 6), ("III", (6,)): (6, 21, 7),
+    ("III", (7,)): (7, 28, 8), ("III", (8,)): (8, 36, 9), ("III", (9,)): (9, 45, 10),
+    ("IV", (5,)): (2, 5, 5), ("IV", (6,)): (2, 6, 6), ("IV", (7,)): (2, 7, 7),
+    ("IV", (8,)): (2, 8, 8), ("IV", (9,)): (2, 9, 9), ("IV", (10,)): (2, 10, 10),
+    ("IV", (11,)): (2, 11, 11), ("IV", (12,)): (2, 12, 12), ("IV", (13,)): (2, 13, 13),
+}
+
+
+class TestSignature:
+    """Rank, dim and genus read each factor's invariants (r, a, b)."""
+
+    @pytest.mark.parametrize("key", sorted(METADATA_TABLE), ids=lambda k: f"{k[0]}{k[1]}")
+    def test_metadata_table(self, key):
+        s = DomainSpec(*key)
+        assert (s.rank, s.dim, s.genus) == METADATA_TABLE[key]
+
+    @pytest.mark.parametrize(
+        "factors,rank,dim",
+        [
+            ([("I", (2, 3)), ("IV", (5,))], 4, 11),
+            ([("II", (5,)), ("III", (3,)), ("I", (1, 1))], 6, 17),
+        ],
+    )
+    def test_products(self, factors, rank, dim):
+        s = DomainSpec.product(*(DomainSpec(*f) for f in factors))
+        assert (s.rank, s.dim) == (rank, dim)
+        with pytest.raises(ValueError, match="products per factor"):
+            s.genus
+
+    def test_isomorphic_pair_shares_invariants(self):
+        # II(4) and IV(6) are one domain in two realizations
+        assert DomainSpec.type_ii(4)._signature == DomainSpec.type_iv(6)._signature == (2, 4, 0)
+
+    @pytest.mark.parametrize(
+        "kind,params,factors",
+        [
+            ("I", (3, 2), ()),
+            ("I", (0, 1), ()),
+            ("II", (1,), ()),
+            ("III", (0,), ()),
+            ("IV", (3,), ()),
+            ("IV", (4,), ()),
+            ("I", (2,), ()),
+            ("III", (2, 2), ()),
+            ("II", (True,), ()),
+            ("V", (2,), ()),
+            ("product", (), ()),
+            ("product", (), (DomainSpec.polydisk(2),)),
+        ],
+        ids=["I(3,2)", "I(0,1)", "II(1)", "III(0)", "IV(3)", "IV(4)", "I-one-param",
+             "III-two-params", "II-bool", "unknown-kind", "empty-product", "nested-product"],
+    )
+    def test_refused_specs(self, kind, params, factors):
+        with pytest.raises(ValueError):
+            DomainSpec(kind, params, factors)
+
+
 class TestContains:
     @pytest.mark.parametrize("spec", ALL_IRREDUCIBLE, ids=str)
     def test_origin(self, spec):

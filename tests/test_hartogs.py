@@ -506,21 +506,23 @@ class TestStackedCharts:
 
 
 class TestEmptyFiberMessage:
-    """A sampler that meets an empty fiber names the row and the cause."""
+    """A sampler that meets an empty fiber names the row's seed and the cause."""
 
     def _draw(self, spec, z):
-        return _draw_fiber(spec, z, 1.0, 0.9, [np.random.default_rng(s) for s in range(len(z))])
+        seeds = range(10, 10 + len(z))
+        return _draw_fiber(spec, z, 1.0, 0.9, [np.random.default_rng(s) for s in seeds], seeds)
 
     def test_base_point_outside(self):
         z = np.zeros((3, 6), dtype=complex)
         z[1, 0] = 1.1  # sum |z|^2 > 1
-        with pytest.raises(ValueError, match="sampled base point 1 lies outside the base"):
+        with pytest.raises(ValueError, match="sampled base point of seed 11 lies outside the base"):
             self._draw(HartogsSpec(DomainSpec.type_iv(6), 1.3), z)
 
     def test_mu_too_large(self):
         z = np.zeros((3, 4), dtype=complex)
         z[2, 0] = 0.6  # N = 0.64 inside, and 0.64^2000 underflows
-        with pytest.raises(ValueError, match=r"mu = 2000 is too large: N\^mu is 0 at sampled base point 2"):
+        msg = r"mu = 2000 is too large: N\^mu is 0 at the sampled base point of seed 12"
+        with pytest.raises(ValueError, match=msg):
             self._draw(HartogsSpec(DomainSpec.type_i(2, 2), 2000.0), z)
 
     def test_unscaled_type_iv_line(self):
