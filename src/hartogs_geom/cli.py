@@ -379,14 +379,18 @@ def cmd_geodesic(cfg: RunConfig, p0, v0, T: float, trace_path: str | None) -> Re
         with open(trace_path, "w", newline="") as fh:
             trace.write_csv(fh)
     tol = cfg.tolerances["energy_drift"]
+    accepted = np.diff(trace.times).tolist() or [None]  # null without an accepted step
     extra = {
         "T": T,
         "steps": len(trace.times),
         "final_time": float(trace.times[-1]),
         "trace_csv": trace_path or "",
         "rhs_evals": trace.rhs_evals,
+        "sweeps": trace.sweeps,
         "rejected_steps": trace.rejected_steps,
         "domain_retries": trace.domain_retries,
+        "h_min": min(accepted),
+        "h_max": max(accepted),
     }
     if not np.any(p0):
         # confinement diagnostic for runs from the origin: distance of the

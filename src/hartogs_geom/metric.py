@@ -8,7 +8,8 @@ matrix x, from one evaluation, see `numerics.Derivatives`), plus
 only.  Geodesics read their distance to the boundary from the same
 evaluation: the margin is e^{-Phi}.
 `HartogsPotential` and `DomainPotential` answer `derivatives` in closed
-form; `FunctionPotential` answers it with jets.
+form; `FunctionPotential` answers it with jets.  Geodesics step by Gauss-Legendre
+collocation, whose stages share one stacked evaluation per fixed-point sweep.
 
 Conventions.  The metric tensor is g_{i jbar} = d^2 Phi / dz_i dzbar_j with
 no form factor; Christoffel symbols, geodesics and total geodesy are
@@ -50,7 +51,7 @@ BOUNDARY_MARGIN = 1e-7
 
 class IntegrationError(RuntimeError):
     """A geodesic whose step size underflowed, whose step budget ran out, or
-    whose stage met a singular metric or an error estimate that is not finite."""
+    whose sweep met a singular metric or an acceleration that is not finite."""
 
 
 class FunctionPotential:
@@ -170,10 +171,11 @@ class Christoffel:
 class GeodesicTrace:
     """Accepted integrator steps with conserved-energy bookkeeping.
 
-    The work counters are deterministic: `rhs_evals` counts right-hand-side
-    evaluations (one potential evaluation each), `rejected_steps` the steps
-    the error test refused, and `domain_retries` the steps retried because
-    a trial stage left the domain.
+    The work counters are deterministic: `rhs_evals` counts evaluated rows
+    (one potential evaluation each), `sweeps` the stacked evaluations the
+    member took part in, `rejected_steps` the steps refused by the error
+    test, and `domain_retries` the steps retried because a row left the
+    domain.
     """
 
     times: np.ndarray
@@ -184,6 +186,7 @@ class GeodesicTrace:
     rhs_evals: int
     rejected_steps: int
     domain_retries: int
+    sweeps: int
 
     def energy_drift(self) -> float:
         e0 = self.energies[0]
@@ -297,56 +300,54 @@ def _acceleration(pot, p, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return -np.linalg.solve(np.conj(g), t.third[..., 0, 0, :, None])[..., 0], g, t.value
 
 
-# Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
-# II.10): stage weights a[s], where the last row holds the eighth-order
-# weights b, and the error weights E5 = b - b5 and E3 = b - b3 of the
-# embedded fifth- and third-order solutions
-_DP_A = (
-    (),
-    (5.26001519587677318785587544488e-2,),
-    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
-    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
-    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
-     9.24834003261792003115737966543e-1),
-    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
-     1.25467687566822425016691814123e-1),
-    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
-     6.02165389804559606850219397283e-2, -1.7578125e-2),
-    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
-     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
-     8.27378916381402288758473766002e-3),
-    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
-     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
-     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
-    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
-     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
-     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
-     -2.03312017085086261358222928593e-2),
-    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
-     1.09143734899672957818500254654, -8.14978701074692612513997267357,
-     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
-     2.49360555267965238987089396762, -3.0467644718982195003823669022),
-    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
-     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
-     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
-     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-     6.43392746015763530355970484046e-1),
-    (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
-     4.45031289275240888144113950566, 1.89151789931450038304281599044,
-     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
-     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
-     4.47106157277725905176885569043e-2),
-)
-_DP_E5 = (
-    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
-    -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
-    0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
-    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
-    -0.2235530786388629525884427845e-1, 0.0,
-)
-_DP_B3 = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
-          11: 0.220588235294117647058823529412e-1}
-_DP_E3 = (*(b - _DP_B3.get(i, 0.0) for i, b in enumerate(_DP_A[12])), 0.0)
+# s-stage Gauss-Legendre collocation (Butcher, Math. Comp. 18, 1964; Hairer,
+# Lubich & Wanner, Geometric Numerical Integration, 2nd ed. 2006, II.1.3 and
+# VIII.6): nodes c and weights b on [0, 1], and the stage matrix in the
+# Legendre form a_ij = sum_k (2k+1) b_j P_k(c_j) int_0^{c_i} P_k, with P_k
+# the Legendre polynomials shifted to [0, 1]
+_STAGES = 8
+_SWEEPS = 7  # sweeps per attempted step
+_FIRST_STEP = 0.125  # the first step size, at most T
+_CONTRACTION = 0.6  # the bound on h kappa, kappa = 2 |a|_g / |v|_g, at tol 1e-10
+
+
+def _legendre(x, degree):
+    """P_0 .. P_degree at the points x, one column each, by the three-term recurrence."""
+    p = [np.ones_like(x), x]
+    for k in range(1, degree):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return np.stack(p, axis=-1)
+
+
+# the roots of P_s by Newton's method from cos(pi (i - 1/4) / (s + 1/2)),
+# with P_s' = s P_{s-1} / (1 - x^2) there; the weights are
+# 2 (1 - x^2) / (s P_{s-1}(x))^2 on [-1, 1]
+_x = np.cos(np.pi * (np.arange(_STAGES, 0, -1) - 0.25) / (_STAGES + 0.5))
+for _ in range(6):
+    _P = _legendre(_x, _STAGES)
+    _x = _x - _P[:, -1] * (1 - _x**2) / (_STAGES * _P[:, -2])
+_P = _legendre(_x, _STAGES)
+_GL_C, _GL_B = (_x + 1) / 2, (1 - _x**2) / (_STAGES * _P[:, -2]) ** 2
+# the Legendre coefficients (2k+1) sum_j b_j P_k(c_j) f_j of the polynomial
+# through stage values f_j, one row per degree k (Gauss quadrature is exact)
+_ODD = 2 * np.arange(_STAGES) + 1
+_COEF = _ODD[:, None] * (_P[:, :-1] * _GL_B[:, None]).T
+# int_0^{c_i} P_k = (P_{k+1} - P_{k-1})(x_i) / (2 (2k+1)), with P_{-1} = -1
+_GL_A = (_P[:, 1:] - np.column_stack([-np.ones(_STAGES), _P[:, :-2]])) / (2 * _ODD) @ _COEF
+
+
+def _stage_poly(x):
+    """Weights on the stage values of their polynomial at the points x (in steps)."""
+    return _legendre(2 * np.asarray(x) - 1, _STAGES - 1) @ _COEF
+
+
+# Every sweep evaluates the s stage rows and the landing row (node 1, weights
+# b): velocities from the rows of A, positions from those of A^2, the system
+# being second order.  The last row of _SWEEP extrapolates the stage
+# polynomial to node 1, for the gap at the landing row.
+_ROW_C = np.append(_GL_C, 1.0)
+_ROW_A = np.vstack([_GL_A, _GL_B])
+_SWEEP = np.vstack([_ROW_A, _ROW_A @ _GL_A, _stage_poly(1.0)])
 
 
 def geodesic_ivp(
@@ -372,37 +373,36 @@ def geodesic_batch(
     boundary_margin: float = BOUNDARY_MARGIN,
     max_steps: int = 100_000,
 ) -> list[GeodesicTrace]:
-    """Adaptive Dormand-Prince 8(5,3) integration of independent geodesics.
+    """Adaptive 8-stage Gauss-Legendre collocation of independent geodesics.
 
-    p0s and v0s are stacks (B, n) of initial points and velocities; the
-    result holds one trace per member.  Each member keeps its own time, step
-    size, accept/reject decisions, status, FSAL stage, energies and
-    counters, so it takes exactly the steps, with the same floats, that it
-    takes alone.  Every stage evaluates the right-hand side once for all
-    members still integrating; a member whose trial stage leaves the domain
-    retries its own step at a quarter of the step size, and the stage is
-    evaluated again for the others.
+    p0s and v0s are stacks (B, n); each member of the result takes exactly
+    the steps, with the same floats, that it takes alone.  Every attempted
+    step makes 7 fixed-point sweeps on the stage accelerations, from the last
+    step's polynomial, extrapolated (the start acceleration for a first step
+    of 0.125, at most T); each sweep is one stacked `_acceleration` over the
+    stage rows and the landing row of every member still in the step.  A
+    member retries at half the step when a row leaves the domain.  The error
+    is the larger of the gap between the landing row's acceleration and the
+    stage polynomial there, O(h^9) against tol (1 + |y|), and the last
+    sweep's increment (landing-row metric, relative to the speed) against
+    tol.  Above 1 it rejects the step; it sets the next one to
+    0.9 err^(-1/9) times it, within [0.2, 4], and to at most
+    0.6 (tol / 1e-10)^(1/7) / kappa, kappa = 2 |a|_g / |v|_g at the landing
+    row.  A sweep contracts by about h kappa, so the fixed sweeps settle
+    each step with room to spare, and the step count hangs far less on
+    rounding in the evaluations than a count of sweeps that ends on a
+    threshold would.  The landing row gives an accepted step its point,
+    energy and margin e^{-Phi}; status "boundary_reached" stops a member
+    whose step would land within `boundary_margin`.
 
-    Returns the accepted steps; a member stops early with status
-    "boundary_reached" when a step would land closer to the boundary than
-    `boundary_margin`, read as e^{-Phi} from its stage 13, evaluated there.
     Raises ValueError for T <= 0, or, naming the first such member, a zero
     initial velocity, a start point outside the domain or within the margin,
     or a start energy or acceleration that overflows (all read from the
-    first rhs evaluation, on the stages' retry path), and IntegrationError,
-    naming the member, when its step size underflows, its step budget runs
-    out, a stage's metric is singular, or a step's error estimate is not
-    finite (an overflowed stage, read once per step from the estimate).
-    Overflow, division by zero and invalid values raise no RuntimeWarning
-    anywhere in the integration: these checks are the finding.
-
-    First same as last (FSAL): stage 13 is evaluated at the eighth-order
-    solution (its weights a[12] are the eighth-order weights), so an
-    accepted step takes that stage point as its result, the stage's rhs as
-    the next step's stage 1, and its energy from the metric the same
-    evaluation built.  Each attempted step costs twelve rhs evaluations.
-    The error estimate combines the embedded fifth- and third-order
-    solutions per component as h |e5|^2 / hypot(|e5|, 0.1 |e3|).
+    start evaluation), and IntegrationError, naming the member, when its
+    step size underflows, its step budget runs out, a sweep meets a singular
+    metric, or a sweep's acceleration is not finite.  Overflow, division by
+    zero and invalid values raise no RuntimeWarning anywhere in the
+    integration: these checks are the finding.
     """
     p0s = np.atleast_2d(np.asarray(p0s, dtype=np.complex128))
     v0s = np.atleast_2d(np.asarray(v0s, dtype=np.complex128))
@@ -412,75 +412,74 @@ def geodesic_batch(
     if not T > 0:
         raise ValueError("geodesic needs a positive end time T")
 
-    # states and rhs are stacked as (2, members, n): positions, then
-    # velocities, each a contiguous block for `_acceleration`
-    y = np.stack([p0s, v0s])
-    members = range(len(p0s))
-    rhs_evals = [0] * len(p0s)
-    rejected_steps = [0] * len(p0s)
-    domain_retries = [0] * len(p0s)
-    h = [min(0.01, T)] * len(p0s)
+    count, n = p0s.shape
+    members = np.arange(count)
+    rhs_evals, sweeps, rejected, retries = (np.zeros(count, dtype=int) for _ in range(4))
+    h = np.full(count, min(_FIRST_STEP, T))
 
     def energy(g, v):
         return float(np.real(hermitian_inner(g, v, v)))
 
-    def evaluate(ys, att):
-        """The rhs at the stacked states ys of the members att.
-
-        Returns the positions in att that it reached, their rhs, their
-        metrics and their margins e^{-Phi}.  A member whose state leaves the
-        domain is charged its evaluation and a retry, its step size shrinks,
-        and the others are evaluated again; a singular stage metric raises
-        IntegrationError naming its member.
-        """
-        live, rows = list(range(len(att))), ys
+    def evaluate(att, rows_p, rows_v):
+        """`_acceleration` over the rows (m, r, n) of the members att, without
+        those with a row outside the domain (charged and retried) or raising
+        IntegrationError for a singular metric: the positions reached, and
+        their accelerations, metrics and Phi."""
+        live, r = list(range(len(att))), rows_p.shape[1]
         while live:
             try:
-                acc, g, phi = _acceleration(pot, rows[0], rows[1])
+                rows = (rows_p[live].reshape(-1, n), rows_v[live].reshape(-1, n))
+                acc, g, phi = _acceleration(pot, *rows)
             except DomainViolation as exc:
                 if exc.index is None and len(live) > 1:
                     raise
-                j = att[live.pop(exc.index or 0)]
-                rhs_evals[j] += 1
-                domain_retries[j] += 1
-                h[j] *= 0.25
-                rows = ys[:, live]
+                j = att[live.pop((exc.index or 0) // r)]
+                rhs_evals[j] += r
+                sweeps[j] += 1
+                retries[j] += 1
+                h[j] *= 0.5
                 continue
             except np.linalg.LinAlgError:
                 # the stacked solve names no member: the first that fails alone
                 for pos in live:
                     try:
-                        _acceleration(pot, rows[0, pos : pos + 1], rows[1, pos : pos + 1])
+                        _acceleration(pot, rows_p[pos], rows_v[pos])
                     except np.linalg.LinAlgError:
                         raise IntegrationError(
                             f"geodesic of member {att[pos]} met a singular metric"
                         ) from None
                 raise
-            for pos in live:
-                rhs_evals[att[pos]] += 1
-            return live, np.stack([rows[1], acc]), g, np.exp(-phi)
+            rhs_evals[att[live]] += r
+            sweeps[att[live]] += 1
+            m = len(live)
+            return live, acc.reshape(m, r, n), g.reshape(m, r, n, n), phi.reshape(m, r)
         return live, None, None, None
 
-    live, k1, g, margin = evaluate(y, list(members))
-    near = np.ones(len(p0s), dtype=bool)  # outside the domain counts as near
+    live, acc, g, phi = evaluate(members, p0s[:, None], v0s[:, None])
+    near = np.ones(count, dtype=bool)  # outside the domain counts as near
     if live:
-        near[live] = ~(margin >= boundary_margin)  # and so does NaN
+        near[live] = ~(np.exp(-phi[:, 0]) >= boundary_margin)  # and so does NaN
     if near.any():
         raise ValueError(f"initial point of member {np.argmax(near)} is too close to the boundary")
-    start = (v0s[:, None] @ g @ v0s.conj()[:, :, None])[:, 0, 0]
-    huge = np.flatnonzero(~(np.isfinite(start) & np.isfinite(k1[1]).all(axis=1)))
+    start = np.array([energy(g[j, 0], v0s[j]) for j in members])
+    huge = np.flatnonzero(~(np.isfinite(start) & np.isfinite(acc).all(axis=(1, 2))))
     if huge.size:
         raise ValueError(
             f"initial velocity v0 of member {huge[0]} is too large: its energy or acceleration overflows"
         )
 
-    t = [0.0] * len(p0s)
-    times = [[0.0] for _ in members]
+    # the sweeps shrink the predictor's error by about (h kappa)^7, and they
+    # need to shrink it below tol
+    reach = _CONTRACTION * (tol / 1e-10) ** (1 / _SWEEPS)
+    y = np.stack([p0s, v0s])
+    poly = np.repeat(acc, _STAGES, axis=1)  # the stage accelerations of the last accepted step
+    h_poly = h.copy()
+    t = np.zeros(count)
+    times, energies = [[0.0] for _ in members], [[e] for e in start]
     ys = [[y[:, j].copy()] for j in members]
-    energies = [[energy(g[j], y[1, j])] for j in members]
-    status = ["completed"] * len(p0s)
-    done = [False] * len(p0s)
-    steps = [0] * len(p0s)
+    status = ["completed"] * count
+    done = [False] * count
+    steps = [0] * count
     while True:
         att = []
         for j in members:
@@ -498,47 +497,56 @@ def geodesic_batch(
             att.append(j)
         if not att:
             break
-        y0, hs = y[:, att], np.array([h[j] for j in att])[:, None]
-        k = [k1[:, att]]
-        # the last pass leaves y8 at stage 13: the eighth-order solution
-        for s in range(1, 13):
-            y8 = y0 + hs * sum(c * k[m] for m, c in enumerate(_DP_A[s]) if c)
-            live, ks, g, margin = evaluate(y8, att)
-            if len(live) < len(att):
-                # a trial stage overshot the boundary: those members retry
-                att = [att[pos] for pos in live]
-                y0, hs, y8 = y0[:, live], hs[live], y8[:, live]
-                k = [km[:, live] for km in k]
-                if not att:
-                    break
-            k.append(ks)
-        if not att:
+        att = np.array(att)
+        y0, hs, speed = y[:, att], h[att], np.sqrt(start[att])
+        k = _stage_poly(1.0 + (hs / h_poly[att])[:, None] * _GL_C) @ poly[att]
+        base_p = y0[0, :, None] + hs[:, None, None] * _ROW_C[:, None] * y0[1, :, None]
+        sweeping = np.arange(len(att))
+        for _ in range(_SWEEPS):
+            ks, hc = k[sweeping], hs[sweeping, None, None]
+            mix = _SWEEP @ ks
+            rows_v = y0[1, sweeping, None] + hc * mix[:, : _STAGES + 1]
+            rows_p = base_p[sweeping] + hc**2 * mix[:, _STAGES + 1 : -1]
+            live, acc, g, phi = evaluate(att[sweeping], rows_p, rows_v)
+            sweeping, ks, mix = sweeping[live], ks[live], mix[live]
+            if not live:
+                break
+            bad = ~np.isfinite(acc).all(axis=(1, 2))
+            if bad.any():
+                j = att[sweeping[np.argmax(bad)]]
+                raise IntegrationError(f"geodesic of member {j} overflowed: a sweep is not finite")
+            k[sweeping] = acc[:, :_STAGES]
+        if not sweeping.size:
             continue
-        e5, e3 = (np.abs(sum(c * km for c, km in zip(e, k) if c)) for e in (_DP_E5, _DP_E3))
-        # a component that stays exactly 0 has e5 = e3 = 0 and no error
-        den = np.hypot(e5, 0.1 * e3)
-        scale = tol + tol * np.maximum(np.abs(y0), np.abs(y8))
-        errs = (hs * e5**2 / np.where(den > 0, den, 1.0) / scale).max(axis=(0, 2))
-        finite = np.isfinite(errs)
-        if not finite.all():
-            j = att[np.argmin(finite)]
-            raise IntegrationError(f"geodesic of member {j} overflowed: its error estimate is not finite")
-        for pos, j in enumerate(att):
-            err = float(errs[pos])
-            if err <= 1.0:
-                # stage 13 was evaluated at the landing point y8
-                if margin[pos] < boundary_margin:
-                    status[j] = "boundary_reached"
-                    done[j] = True
-                    continue
-                t[j] += h[j]
-                y[:, j], k1[:, j] = y8[:, pos], k[12][:, pos]
-                times[j].append(t[j])
-                ys[j].append(y8[:, pos])
-                energies[j].append(energy(g[pos], y8[1, pos]))
+        # the landing rows, built from the iterate the last sweep started
+        # from, and the gap there against tol (1 + |y|): h gap, h^2 gap / 2
+        hl = hs[sweeping]
+        y1 = np.stack([rows_p[live][:, _STAGES], rows_v[live][:, _STAGES]])
+        scale = 1.0 + np.maximum(np.abs(y0[:, sweeping]), np.abs(y1))
+        gap = hl[:, None] * np.abs(acc[:, _STAGES] - mix[:, -1]) / tol
+        errs = (gap * np.maximum(1.0 / scale[1], 0.5 * hl[:, None] / scale[0])).max(axis=1)
+        # the error is also the last increment, as a change h dk, h^2 dk / 2 of
+        # the landing point, in the landing row's metric relative to the speed
+        dk = acc[:, :_STAGES] - ks
+        size = np.sqrt(np.maximum(((dk @ g[:, _STAGES]) * dk.conj()).sum(-1).real, 0)).max(1)
+        errs = np.fmax(errs, size * np.maximum(hl / speed[sweeping], 0.5 * hl**2) / tol)
+        for i, j in enumerate(att[sweeping]):
+            err = float(errs[i])
+            fac = min(max(0.9 * max(err, 1e-16) ** (-1 / (_STAGES + 1)), 0.2), 4.0)
+            if err > 1.0:
+                rejected[j] += 1
+            elif not np.exp(-phi[i, _STAGES]) >= boundary_margin:
+                status[j], done[j] = "boundary_reached", True
+                continue
             else:
-                rejected_steps[j] += 1
-            h[j] *= min(max(0.9 * max(err, 1e-16) ** -0.125, 0.2), 5.0)
+                t[j] += h[j]
+                y[:, j], poly[j], h_poly[j] = y1[:, i], acc[i, :_STAGES], h[j]
+                times[j].append(t[j])
+                ys[j].append(y1[:, i])
+                energies[j].append(energy(g[i, _STAGES], y1[1, i]))
+                kappa = 2 * np.sqrt(energy(g[i, _STAGES], acc[i, _STAGES]) / start[j])
+                fac = min(fac, reach / (h[j] * kappa))
+            h[j] *= fac
 
     traces = []
     for j in members:
@@ -550,9 +558,10 @@ def geodesic_batch(
                 velocities=path[:, 1],
                 energies=np.array(energies[j]),
                 status=status[j],
-                rhs_evals=rhs_evals[j],
-                rejected_steps=rejected_steps[j],
-                domain_retries=domain_retries[j],
+                rhs_evals=int(rhs_evals[j]),
+                rejected_steps=int(rejected[j]),
+                domain_retries=int(retries[j]),
+                sweeps=int(sweeps[j]),
             )
         )
     return traces

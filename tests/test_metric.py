@@ -35,7 +35,7 @@ from hartogs_geom.metric import (
 )
 from hartogs_geom.numerics import DomainViolation
 
-from _oracles import christoffel_fd, metric_fd, third_fd
+from _oracles import christoffel_fd, dop853_geodesic, metric_fd, third_fd
 
 DISK = DomainPotential(DomainSpec.polydisk(1))
 
@@ -269,17 +269,17 @@ class TestGeodesics:
         v0 = np.array([0.3, 0.2j])
         with pytest.raises(IntegrationError, match="step budget"):
             geodesic_ivp(pot, np.zeros(2), v0, 1.0, max_steps=3)
-        # the first step h = 0.01 lies below the underflow bound 1e-14 T
+        # the first step h = 0.125 lies below the underflow bound 1e-14 T
         with pytest.raises(IntegrationError, match="underflow"):
-            geodesic_ivp(pot, np.zeros(2), v0, 1e13)
+            geodesic_ivp(pot, np.zeros(2), v0, 1e15)
 
     @pytest.mark.parametrize(
         "mu,match", [(1e10, "member 1 overflowed"), (1e102, "member 1 met a singular metric")]
     )
     def test_non_finite_stage_raises_at_once(self, mu, match):
-        # the pure-base member overflows its stages: at mu = 1e10 the error
-        # estimate turns NaN, at 1e102 the stage metric is singular; either
-        # ends the batch within a few steps, without a RuntimeWarning
+        # the pure-base member overflows its stages: at mu = 1e10 a sweep's
+        # acceleration turns non-finite, at 1e102 its metric is singular;
+        # either ends the batch within a few steps, without a RuntimeWarning
         evals = [0]
 
         class Counting(HartogsPotential):
@@ -298,17 +298,23 @@ class TestGeodesics:
         with pytest.raises(ValueError):
             geodesic_ivp(pot, np.zeros(2), np.array([0.3, 0.4]), T)
 
-    def test_twelve_rhs_evaluations_per_attempted_step(self):
-        # first same as last: stage 1 of a step is stage 13 of the one
-        # before, so only the start point costs a thirteenth evaluation
+    def test_nine_rows_per_sweep(self):
+        # every sweep evaluates the 8 stage rows and the landing row, also a
+        # sweep that leaves the domain; only the start point is one row.  An
+        # attempted step that stays in the domain makes 7 sweeps
         pot = _hartogs(DomainSpec.polydisk(2), 1.3)
         v0 = 3.0 * np.array([0.6, -0.48j, 0.64])
         tr = geodesic_ivp(pot, np.zeros(3), v0, 1.0, tol=1e-8)
         assert tr.status == "completed"
         assert tr.domain_retries == 0
         assert tr.rejected_steps > 0
-        accepted = len(tr.times) - 1
-        assert tr.rhs_evals == 1 + 12 * (accepted + tr.rejected_steps)
+        assert tr.rhs_evals == 1 + 9 * (tr.sweeps - 1)
+        assert tr.sweeps == 1 + 7 * (len(tr.times) - 1 + tr.rejected_steps)
+        pot = _hartogs(DomainSpec.polydisk(2), 1.0)
+        v0 = np.array([1.0, 1.0, 0.0], dtype=complex)
+        tr = geodesic_ivp(pot, np.array([0.5, 0.5, 0.0]), v0, 50.0, tol=1.0)
+        assert tr.domain_retries > 0
+        assert tr.rhs_evals == 1 + 9 * (tr.sweeps - 1)
 
     @pytest.mark.parametrize(
         "spec,mu", [(DomainSpec.type_ii(4), 0.7), (DomainSpec.polydisk(2), 1.3)], ids=str
@@ -337,6 +343,56 @@ class TestGeodesics:
         tr2 = geodesic_ivp(pot, lift(p0), lift.jacobian(p0) @ v0, 1.0, tol=1e-11)
         assert np.max(np.abs(lift(tr1.positions[-1]) - tr2.positions[-1])) < 1e-6
 
+    @pytest.mark.parametrize(
+        "spec",
+        [DomainSpec.type_i(2, 3), DomainSpec.type_iv(6), DomainSpec.type_iii(3), DomainSpec.type_ii(6)],
+        ids=str,
+    )
+    def test_diagonal_ball_slice_is_a_tanh_ray(self, spec):
+        # at r mu = 1 the diagonal of the embedded polydisk with the fiber is
+        # the unit 2-ball, -log(1 - |t|^2 - |w|^2), and its geodesics from the
+        # origin are tanh rays: every accepted step lies on the exact one
+        a, b = 0.3 + 0.2j, 0.4 - 0.1j
+        ones = polydisk_embedding(spec)(np.ones(spec.rank))
+        direction = np.append(a * ones, b)
+        speed = math.hypot(abs(a), abs(b))
+        tr = geodesic_ivp(_hartogs(spec, 1.0 / spec.rank), np.zeros(spec.dim + 1), direction, 1.0)
+        assert tr.status == "completed" and tr.times[-1] == 1.0
+        exact = np.tanh(speed * tr.times)[:, None] / speed * direction
+        assert np.max(np.abs(tr.positions - exact)) < 1e-11
+
+    def test_off_ball_slice_is_no_tanh_ray(self):
+        # the negative control: r mu = 1.4 on I(2,3) leaves the tanh ray; at
+        # the probe's T = 1.5 the endpoint is 1.6e-2 off it
+        spec = DomainSpec.type_i(2, 3)
+        a, b = 0.3 + 0.2j, 0.4 - 0.1j
+        direction = np.append(a * polydisk_embedding(spec)(np.ones(2)), b)
+        speed = math.hypot(abs(a), abs(b))
+        tr = geodesic_ivp(_hartogs(spec, 0.7), np.zeros(spec.dim + 1), direction, 1.5)
+        exact = np.tanh(1.5 * speed) / speed * direction
+        assert np.max(np.abs(tr.positions[-1] - exact)) > 1e-2
+
+    def test_endpoints_against_the_oracle(self):
+        # the four geodesics of the benchmark at seed 7: against a DOP853
+        # reference at tol 1e-13, the endpoint error is no worse than the
+        # oracle's own at the reports' tol 1e-10
+        from perfbench import workloads
+
+        def vec(arg):
+            return np.array([complex(x) for x in arg.split("=")[1].split(",")])
+
+        for report in workloads.geodesics(7).reports[:4]:
+            spec = report.config["spec"]
+            pot = _hartogs(DomainSpec.from_json(spec["base"]), spec["mu"])
+            p0, v0, T = vec(report.argv[1]), vec(report.argv[2]), float(report.argv[4])
+            _, ref_p, ref_v = dop853_geodesic(pot, p0, v0, T, tol=1e-13)
+            _, dop_p, dop_v = dop853_geodesic(pot, p0, v0, T, tol=1e-10)
+            tr = geodesic_ivp(pot, p0, v0, T, tol=1e-10)
+            ref = np.append(ref_p[-1], ref_v[-1])
+            dop = np.max(np.abs(np.append(dop_p[-1], dop_v[-1]) - ref))
+            got = np.max(np.abs(np.append(tr.positions[-1], tr.velocities[-1]) - ref))
+            assert got <= dop, report.name
+
     def test_csv_schema(self):
         pot = _hartogs(DomainSpec.polydisk(1), 1.0)
         tr = geodesic_ivp(pot, np.zeros(2), np.array([0.3, 0.4]), 0.2, tol=1e-9)
@@ -347,12 +403,40 @@ class TestGeodesics:
         assert len(lines) == len(tr.times) + 1
 
 
+class TestGaussLegendreTableau:
+    """The package's collocation tableau against the order conditions."""
+
+    def test_simplifying_assumptions(self):
+        # B(16): b integrates degree 15; C(8) and D(8): the stage order
+        from hartogs_geom.metric import _GL_A, _GL_B, _GL_C
+
+        a, b, c = _GL_A, _GL_B, _GL_C
+        assert max(abs(b @ c ** (q - 1) - 1 / q) for q in range(1, 17)) < 1e-14
+        assert max(np.max(np.abs(a @ c ** (q - 1) - c**q / q)) for q in range(1, 9)) < 1e-14
+        for q in range(1, 9):
+            assert np.max(np.abs(b * c ** (q - 1) @ a - b * (1 - c**q) / q)) < 1e-14
+
+    def test_sweep_rows(self):
+        # the landing row has node 1 and weights b; positions read A^2; the
+        # last row extrapolates the stage polynomial to node 1
+        from hartogs_geom.metric import _GL_A, _GL_B, _GL_C, _ROW_C, _SWEEP
+
+        s = len(_GL_C)
+        assert _SWEEP.shape == (2 * s + 3, s)
+        assert np.array_equal(_SWEEP[s], _GL_B) and _ROW_C[s] == 1.0
+        assert np.max(np.abs(_SWEEP[s + 1 : 2 * s + 2] @ np.ones(s) - _ROW_C**2 / 2)) < 1e-14
+        assert np.max(np.abs(_SWEEP[2 * s + 1] - _GL_B * (1 - _GL_C))) < 1e-14
+        assert abs(_SWEEP[-1] @ _GL_C**7 - 1.0) < 1e-12
+        assert abs(_SWEEP[-1].sum() - 1.0) < 1e-13
+
+
 class TestDop853Tableau:
-    """The transcribed DOP853 coefficients against the order conditions."""
+    """The transcribed DOP853 coefficients of the oracle against the order
+    conditions."""
 
     @staticmethod
     def _tableau():
-        from hartogs_geom.metric import _DP_A, _DP_E3, _DP_E5
+        from _oracles import _DP_A, _DP_E3, _DP_E5
 
         a = np.zeros((13, 13))
         for i, row in enumerate(_DP_A):
@@ -791,9 +875,10 @@ class TestBatchEqualsSingle:
     @staticmethod
     def _assert_same_trace(got, want):
         assert len(got.times) == len(want.times)
-        assert (got.status, got.rhs_evals, got.rejected_steps, got.domain_retries) == (
+        assert (got.status, got.rhs_evals, got.sweeps, got.rejected_steps, got.domain_retries) == (
             want.status,
             want.rhs_evals,
+            want.sweeps,
             want.rejected_steps,
             want.domain_retries,
         )
