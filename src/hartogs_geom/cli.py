@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,9 +153,13 @@ class Report:
         return out
 
 
-def _pool() -> ThreadPoolExecutor:
-    """A worker pool that no command uses: every command evaluates stacked
-    arrays.  It stays while `perfbench/tracer.py` wraps `cli._pool`."""
+def _pool():
+    """A worker pool (a ThreadPoolExecutor) that no command uses: every
+    command evaluates stacked arrays.  It stays while `perfbench/tracer.py`
+    wraps `cli._pool`; concurrent.futures is imported here, so that no CLI
+    start pays for it."""
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1))
 
 

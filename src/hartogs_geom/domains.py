@@ -382,8 +382,12 @@ class DomainSpec:
         raise RuntimeError("sample rejection budget exhausted")
 
     def sample(self, shrink: float = 0.9, seed: int = 0) -> np.ndarray:
-        """Deterministic interior point with spectral margin 1 - shrink^2 (see `_sample_stack`)."""
-        return self._sample_stack(shrink, [np.random.default_rng(seed)])[0]
+        """Deterministic interior point with spectral margin 1 - shrink^2 (see
+        `_sample_stack`), drawn from the generator that the samplers' one
+        stacked hash gives `seed`, the stream of `np.random.default_rng(seed)`."""
+        from .hartogs import _seed_generators  # hartogs imports this module
+
+        return self._sample_stack(shrink, _seed_generators([seed]))[0]
 
     # -- serialization -----------------------------------------------------------
 

@@ -22,7 +22,9 @@ coordinates (the generic route, and the tests' second route) too.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -234,17 +236,22 @@ def h_sample(spec: HartogsSpec, shrink: float = 0.9, seed=0) -> np.ndarray:
     `seed` is one seed, giving a point (n,), or a sequence of seeds, giving
     a stack (B, n) whose row j is the point of seed[j] alone: each member
     draws from its own generator, z first and then the two fiber uniforms.
-    Raises ValueError, naming mu and the seed, when N^mu underflows to 0.
+    The generators come from one stacked hash of the seeds that equals
+    NumPy's SeedSequence bit for bit (see `_seed_generators`), so seed s
+    draws the stream of `np.random.default_rng(s)`.
+    Raises ValueError, naming mu and the seed, when N^mu underflows to 0,
+    and for a negative seed.
     """
     return _sample_slice(spec, spec.base, lambda q: q, shrink, seed)
 
 
 def _sample_slice(spec: HartogsSpec, source: DomainSpec, embed, shrink: float, seed):
     """The body of `h_sample` (the identity slice) and `HartogsChart.sample`:
-    z' in `source`, then the fiber, from each seed's own generator."""
+    z' in `source`, then the fiber, from each seed's own generator, all
+    seeded at once by `_seed_generators`."""
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = _seed_generators(seeds)
     zp = source._sample_stack(shrink, rngs)
     # at w = 1 the embedded fiber coordinate is the fiber scale
     img = embed(np.concatenate([zp, np.ones((len(zp), 1))], axis=1))
@@ -272,6 +279,119 @@ def _draw_fiber(spec: HartogsSpec, z, scale, shrink: float, rngs, seeds) -> np.n
             raise ValueError(f"{at} lies outside the base")
         raise ValueError(f"mu = {spec.mu:g} is too large: N^mu is 0 at the {at}")
     return np.sqrt(nmu) / scale * shrink * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+
+
+# -- seeding ---------------------------------------------------------------------
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words; hashmix call k xors its word with the k-th multiplier of a
+# chain and multiplies it by the next one, whatever the words are
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_MULT_A = 0x931E8875
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _chain(init: int, mult: int, count: int) -> list:
+    """The multipliers init * mult^k mod 2^32, k = 0 .. count."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _column(words) -> np.ndarray:
+    return np.array(words, dtype=np.uint32)[:, None]
+
+
+_A = _chain(0x43B0D7E5, _MULT_A, 4 + 3 * _POOL + 1)
+# (xor, mul) columns of the calls that fill the pool (calls 0-3), of mixing
+# round s (calls 4 + 3s .. 6 + 3s on the words d != s in order; word s
+# takes a dummy call and is put back) and of generate_state (8 words)
+_FILL = (_column(_A[0:4]), _column(_A[1:5]))
+_ROUNDS = [
+    (_column([_A[k] for k in calls]), _column([_A[k + 1] for k in calls]))
+    for calls in ([4 + 3 * s + d - (d > s) for d in range(_POOL)] for s in range(_POOL))
+]
+_B = _chain(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+_GENERATE = (_column(_B[:-1]), _column(_B[1:]))
+
+
+def _hashmix(v, xor, mul):
+    """SeedSequence's hashmix of uint32 words `v`, a new array of the
+    broadcast shape of `v` and the constant columns."""
+    v = v ^ xor
+    v *= mul
+    v ^= v >> _XSHIFT
+    return v
+
+
+def _mix_into(pool, h):
+    """SeedSequence's mix(pool, h), written into `pool` (`h` is spent)."""
+    h *= _MIX_R
+    pool *= _MIX_L
+    pool -= h
+    pool ^= pool >> _XSHIFT
+
+
+@cache
+def _seeded_pcg64():
+    """words -> Generator(PCG64) seeded by those state words; the first call
+    imports numpy.random, which no command needs until it samples."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        """A seed sequence that hands PCG64 its precomputed state."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise NotImplementedError("only PCG64's state, 4 uint64 words, is held")
+            return self.words
+
+    return lambda words: Generator(PCG64(StateWords(words)))
+
+
+def _seed_generators(seeds) -> list:
+    """One generator per seed, each drawing the stream of np.random.default_rng(s).
+
+    NumPy's SeedSequence hash runs once over the whole stack, as uint32
+    arithmetic on a (4, B) pool: each seed's little-endian 32-bit words,
+    zero-padded to four, fill the pool through hashmix, four rounds mix
+    every word into the others, and words past the fourth are mixed in by
+    further rounds in the rows whose seed has them.  The pool's
+    generate_state(4, uint64) seeds a PCG64 per row.  A negative seed raises
+    ValueError and a non-integer TypeError, as default_rng does.
+    """
+    ints = [operator.index(s) for s in seeds]
+    if min(ints, default=0) < 0:
+        raise ValueError(f"expected non-negative integer seeds, got {min(ints)}")
+    width = max(_POOL, -(-max(ints, default=0).bit_length() // 32))
+    entropy = np.frombuffer(b"".join([s.to_bytes(4 * width, "little") for s in ints]), "<u4")
+    entropy = entropy.reshape(len(ints), width).T.astype(np.uint32, order="C")
+    pool = _hashmix(entropy[:_POOL], *_FILL)
+    for s, (xor, mul) in enumerate(_ROUNDS):
+        src = pool[s].copy()
+        _mix_into(pool, _hashmix(src, xor, mul))
+        pool[s] = src
+    mult = _A[4 + 3 * _POOL]  # the multiplier of the first call past the rounds
+    for i in range(_POOL, width):
+        # word i, hashed once per pool word, in the rows that have it
+        consts = _chain(mult, _MULT_A, _POOL)
+        mult = consts[-1]
+        mixed = pool.copy()
+        _mix_into(mixed, _hashmix(entropy[i], _column(consts[:-1]), _column(consts[1:])))
+        pool = np.where(entropy[i:].any(axis=0), mixed, pool)
+    state = _hashmix(np.concatenate([pool, pool]), *_GENERATE)
+    # little-endian word pairs, as generate_state pairs them; PCG64 reads a
+    # row through its data pointer, so the rows must be C-contiguous
+    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    make = _seeded_pcg64()
+    return [make(row) for row in words]
 
 
 # -- lifted maps ---------------------------------------------------------------
@@ -405,6 +525,8 @@ class HartogsChart:
         giving a stack (B, k) whose row j is the point of seed[j] alone:
         each member draws z' from its own generator and then its two fiber
         uniforms, as in `h_sample` (a too large mu raises ValueError as there).
+        The generators come from the one stacked hash of `_seed_generators`,
+        which equals NumPy's SeedSequence bit for bit.
         """
         return _sample_slice(self.ambient, self.source, self.embed, shrink, seed)
 

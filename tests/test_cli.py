@@ -1,6 +1,9 @@
 """Tests for the command-line verification harness."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -190,6 +193,20 @@ def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, command, flag, 
     assert main([*args, flag, str(path)]) == 2
     assert "config error: cannot write" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_import_leaves_sampling_and_pool_modules_unloaded():
+    # geodesic, linear-scan and embed-residual never sample or pool: a CLI
+    # start loads numpy.random on its first sample and concurrent.futures
+    # only for a pool
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys, hartogs_geom.cli; "
+        "print([m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestVerifyImmersion:

@@ -20,6 +20,7 @@ from hartogs_geom.hartogs import (
     slice_chart,
     transported_chart,
     _draw_fiber,
+    _seed_generators,
 )
 from hartogs_geom.metric import FunctionPotential, _metric_matrix, tg_residual
 from hartogs_geom.numerics import DomainViolation
@@ -313,6 +314,53 @@ class TestStackedValue:
         assert spec.contains(p[:, :-1], 1.0 - 0.8**2).all()
         for j in range(20):
             assert np.array_equal(p[j], h_sample(hs, 0.8, j))
+
+
+# every word count from one to five, and the edges of one and two words
+ORACLE_SEEDS = [*range(5000), 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 3]
+
+
+class TestSeeding:
+    """The stacked SeedSequence hash against NumPy's own, seed by seed."""
+
+    def test_words_and_streams_equal_numpy(self):
+        # one stack mixing word counts: the rounds of words past the fourth
+        # must reach only the rows that have them
+        rngs = _seed_generators(ORACLE_SEEDS)
+        assert len(rngs) == len(ORACLE_SEEDS)
+        for s, rng in zip(ORACLE_SEEDS, rngs):
+            words = np.random.SeedSequence(s).generate_state(4, np.uint64)
+            assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64), words), s
+            assert np.array_equal(rng.random(3), np.random.default_rng(s).random(3)), s
+
+    @pytest.mark.parametrize("size", [1, 2, 17, 64])
+    def test_stack_sizes(self, size):
+        # the last members carry the wide seeds; every member's state row
+        # must be read whole, not strided across its neighbours
+        seeds = ORACLE_SEEDS[-size:]
+        for s, rng in zip(seeds, _seed_generators(seeds)):
+            ref = np.random.default_rng(s)
+            assert rng.bit_generator.state == ref.bit_generator.state, s
+            assert np.array_equal(rng.random(16), ref.random(16)), s
+
+    def test_negative_and_non_integer_seeds_raise_as_numpy(self):
+        for bad, error in ((-1, ValueError), (1.5, TypeError)):
+            with pytest.raises(error):
+                np.random.default_rng(bad)
+            with pytest.raises(error):
+                _seed_generators([3, bad])
+        hs = HartogsSpec(DomainSpec.type_i(2, 3), 1.3)
+        with pytest.raises(ValueError):
+            h_sample(hs, 0.5, range(-2, 3))
+        with pytest.raises(ValueError):
+            hs.base.sample(0.5, -1)
+
+    def test_samplers_draw_default_rng_streams(self):
+        # the point of seed s is the one that default_rng(s) draws
+        spec = DomainSpec.type_iii(3)
+        for s in (0, 2**32 + 5):
+            expected = spec._sample_stack(0.5, [np.random.default_rng(s)])[0]
+            assert np.array_equal(spec.sample(0.5, s), expected)
 
 
 class TestLifts:
