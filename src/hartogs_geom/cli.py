@@ -44,6 +44,7 @@ from .l2embed import (
 from .l2embed import norm_residual  # noqa: F401 - stays importable as cli.norm_residual
 from .metric import (
     IntegrationError,
+    StartError,
     distance_to_span,
     geodesic_batch,
     geodesic_ivp,
@@ -427,27 +428,44 @@ def _scan_directions(r: int) -> list[tuple[str, np.ndarray]]:
 
 
 def cmd_linear_scan(cfg: RunConfig, mu_grid, r_grid, T: float = 0.5) -> Report:
+    """One record per (mu, r, direction) cell, each direction's verdict from
+    `line_constraints` against its measured `line_deviation`.
+
+    The rank-r polydisk Hartogs domain is totally geodesic in the one of
+    rank R = max(r_grid): it is the slice z_{r+1} = ... = z_R = 0, the fixed
+    set of the isometries z_j -> -z_j.  So every direction of one mu is
+    zero-padded into the R-polydisk (base coordinates r+1..R zero, the fiber
+    last), and one `line_deviation` call integrates all of them.  A geodesic
+    that fails names its cell.
+    """
+    top = max(r_grid)
+    cells = [(r, name, xi) for r in r_grid for name, xi in _scan_directions(r)]
+    padded = np.zeros((len(cells), top + 1), dtype=np.complex128)
+    for row, (r, _, xi) in zip(padded, cells):
+        row[:r], row[top] = xi[:r], xi[r]
     records = []
     for mu in mu_grid:
-        for r in r_grid:
-            directions = _scan_directions(r)
-            deviations = line_deviation(r, mu, np.stack([xi for _, xi in directions]), T)
-            for (name, xi), deviation in zip(directions, deviations):
-                verdict = line_constraints(r, mu, xi)
-                if verdict.klass == GeodesicClass.IMPOSSIBLE:
-                    consistent = deviation > SCAN_CURVED_MIN
-                else:
-                    consistent = deviation < SCAN_LINEAR_MAX
-                record = {
-                    "mu": mu,
-                    "r": r,
-                    "direction": name,
-                    "xi": [[float(c.real), float(c.imag)] for c in xi],
-                    "deviation": float(deviation),
-                    "consistent": bool(consistent),
-                }
-                record.update(verdict.to_json())
-                records.append(record)
+        try:
+            deviations = line_deviation(top, mu, padded, T)
+        except (IntegrationError, StartError) as exc:
+            r, name, _ = cells[exc.member]
+            raise ConfigError(f"linear-scan cell mu = {mu:g}, r = {r}, {name}: {exc}") from exc
+        for (r, name, xi), deviation in zip(cells, deviations):
+            verdict = line_constraints(r, mu, xi)
+            if verdict.klass == GeodesicClass.IMPOSSIBLE:
+                consistent = deviation > SCAN_CURVED_MIN
+            else:
+                consistent = deviation < SCAN_LINEAR_MAX
+            record = {
+                "mu": mu,
+                "r": r,
+                "direction": name,
+                "xi": [[float(c.real), float(c.imag)] for c in xi],
+                "deviation": float(deviation),
+                "consistent": bool(consistent),
+            }
+            record.update(verdict.to_json())
+            records.append(record)
     bad = sum(1 for rec in records if not rec["consistent"])
     return Report(
         command="linear-scan",

@@ -387,7 +387,12 @@ def line_deviation(r: int, mu: float, xi, T: float, tol: float = 1e-10):
     Integrates from the origin with the (normalized) direction xi and
     projects every trace point onto the line in the Euclidean Hermitian
     inner product.  xi is one direction (a float is returned) or a stack
-    (m, r + 1) (an array (m,) is returned), integrated as one batch.
+    (m, r + 1) (an array (m,) is returned), integrated as one batch.  A
+    direction of a lower rank r' may come zero-padded (base coordinates
+    r'+1..r zero, the fiber last): the rank-r' polydisk Hartogs domain is the
+    totally geodesic slice z_{r'+1} = ... = z_r = 0 of the rank-r one, so
+    its geodesic stays there with its padded coordinates exactly 0, and the
+    stack may mix ranks (`linear-scan` stacks all of one mu).
     """
     xi = np.asarray(xi, dtype=np.complex128)
     dirs = xi[None] if xi.ndim == 1 else xi

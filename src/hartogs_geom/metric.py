@@ -22,6 +22,7 @@ zddot^k + Gamma^k_ij zdot^i zdot^j = 0 valid for Kaehler metrics.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,14 +45,29 @@ __all__ = [
     "hermitian_inner",
     "distance_to_span",
     "IntegrationError",
+    "StartError",
 ]
 
 BOUNDARY_MARGIN = 1e-7
 
 
-class IntegrationError(RuntimeError):
+class _MemberError(Exception):
+    """An error of one member of a `geodesic_batch`: `member` is its index."""
+
+    def __init__(self, message: str, member: int):
+        super().__init__(message)
+        self.member = int(member)
+
+
+class IntegrationError(_MemberError, RuntimeError):
     """A geodesic whose step size underflowed, whose step budget ran out, or
     whose sweep met a singular metric or an acceleration that is not finite."""
+
+
+class StartError(_MemberError, ValueError):
+    """A geodesic refused at its start: a zero initial velocity, a start point
+    outside the domain or within the boundary margin, or a start energy or
+    acceleration that overflows."""
 
 
 class FunctionPotential:
@@ -319,35 +335,49 @@ def _legendre(x, degree):
     return np.stack(p, axis=-1)
 
 
-# the roots of P_s by Newton's method from cos(pi (i - 1/4) / (s + 1/2)),
-# with P_s' = s P_{s-1} / (1 - x^2) there; the weights are
-# 2 (1 - x^2) / (s P_{s-1}(x))^2 on [-1, 1]
-_x = np.cos(np.pi * (np.arange(_STAGES, 0, -1) - 0.25) / (_STAGES + 0.5))
-for _ in range(6):
-    _P = _legendre(_x, _STAGES)
-    _x = _x - _P[:, -1] * (1 - _x**2) / (_STAGES * _P[:, -2])
-_P = _legendre(_x, _STAGES)
-_GL_C, _GL_B = (_x + 1) / 2, (1 - _x**2) / (_STAGES * _P[:, -2]) ** 2
-# the Legendre coefficients (2k+1) sum_j b_j P_k(c_j) f_j of the polynomial
-# through stage values f_j, one row per degree k (Gauss quadrature is exact)
-_ODD = 2 * np.arange(_STAGES) + 1
-_COEF = _ODD[:, None] * (_P[:, :-1] * _GL_B[:, None]).T
-# int_0^{c_i} P_k = (P_{k+1} - P_{k-1})(x_i) / (2 (2k+1)), with P_{-1} = -1
-_GL_A = (_P[:, 1:] - np.column_stack([-np.ones(_STAGES), _P[:, :-2]])) / (2 * _ODD) @ _COEF
+# the tableau's module names, built together on first use (see `_tableau`)
+_TABLEAU = ("_GL_C", "_GL_B", "_COEF", "_GL_A", "_ROW_C", "_ROW_A", "_SWEEP")
 
 
-def _stage_poly(x):
-    """Weights on the stage values of their polynomial at the points x (in steps)."""
-    return _legendre(2 * np.asarray(x) - 1, _STAGES - 1) @ _COEF
+@functools.cache
+def _tableau() -> dict[str, np.ndarray]:
+    """The collocation tableau by its module name, built on the first call
+    (the first geodesic), so that a command that integrates none never pays
+    for it; the module attributes of `_TABLEAU` read it."""
+    # the roots of P_s by Newton's method from cos(pi (i - 1/4) / (s + 1/2)),
+    # with P_s' = s P_{s-1} / (1 - x^2) there; the weights are
+    # 2 (1 - x^2) / (s P_{s-1}(x))^2 on [-1, 1]
+    x = np.cos(np.pi * (np.arange(_STAGES, 0, -1) - 0.25) / (_STAGES + 0.5))
+    for _ in range(6):
+        p = _legendre(x, _STAGES)
+        x = x - p[:, -1] * (1 - x**2) / (_STAGES * p[:, -2])
+    p = _legendre(x, _STAGES)
+    c, b = (x + 1) / 2, (1 - x**2) / (_STAGES * p[:, -2]) ** 2
+    # the Legendre coefficients (2k+1) sum_j b_j P_k(c_j) f_j of the polynomial
+    # through stage values f_j, one row per degree k (Gauss quadrature is exact)
+    odd = 2 * np.arange(_STAGES) + 1
+    coef = odd[:, None] * (p[:, :-1] * b[:, None]).T
+    # int_0^{c_i} P_k = (P_{k+1} - P_{k-1})(x_i) / (2 (2k+1)), with P_{-1} = -1
+    a = (p[:, 1:] - np.column_stack([-np.ones(_STAGES), p[:, :-2]])) / (2 * odd) @ coef
+    # Every sweep evaluates the s stage rows and the landing row (node 1,
+    # weights b): velocities from the rows of A, positions from those of A^2,
+    # the system being second order.  The last row of _SWEEP extrapolates the
+    # stage polynomial to node 1, for the gap at the landing row.
+    row_a = np.vstack([a, b])
+    sweep = np.vstack([row_a, row_a @ a, _stage_poly(1.0, coef)])
+    return dict(zip(_TABLEAU, (c, b, coef, a, np.append(c, 1.0), row_a, sweep)))
 
 
-# Every sweep evaluates the s stage rows and the landing row (node 1, weights
-# b): velocities from the rows of A, positions from those of A^2, the system
-# being second order.  The last row of _SWEEP extrapolates the stage
-# polynomial to node 1, for the gap at the landing row.
-_ROW_C = np.append(_GL_C, 1.0)
-_ROW_A = np.vstack([_GL_A, _GL_B])
-_SWEEP = np.vstack([_ROW_A, _ROW_A @ _GL_A, _stage_poly(1.0)])
+def __getattr__(name):
+    if name in _TABLEAU:
+        return _tableau()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _stage_poly(x, coef):
+    """Weights on the stage values of their polynomial at the points x (in
+    steps), from the tableau's Legendre coefficients `coef`."""
+    return _legendre(2 * np.asarray(x) - 1, _STAGES - 1) @ coef
 
 
 def geodesic_ivp(
@@ -395,10 +425,11 @@ def geodesic_batch(
     energy and margin e^{-Phi}; status "boundary_reached" stops a member
     whose step would land within `boundary_margin`.
 
-    Raises ValueError for T <= 0, or, naming the first such member, a zero
-    initial velocity, a start point outside the domain or within the margin,
-    or a start energy or acceleration that overflows (all read from the
-    start evaluation), and IntegrationError, naming the member, when its
+    Raises ValueError for T <= 0, StartError (a ValueError), naming the
+    first such member in its text and in `member`, for a zero initial
+    velocity, a start point outside the domain or within the margin, or a
+    start energy or acceleration that overflows (all read from the start
+    evaluation), and IntegrationError, naming the member likewise, when its
     step size underflows, its step budget runs out, a sweep meets a singular
     metric, or a sweep's acceleration is not finite.  Overflow, division by
     zero and invalid values raise no RuntimeWarning anywhere in the
@@ -408,7 +439,7 @@ def geodesic_batch(
     v0s = np.atleast_2d(np.asarray(v0s, dtype=np.complex128))
     zero = np.flatnonzero(np.all(v0s == 0, axis=1))
     if zero.size:
-        raise ValueError(f"initial velocity v0 of member {zero[0]} is zero")
+        raise StartError(f"initial velocity v0 of member {zero[0]} is zero", zero[0])
     if not T > 0:
         raise ValueError("geodesic needs a positive end time T")
 
@@ -446,7 +477,7 @@ def geodesic_batch(
                         _acceleration(pot, rows_p[pos], rows_v[pos])
                     except np.linalg.LinAlgError:
                         raise IntegrationError(
-                            f"geodesic of member {att[pos]} met a singular metric"
+                            f"geodesic of member {att[pos]} met a singular metric", att[pos]
                         ) from None
                 raise
             rhs_evals[att[live]] += r
@@ -460,17 +491,20 @@ def geodesic_batch(
     if live:
         near[live] = ~(np.exp(-phi[:, 0]) >= boundary_margin)  # and so does NaN
     if near.any():
-        raise ValueError(f"initial point of member {np.argmax(near)} is too close to the boundary")
+        j = np.argmax(near)
+        raise StartError(f"initial point of member {j} is too close to the boundary", j)
     start = np.array([energy(g[j, 0], v0s[j]) for j in members])
     huge = np.flatnonzero(~(np.isfinite(start) & np.isfinite(acc).all(axis=(1, 2))))
     if huge.size:
-        raise ValueError(
-            f"initial velocity v0 of member {huge[0]} is too large: its energy or acceleration overflows"
+        raise StartError(
+            f"initial velocity v0 of member {huge[0]} is too large: its energy or acceleration overflows",
+            huge[0],
         )
 
     # the sweeps shrink the predictor's error by about (h kappa)^7, and they
     # need to shrink it below tol
     reach = _CONTRACTION * (tol / 1e-10) ** (1 / _SWEEPS)
+    nodes, coef, row_c, sweep = (_tableau()[k] for k in ("_GL_C", "_COEF", "_ROW_C", "_SWEEP"))
     y = np.stack([p0s, v0s])
     poly = np.repeat(acc, _STAGES, axis=1)  # the stage accelerations of the last accepted step
     h_poly = h.copy()
@@ -486,25 +520,25 @@ def geodesic_batch(
             if done[j]:
                 continue
             if steps[j] == max_steps:
-                raise IntegrationError(f"geodesic of member {j} exceeded the step budget")
+                raise IntegrationError(f"geodesic of member {j} exceeded the step budget", j)
             steps[j] += 1
             if t[j] >= T:
                 done[j] = True
                 continue
             h[j] = min(h[j], T - t[j])
             if h[j] < 1e-14 * max(1.0, T):
-                raise IntegrationError(f"geodesic of member {j}: step size underflow")
+                raise IntegrationError(f"geodesic of member {j}: step size underflow", j)
             att.append(j)
         if not att:
             break
         att = np.array(att)
         y0, hs, speed = y[:, att], h[att], np.sqrt(start[att])
-        k = _stage_poly(1.0 + (hs / h_poly[att])[:, None] * _GL_C) @ poly[att]
-        base_p = y0[0, :, None] + hs[:, None, None] * _ROW_C[:, None] * y0[1, :, None]
+        k = _stage_poly(1.0 + (hs / h_poly[att])[:, None] * nodes, coef) @ poly[att]
+        base_p = y0[0, :, None] + hs[:, None, None] * row_c[:, None] * y0[1, :, None]
         sweeping = np.arange(len(att))
         for _ in range(_SWEEPS):
             ks, hc = k[sweeping], hs[sweeping, None, None]
-            mix = _SWEEP @ ks
+            mix = sweep @ ks
             rows_v = y0[1, sweeping, None] + hc * mix[:, : _STAGES + 1]
             rows_p = base_p[sweeping] + hc**2 * mix[:, _STAGES + 1 : -1]
             live, acc, g, phi = evaluate(att[sweeping], rows_p, rows_v)
@@ -514,7 +548,7 @@ def geodesic_batch(
             bad = ~np.isfinite(acc).all(axis=(1, 2))
             if bad.any():
                 j = att[sweeping[np.argmax(bad)]]
-                raise IntegrationError(f"geodesic of member {j} overflowed: a sweep is not finite")
+                raise IntegrationError(f"geodesic of member {j} overflowed: a sweep is not finite", j)
             k[sweeping] = acc[:, :_STAGES]
         if not sweeping.size:
             continue

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from hartogs_geom import cli
-from hartogs_geom.cli import IMMERSION_CHUNK, build_parser, main
+from hartogs_geom.cli import IMMERSION_CHUNK, RunConfig, build_parser, main
 from hartogs_geom.domains import DomainSpec, LinearEmbedding, polydisk_embedding
-from hartogs_geom.hartogs import HartogsSpec, slice_chart
+from hartogs_geom.hartogs import HartogsPotential, HartogsSpec, slice_chart
+from hartogs_geom.l2embed import GeodesicClass, line_constraints, line_deviation
+from hartogs_geom.metric import IntegrationError, StartError, geodesic_batch
 
 
 def _write_config(tmp_path, obj, name="cfg.json"):
@@ -683,6 +685,78 @@ class TestLinearScan:
         cfg = _write_config(tmp_path, POLY3_CONFIG)
         assert main(["linear-scan", "--config", cfg, "--T", "-1"]) == 2
         assert "T must be" in capsys.readouterr().err
+
+    def test_stacked_scan_against_the_per_rank_route(self):
+        # every mu runs on the top-rank polydisk, into which the rank-r
+        # polydisk is totally geodesic: each cell's deviation matches the
+        # integration on its own rank, and its verdict fields do not move.
+        # The grid holds r mu = 1 cells (hyperbolic_space) at mu = 0.5, 1/3
+        cfg = RunConfig(spec=HartogsSpec(DomainSpec.polydisk(1), 1.0))
+        mu_grid, r_grid = [0.5, 1 / 3, 2.0], [1, 2, 3, 4, 5]
+        records = iter(cli.cmd_linear_scan(cfg, mu_grid, r_grid).extra["records"])
+        classes = set()
+        for mu in mu_grid:
+            for r in r_grid:
+                directions = cli._scan_directions(r)
+                own = line_deviation(r, mu, np.stack([xi for _, xi in directions]), 0.5)
+                for (name, xi), dev in zip(directions, own):
+                    rec = next(records)
+                    assert (rec["mu"], rec["r"], rec["direction"]) == (mu, r, name)
+                    assert rec["deviation"] == pytest.approx(dev, rel=1e-12, abs=1e-15)
+                    verdict = line_constraints(r, mu, xi).to_json()
+                    assert rec["class"] == verdict["class"]
+                    assert rec["constraints"] == verdict["constraints"]
+                    linear = verdict["class"] != GeodesicClass.IMPOSSIBLE.value
+                    assert rec["consistent"] == bool(
+                        dev < cli.SCAN_LINEAR_MAX if linear else dev > cli.SCAN_CURVED_MIN
+                    )
+                    classes.add(rec["class"])
+        assert next(records, None) is None
+        assert "hyperbolic_space" in classes and "impossible" in classes
+
+    def test_padded_coordinates_stay_zero(self):
+        # the slice z_{r+1} = ... = z_R = 0 is the fixed set of an isometry:
+        # the padded coordinates of every trace stay exactly 0
+        top = 4
+        rows, ranks = [], []
+        for r in range(1, top):
+            for _, xi in cli._scan_directions(r):
+                rows.append(np.concatenate([xi[:r], np.zeros(top - r), xi[r:]]))
+                ranks.append(r)
+        for mu in (0.5, 1 / 3, 2.0):
+            pot = HartogsPotential(HartogsSpec(DomainSpec.polydisk(top), mu))
+            traces = geodesic_batch(pot, np.zeros((len(rows), top + 1)), np.stack(rows), 0.5)
+            for tr, r in zip(traces, ranks):
+                assert len(tr.times) > 1
+                assert not np.any(tr.positions[:, r:top]) and not np.any(tr.velocities[:, r:top])
+
+    def test_one_line_deviation_call_per_mu(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(r, mu, xi, T, *args, **kwargs):
+            calls.append((r, mu, len(xi)))
+            return line_deviation(r, mu, xi, T, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "line_deviation", counted)
+        argv = ["linear-scan", "--mu-grid", "0.5,1,2", "--r-grid", "2,1,3", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        assert calls == [(3, 0.5, 12), (3, 1.0, 12), (3, 2.0, 12)]  # three ranks of four directions
+
+    @pytest.mark.parametrize(
+        "error,member,cell",
+        [(IntegrationError, 5, "r = 2, pure-fiber"), (StartError, 11, "r = 3, mixed-unequal")],
+    )
+    def test_failure_names_its_cell(self, tmp_path, capsys, monkeypatch, error, member, cell):
+        # a member of the stacked mu batch maps back to its (r, direction) cell
+        def failing(r, mu, xi, T):
+            raise error(f"geodesic of member {member} failed", member)
+
+        monkeypatch.setattr(cli, "line_deviation", failing)
+        argv = ["linear-scan", "--mu-grid", "0.5", "--r-grid", "1,2,3", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        want = f"config error: linear-scan cell mu = 0.5, {cell}: geodesic of member {member} failed"
+        assert err.startswith(want)
 
 
 class TestEmbedResidual:

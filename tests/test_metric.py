@@ -2,12 +2,16 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from hartogs_geom import metric
 from hartogs_geom.domains import (
     DomainSpec,
     LinearEmbedding,
@@ -428,6 +432,27 @@ class TestGaussLegendreTableau:
         assert np.max(np.abs(_SWEEP[2 * s + 1] - _GL_B * (1 - _GL_C))) < 1e-14
         assert abs(_SWEEP[-1] @ _GL_C**7 - 1.0) < 1e-12
         assert abs(_SWEEP[-1].sum() - 1.0) < 1e-13
+
+    def test_built_on_the_first_geodesic(self):
+        # a command that integrates no geodesic never builds the tableau;
+        # the first geodesic builds it once
+        src = os.path.dirname(os.path.dirname(metric.__file__))
+        code = (
+            "import os, numpy as np\n"
+            "from hartogs_geom import cli, metric\n"
+            "sizes = [metric._tableau.cache_info().currsize]\n"
+            "cli.main(['verify-immersion', '--samples', '4', '--out', os.devnull])\n"
+            "sizes.append(metric._tableau.cache_info().currsize)\n"
+            "metric.geodesic_ivp(metric.FunctionPotential(lambda z: -np.log(1 - z[0] * z[0].conjugate()), 1),"
+            " [0.0], [0.3], 0.2)\n"
+            "sizes.append(metric._tableau.cache_info().currsize)\n"
+            "print(sizes, metric._SWEEP is metric._tableau()['_SWEEP'])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[0, 0, 1] True"
 
 
 class TestDop853Tableau:
