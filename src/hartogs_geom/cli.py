@@ -107,8 +107,9 @@ class Check:
     passed: bool
     measured: float
     tolerance: float
-    # sample whose value is `measured`; reported only when the check fails,
-    # and `--seed <seed + worst_index> --samples 1` reproduces it
+    # reported only when the check fails: the sample whose value is `measured`
+    # (`--seed <seed + worst_index> --samples 1` reproduces it), the verify-tg
+    # confinement geodesic, or the first inconsistent linear-scan record
     worst_index: int | None = None
 
     def payload(self) -> dict:
@@ -355,8 +356,8 @@ def cmd_verify_tg(cfg: RunConfig, selector: str, sub_rank: int | None = None) ->
     v0s = [v / np.sqrt(np.real(hermitian_inner(g, v, v)) + 1e-300) * 0.4 for g, v in zip(gs, v0s)]
     with _as_config_error(f"confinement geodesics at mu = {cfg.spec.mu:g}: "):
         traces = geodesic_batch(pot, p0s, v0s, 1.0, tol=1e-9)
-    max_dev = max(float(np.max(distance_to_span(tr.positions, basis0))) for tr in traces)
-    max_drift = max(tr.energy_drift() for tr in traces)
+    max_dev, i_dev = _worst([float(np.max(distance_to_span(tr.positions, basis0))) for tr in traces])
+    max_drift, i_drift = _worst([tr.energy_drift() for tr in traces])
 
     tol_tg = cfg.tolerances["tg_residual"]
     tol_conf = cfg.tolerances["confinement"]
@@ -366,8 +367,8 @@ def cmd_verify_tg(cfg: RunConfig, selector: str, sub_rank: int | None = None) ->
         config=cfg.echo(),
         checks=[
             Check("tg_residual_max", max_resid < tol_tg, max_resid, tol_tg, i_resid),
-            Check("geodesic_confinement_max", max_dev < tol_conf, max_dev, tol_conf),
-            Check("geodesic_energy_drift", max_drift < tol_drift, max_drift, tol_drift),
+            Check("geodesic_confinement_max", max_dev < tol_conf, max_dev, tol_conf, i_dev),
+            Check("geodesic_energy_drift", max_drift < tol_drift, max_drift, tol_drift, i_drift),
         ],
         extra=echo,
     )
@@ -411,20 +412,16 @@ def cmd_geodesic(cfg: RunConfig, p0, v0, T: float, trace_path: str | None) -> Re
 
 
 def _scan_directions(r: int) -> list[tuple[str, np.ndarray]]:
-    pure_base = np.zeros(r + 1, dtype=np.complex128)
-    pure_base[0] = 1.0
-    pure_fiber = np.zeros(r + 1, dtype=np.complex128)
-    pure_fiber[r] = 1.0
+    unit = np.eye(r + 1, dtype=np.complex128)
     mixed_equal = np.ones(r + 1, dtype=np.complex128)
     # base moduli 1..r, fiber 2: distinct from mixed_equal even at r = 1
     mixed_unequal = np.array([1.0 + k for k in range(r)] + [2.0], dtype=np.complex128)
-    out = [
-        ("pure-base", pure_base),
-        ("pure-fiber", pure_fiber),
+    return [
+        ("pure-base", unit[0]),
+        ("pure-fiber", unit[r]),
         ("mixed-equal", mixed_equal / np.linalg.norm(mixed_equal)),
         ("mixed-unequal", mixed_unequal / np.linalg.norm(mixed_unequal)),
     ]
-    return out
 
 
 def cmd_linear_scan(cfg: RunConfig, mu_grid, r_grid, T: float = 0.5) -> Report:
@@ -466,11 +463,12 @@ def cmd_linear_scan(cfg: RunConfig, mu_grid, r_grid, T: float = 0.5) -> Report:
             }
             record.update(verdict.to_json())
             records.append(record)
-    bad = sum(1 for rec in records if not rec["consistent"])
+    bad = [i for i, rec in enumerate(records) if not rec["consistent"]]
+    check = Check("verdict_deviation_consistency", not bad, float(len(bad)), 0.5, (bad or [None])[0])
     return Report(
         command="linear-scan",
         config=cfg.echo(),
-        checks=[Check("verdict_deviation_consistency", bad == 0, float(bad), 0.5)],
+        checks=[check],
         extra={"records": records, "grid": {"mu": list(mu_grid), "r": list(r_grid), "T": T}},
     )
 

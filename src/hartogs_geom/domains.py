@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .jets import Jet
-from .numerics import Derivatives, DomainViolation, _t, det, is_positive_definite
+from .numerics import Derivatives, DomainViolation, _directions, _t, det, is_positive_definite
 
 __all__ = [
     "DomainSpec",
@@ -213,7 +213,8 @@ class DomainSpec:
         tensor a leading B axis, and a point is the stack of one with that
         axis dropped (see `Derivatives`).  `x` is an optional direction
         matrix, shared (dim, k) or per point (B, dim, k), for the second and
-        third derivatives contracted over pairs of its columns.
+        third derivatives contracted over pairs of its columns; without it
+        hess and third are empty (k = 0).
         `value_only` stops after log N (the Cholesky diagonal of types
         I-III, sum log a_j on polydisks, log N on type IV) and leaves every
         tensor None; the value is the same float either way.  Raises
@@ -224,7 +225,7 @@ class DomainSpec:
         if z.ndim == 1:
             return self.log_norm_derivatives(z[None], x, value_only).member(0)
         self._check_stack(z)
-        out = self._log_norm(z, x, value_only)
+        out = self._log_norm(z, None if value_only else _directions(x, self.dim))
         outside = np.isneginf(out.value)
         if outside.any():
             raise DomainViolation("point lies outside the domain", int(np.argmax(outside)))
@@ -242,44 +243,34 @@ class DomainSpec:
         if z.ndim == 1:
             return self.norm_power_derivatives(z[None], mu, x, value_only).member(0)
         self._check_stack(z)
-        log_n = self._log_norm(z, x, value_only)
+        log_n = self._log_norm(z, None if value_only else _directions(x, self.dim))
         a = np.exp(mu * log_n.value)
         return log_n.compose(a, mu * a, mu**2 * a, mu**3 * a)
 
-    def _log_norm(self, z, x, value_only=False) -> Derivatives:
+    def _log_norm(self, z, x) -> Derivatives:
         """The closed form of log N over a stack (B, dim), total: a row that
         fails the form's own test (see `_gram`, `_polydisk_log_norm` and
         `_type_iv_log_norm`) gets -inf and the origin's tensors, so a
         product sums its factors and nothing divides by zero; a row off every
-        base (`_off_every_base`) is moved to the origin before any arithmetic."""
+        base (`_off_every_base`) is moved to the origin before any arithmetic.
+        x None gives the value alone, a direction matrix every tensor."""
         far = _off_every_base(z)
         if far.any():
-            out = self._log_norm(_at_origin(z, far), x, value_only)
+            out = self._log_norm(_at_origin(z, far), x)
             return replace(out, value=np.where(far, -np.inf, out.value))
         if self.is_polydisk:
-            return _polydisk_log_norm(z, x, value_only)
+            return _polydisk_log_norm(z, x)
         if self.kind == "IV":
-            return _type_iv_log_norm(z, x, value_only)
+            return _type_iv_log_norm(z, x)
         if self.kind != "product":
-            return _matrix_log_norm(self, z, x, value_only)
-        # log N is a sum over the factors: block-diagonal tensors
-        levi = None if value_only else np.zeros((len(z), self.dim, self.dim), dtype=np.complex128)
+            return _matrix_log_norm(self, z, x)
+        # log N is a sum over the factors, each on its own block of coordinates
         parts, pos = [], 0
         for f in self.factors:
             rows = slice(pos, pos + f.dim)
-            parts.append(f._log_norm(z[:, rows], _base_rows(x, rows), value_only))
-            if levi is not None:
-                levi[:, rows, rows] = parts[-1].levi
+            parts.append(f._log_norm(z[:, rows], _base_rows(x, rows)))
             pos += f.dim
-        value = sum(part.value for part in parts)
-        if value_only:
-            return Derivatives(value, None, None)
-        grad = np.concatenate([part.grad for part in parts], axis=-1)
-        if x is None:
-            return Derivatives(value, grad, levi)
-        hess = sum(part.hess for part in parts)
-        third = np.concatenate([part.third for part in parts], axis=-1)
-        return Derivatives(value, grad, levi, x, hess, third)
+        return Derivatives.block_sum(parts)
 
     def _check_stack(self, z: np.ndarray) -> None:
         if z.ndim != 2 or z.shape[1] != self.dim:
@@ -305,7 +296,7 @@ class DomainSpec:
             return np.zeros(len(z), dtype=bool)
         far = _off_every_base(z)
         scaled = _at_origin(z, far) / np.sqrt(1.0 - margin)
-        return ~far & (self._log_norm(scaled, None, value_only=True).value > -np.inf)
+        return ~far & (self._log_norm(scaled, None).value > -np.inf)
 
     def _norm(self, coords):
         """Generic norm, without membership validation.
@@ -521,7 +512,7 @@ def _at_origin(z: np.ndarray, outside: np.ndarray) -> np.ndarray:
     return np.where(outside[:, None], 0.0, z)
 
 
-def _matrix_log_norm(spec: DomainSpec, z, x, value_only=False) -> Derivatives:
+def _matrix_log_norm(spec: DomainSpec, z, x) -> Derivatives:
     """Types I-III: L = c log det A, A = I - Z Z*, c = `_det_power(spec)`.
 
     With R = A^-1 and P_i = R E_i Z*, the derivatives follow from
@@ -533,7 +524,7 @@ def _matrix_log_norm(spec: DomainSpec, z, x, value_only=False) -> Derivatives:
     dim, m, n = e.shape
     c = _det_power(spec)
     zm, a, chol, value = _gram(spec, z)
-    if value_only:
+    if x is None:
         return Derivatives(value, None, None)
     zh = _t(zm.conj())
     try:
@@ -548,12 +539,11 @@ def _matrix_log_norm(spec: DomainSpec, z, x, value_only=False) -> Derivatives:
     grad = -c * (flat @ zm.conj().reshape(len(z), m * n, 1))[..., 0]
     s = np.eye(n) + zh @ r @ zm
     levi = -c * _trace_against(re @ s[:, None], e)
-    if x is None:
-        return Derivatives(value, grad, levi)
-    rex = (_t(x) @ flat).reshape(len(z), -1, m, n)  # R X_a, X_a = sum_i x[i, a] E_i
+    cols = x.shape[-1]  # explicit sizes: zero columns leave a -1 undetermined
+    rex = (_t(x) @ flat).reshape(len(z), cols, m, n)  # R X_a, X_a = sum_i x[i, a] E_i
     px = rex @ zh[:, None]
     # hess[a, b] = -c tr(P_a P_b)
-    hess = -c * px.reshape(*px.shape[:2], -1) @ _t(_t(px).reshape(*px.shape[:2], -1))
+    hess = -c * px.reshape(len(z), cols, m * m) @ _t(_t(px).reshape(len(z), cols, m * m))
     # third[a, b, l] = -c tr(E_l* K) with
     # K = (P_a P_b + P_b P_a) R Z + P_a R X_b + P_b R X_a
     pa, pb = px[:, :, None], px[:, None]
@@ -567,7 +557,7 @@ def _disk_gap(z):
     return 1.0 - (z.real * z.real + z.imag * z.imag)
 
 
-def _polydisk_log_norm(z, x, value_only=False) -> Derivatives:
+def _polydisk_log_norm(z, x) -> Derivatives:
     """The disk and products of disks: L = sum_j log a_j, a_j = 1 - |z_j|^2.
 
     Every tensor is diagonal: L_i = -zbar_i / a_i, L_{i ibar} = -1 / a_i^2,
@@ -580,15 +570,13 @@ def _polydisk_log_norm(z, x, value_only=False) -> Derivatives:
         z = _at_origin(z, outside)
         a = _disk_gap(z)
     value = np.where(outside, -np.inf, np.sum(np.log(a), axis=-1))
-    if value_only:
+    if x is None:
         return Derivatives(value, None, None)
     zbar = np.conj(z)
     grad = -zbar / a
     diag = np.arange(z.shape[1])
     levi = np.zeros((*z.shape, z.shape[1]), dtype=np.complex128)
     levi[:, diag, diag] = -1.0 / a**2
-    if x is None:
-        return Derivatives(value, grad, levi)
     hess = _t(x) @ (-(zbar / a)[..., None] ** 2 * x)
     xx = _t(x)[..., :, None, :] * _t(x)[..., None, :, :]
     return Derivatives(value, grad, levi, x, hess, xx * (-2.0 * zbar / a**3)[:, None, None])
@@ -608,7 +596,7 @@ def _type_iv_norm(z):
     return sq, s, 1.0 + s_sq - 2.0 * sq
 
 
-def _type_iv_log_norm(z, x, value_only=False) -> Derivatives:
+def _type_iv_log_norm(z, x) -> Derivatives:
     """Type IV: L = log N (see `_type_iv_norm`), from the tensors of N.
 
     N_i = 2 z_i sbar - 2 zbar_i, N_ij = 2 delta_ij sbar,
@@ -622,7 +610,7 @@ def _type_iv_log_norm(z, x, value_only=False) -> Derivatives:
         z = _at_origin(z, outside)
         _, s, n = _type_iv_norm(z)
     value = np.where(outside, -np.inf, np.log(n))
-    if value_only:
+    if x is None:
         return Derivatives(value, None, None)
     zbar = z.conj()
     sbar = np.conj(s)
@@ -630,12 +618,9 @@ def _type_iv_log_norm(z, x, value_only=False) -> Derivatives:
     levi = 4.0 * (z[:, :, None] * zbar[:, None, :])
     diag = np.arange(z.shape[1])
     levi[:, diag, diag] -= 2.0
-    if x is None:
-        norm = Derivatives(n, grad, levi)
-    else:
-        xx = _t(x) @ x
-        hess = 2.0 * sbar[:, None, None] * xx
-        norm = Derivatives(n, grad, levi, x, hess, 4.0 * xx[..., None] * zbar[:, None, None])
+    xx = _t(x) @ x
+    hess = 2.0 * sbar[:, None, None] * xx
+    norm = Derivatives(n, grad, levi, x, hess, 4.0 * xx[..., None] * zbar[:, None, None])
     return norm.compose(value, 1.0 / n, -1.0 / n**2, 2.0 / n**3)
 
 

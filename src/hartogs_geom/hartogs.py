@@ -31,7 +31,7 @@ import numpy as np
 
 from .domains import DomainSpec, LinearEmbedding, _base_rows, _is_jet_coords
 from .jets import Jet
-from .numerics import Derivatives, DomainViolation, _value
+from .numerics import Derivatives, DomainViolation, _directions, _value
 
 __all__ = [
     "HartogsSpec",
@@ -116,34 +116,26 @@ class HartogsPotential:
         self.spec = spec
         self.n_coords = spec.n_coords
 
-    def _argument(self, p, x=None, value_only=False) -> Derivatives:
-        """D = N^mu - |w|^2 and its tensors over a stack (B, n).
-
+    def _argument(self, p, x=None) -> Derivatives:
+        """D = N^mu - |w|^2 over a stack (B, n), the sum of a base block and a
+        fiber block: the value alone for x None, else every tensor.
         N^mu = exp(mu log N) is the value of `norm_power_derivatives` (the
-        same float with or without `value_only`), 0 off the base, so D > 0
+        same float with or without directions), 0 off the base, so D > 0
         exactly on the domain as the closed form sees it, on every route.
         The domain has |w| < 1 (N <= 1), so |w| is capped at 2 before it is
         squared: a huge or infinite w gives D < 0 without an overflow.
         """
         z, w = p[:, :-1], p[:, -1]
         xz = _base_rows(x, slice(None, -1))
-        nmu = self.spec.base.norm_power_derivatives(z, self.spec.mu, xz, value_only)
-        d = nmu.value - np.minimum(np.abs(w), 2.0) ** 2
-        if value_only:
-            return Derivatives(d, None, None)
-        # D_w = -wbar, D_{w wbar} = -1, no other fiber terms
-        b, n = p.shape
-        grad = np.empty((b, n), dtype=np.complex128)
-        grad[:, :-1] = nmu.grad
-        grad[:, -1] = -w.conj()
-        levi = np.zeros((b, n, n), dtype=np.complex128)
-        levi[:, :-1, :-1] = nmu.levi
-        levi[:, -1, -1] = -1.0
-        if x is None:
-            return Derivatives(d, grad, levi)
-        third = np.zeros((*nmu.third.shape[:-1], n), dtype=np.complex128)
-        third[..., :-1] = nmu.third
-        return Derivatives(d, grad, levi, x, nmu.hess, third)
+        nmu = self.spec.base.norm_power_derivatives(z, self.spec.mu, xz, value_only=x is None)
+        fiber = Derivatives(-np.minimum(np.abs(w), 2.0) ** 2, None, None)
+        if x is not None:
+            # D_w = -wbar, D_{w wbar} = -1, no other fiber terms
+            b, k = len(p), x.shape[-1]
+            zero = np.zeros((b, k, k), dtype=np.complex128)
+            grad, levi = -w.conj()[:, None], np.full((b, 1, 1), -1.0 + 0j)
+            fiber = Derivatives(fiber.value, grad, levi, x[..., -1:, :], zero, zero[..., None])
+        return Derivatives.block_sum([nmu, fiber])
 
     def _jet_argument(self, coords):
         """The jet of D = N^mu - |w|^2, N from the determinant route."""
@@ -152,9 +144,9 @@ class HartogsPotential:
     def __call__(self, coords):
         if _is_jet_coords(coords):
             # the closed form decides membership at the value parts
-            self._stacked([_value(c) for c in coords], value_only=True)
+            self._stacked([_value(c) for c in coords])
             return -np.log(self._jet_argument(coords))  # Jet.log
-        return self._stacked(coords, value_only=True).value
+        return self._stacked(coords).value
 
     def value(self, p):
         """Phi at a point (a float) or over a stack (B, n) (an array (B,))."""
@@ -164,17 +156,18 @@ class HartogsPotential:
         """Closed-form derivatives of Phi at one point or a stack (see `Derivatives`).
 
         p is (n,) or (B, n); the direction matrix is shared (n, k) or per
-        point (B, n, k).  Raises DomainViolation, naming the first offending
-        index, when a point lies outside the domain.
+        point (B, n, k); without it hess and third are empty (k = 0).  Raises
+        DomainViolation, naming the first offending index, when a point lies
+        outside the domain.
         """
-        return self._stacked(p, x)
+        return self._stacked(p, _directions(x, self.n_coords))
 
     def interior_margin(self, p):
         """D of `_argument`: a float at a point, (B,) over a stack, each row the
         float it gets alone; positive exactly on the domain.  A row outside the
         base gives -|w|^2 (|w| capped at 2), even where N > 0."""
         p = np.asarray(p, dtype=np.complex128)
-        d = self._argument(self._rows(p), value_only=True).value
+        d = self._argument(self._rows(p)).value
         return float(d[0]) if p.ndim == 1 else d
 
     def _rows(self, p: np.ndarray) -> np.ndarray:
@@ -184,17 +177,17 @@ class HartogsPotential:
             raise ValueError(f"expected {self.n_coords} coordinates, got shape {p.shape}")
         return ps
 
-    def _stacked(self, p, x=None, value_only=False) -> Derivatives:
+    def _stacked(self, p, x=None) -> Derivatives:
         """Phi = -log D at a point (n,) or over a stack (B, n), after the one
-        membership test D > 0."""
+        membership test D > 0; x None gives the value alone."""
         p = np.asarray(p, dtype=np.complex128)
-        arg = self._argument(self._rows(p), x, value_only)
+        arg = self._argument(self._rows(p), x)
         d = arg.value
         # D <= 0 off the base and off the fiber; ~(d > 0) rejects NaN too
         outside = ~(d > 0.0)
         if outside.any():
             raise DomainViolation("point lies outside the domain", int(np.argmax(outside)))
-        if value_only:
+        if x is None:  # the value alone: no chain-rule factors to form
             out = Derivatives(-np.log(d), None, None)
         else:
             out = arg.compose(-np.log(d), -1.0 / d, 1.0 / d**2, -2.0 / d**3)
@@ -213,8 +206,8 @@ class DomainPotential(HartogsPotential):
         self.spec = spec
         self.n_coords = spec.dim
 
-    def _argument(self, z, x=None, value_only=False) -> Derivatives:
-        return self.spec.norm_power_derivatives(z, 1.0, x, value_only)
+    def _argument(self, z, x=None) -> Derivatives:
+        return self.spec.norm_power_derivatives(z, 1.0, x, value_only=x is None)
 
     def _jet_argument(self, coords):
         return self.spec._norm(coords)
@@ -275,7 +268,7 @@ def _draw_fiber(spec: HartogsSpec, z, scale, shrink: float, rngs, seeds) -> np.n
     if not nmu.all():
         j = int(np.argmin(nmu))
         at = f"sampled base point of seed {seeds[j]}"
-        if np.isneginf(spec.base._log_norm(z[j : j + 1], None, value_only=True).value[0]):
+        if np.isneginf(spec.base._log_norm(z[j : j + 1], None).value[0]):
             raise ValueError(f"{at} lies outside the base")
         raise ValueError(f"mu = {spec.mu:g} is too large: N^mu is 0 at the {at}")
     return np.sqrt(nmu) / scale * shrink * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])

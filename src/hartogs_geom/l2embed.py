@@ -320,9 +320,10 @@ def line_constraints(r: int, mu: float, xi, tol: float = 1e-9) -> LinearGeodesic
     order 1 determines v'''(0) from every equation with a nonvanishing
     multiplier and the candidates must agree (the modulus constraint on the
     base components); order 3 determines v^(5)(0) from every active
-    equation and the candidates must again agree.  Directions tangent to
-    the base or the fiber are classified immediately since those slices are
-    totally geodesic.
+    equation and the candidates must again agree.  A direction in the fiber
+    is classified immediately since that slice is totally geodesic; one in
+    the base is linear exactly when its nonzero moduli agree, the base
+    polydisk's geodesic moving each coordinate at its own speed.
     """
     xi = np.asarray(xi, dtype=np.complex128)
     if len(xi) != r + 1:
@@ -336,10 +337,13 @@ def line_constraints(r: int, mu: float, xi, tol: float = 1e-9) -> LinearGeodesic
     r_mu = len(active_base) * mu
 
     if not fiber_on:
-        v3 = -2.0 * amod2[active_base[0]] if len(active_base) == 1 else None
+        # the base polydisk's geodesic tanh(c |xi_s| t) xi_s / |xi_s| from 0
+        v3_candidates = [-2.0 * amod2[s] for s in active_base]
+        v3_spread = max(v3_candidates) - min(v3_candidates)
+        linear = v3_spread <= tol * max(1.0, max(abs(c) for c in v3_candidates))
         return LinearGeodesicVerdict(
-            GeodesicClass.IN_BASE,
-            LineConstraints(0.0, v3, 0.0, None, None, None, r_mu),
+            GeodesicClass.IN_BASE if linear else GeodesicClass.IMPOSSIBLE,
+            LineConstraints(0.0, v3_candidates[0], v3_spread, None, None, None, r_mu),
         )
     if not active_base:
         return LinearGeodesicVerdict(

@@ -21,6 +21,7 @@ zddot^k + Gamma^k_ij zdot^i zdot^j = 0 valid for Kaehler metrics.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .jets import jet_space, jet_variable, wirtinger
-from .numerics import Derivatives, DomainViolation, _t
+from .numerics import Derivatives, DomainViolation, _directions, _t
 
 __all__ = [
     "MetricData",
@@ -88,34 +89,29 @@ class FunctionPotential:
         """Derivatives of the callable through jets (see `Derivatives`).
 
         A stack of points (B, n) is evaluated point by point (`_point`) and
-        stacked, and a point (n,) is the stack of one.  Raises
-        DomainViolation, naming the first offending index, when the
-        callable rejects a point.
+        stacked, and a point (n,) is the stack of one.  Without directions
+        hess and third are empty (k = 0).  Raises DomainViolation, naming the
+        first offending index, when the callable rejects a point.
         """
         p = np.asarray(p, dtype=np.complex128)
         if p.ndim == 1:
             return self.derivatives(p[None], x).member(0)
+        x = _directions(x, self.n_coords)
         parts = []
         for j, pj in enumerate(p):
             try:
-                parts.append(self._point(pj, x if x is None or x.ndim == 2 else x[j]))
+                parts.append(self._point(pj, x if x.ndim == 2 else x[j]))
             except DomainViolation as exc:
                 raise DomainViolation(str(exc), j) from exc
-
-        def stack(name):
-            vals = [getattr(d, name) for d in parts]
-            return None if vals[0] is None else np.stack(vals)
-
-        return Derivatives(
-            stack("value"), stack("grad"), stack("levi"), x, stack("hess"), stack("third")
-        )
+        names = ("value", "grad", "levi", "hess", "third")
+        return Derivatives(x=x, **{a: np.stack([getattr(d, a) for d in parts]) for a in names})
 
     def _point(self, p, x) -> Derivatives:
         """Derivatives at one point p, with the unbatched shapes.
 
-        Value, gradient and Levi form come from one order-2 jet; with a
-        direction matrix x, hess and third from one mixed order-3 jet per
-        column pair a <= b of x, mirrored to b < a.
+        Value, gradient and Levi form come from one order-2 jet; hess and
+        third from one mixed order-3 jet per column pair a <= b of the
+        direction matrix x, mirrored to b < a.
         """
         n = self.n_coords
         space = jet_space((2 * n,), (2,), 2)
@@ -129,15 +125,13 @@ class FunctionPotential:
             for j in range(i, n):
                 levi[i, j] = wirtinger(f, holo=[pairs[i]], anti=[pairs[j]])
                 levi[j, i] = np.conj(levi[i, j])
-        hess = third = None
-        if x is not None:
-            k = x.shape[1]
-            hess = np.empty((k, k), dtype=np.complex128)
-            third = np.empty((k, k, n), dtype=np.complex128)
-            for a in range(k):
-                for b in range(a, k):
-                    hess[a, b], third[a, b] = self._mixed(p, x[:, a], x[:, b])
-                    hess[b, a], third[b, a] = hess[a, b], third[a, b]
+        k = x.shape[1]
+        hess = np.empty((k, k), dtype=np.complex128)
+        third = np.empty((k, k, n), dtype=np.complex128)
+        for a in range(k):
+            for b in range(a, k):
+                hess[a, b], third[a, b] = self._mixed(p, x[:, a], x[:, b])
+                hess[b, a], third[b, a] = hess[a, b], third[a, b]
         return Derivatives(f.value.real, grad, levi, x, hess, third)
 
     def _mixed(self, p, u, v):
@@ -335,15 +329,16 @@ def _legendre(x, degree):
     return np.stack(p, axis=-1)
 
 
-# the tableau's module names, built together on first use (see `_tableau`)
-_TABLEAU = ("_GL_C", "_GL_B", "_COEF", "_GL_A", "_ROW_C", "_ROW_A", "_SWEEP")
+# nodes c, weights b, the stage polynomial's Legendre coefficients `coef`,
+# the stage matrix a, and of the rows a sweep evaluates (the stages and the
+# landing row) the nodes `row_c`, velocity weights `row_a` and `sweep`
+_Tableau = collections.namedtuple("_Tableau", "c b coef a row_c row_a sweep")
 
 
 @functools.cache
-def _tableau() -> dict[str, np.ndarray]:
-    """The collocation tableau by its module name, built on the first call
-    (the first geodesic), so that a command that integrates none never pays
-    for it; the module attributes of `_TABLEAU` read it."""
+def _tableau() -> _Tableau:
+    """The collocation tableau, built on the first call (the first
+    geodesic), so that a command that integrates none never pays for it."""
     # the roots of P_s by Newton's method from cos(pi (i - 1/4) / (s + 1/2)),
     # with P_s' = s P_{s-1} / (1 - x^2) there; the weights are
     # 2 (1 - x^2) / (s P_{s-1}(x))^2 on [-1, 1]
@@ -361,17 +356,11 @@ def _tableau() -> dict[str, np.ndarray]:
     a = (p[:, 1:] - np.column_stack([-np.ones(_STAGES), p[:, :-2]])) / (2 * odd) @ coef
     # Every sweep evaluates the s stage rows and the landing row (node 1,
     # weights b): velocities from the rows of A, positions from those of A^2,
-    # the system being second order.  The last row of _SWEEP extrapolates the
+    # the system being second order.  The last row of `sweep` extrapolates the
     # stage polynomial to node 1, for the gap at the landing row.
     row_a = np.vstack([a, b])
     sweep = np.vstack([row_a, row_a @ a, _stage_poly(1.0, coef)])
-    return dict(zip(_TABLEAU, (c, b, coef, a, np.append(c, 1.0), row_a, sweep)))
-
-
-def __getattr__(name):
-    if name in _TABLEAU:
-        return _tableau()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _Tableau(c, b, coef, a, np.append(c, 1.0), row_a, sweep)
 
 
 def _stage_poly(x, coef):
@@ -504,7 +493,7 @@ def geodesic_batch(
     # the sweeps shrink the predictor's error by about (h kappa)^7, and they
     # need to shrink it below tol
     reach = _CONTRACTION * (tol / 1e-10) ** (1 / _SWEEPS)
-    nodes, coef, row_c, sweep = (_tableau()[k] for k in ("_GL_C", "_COEF", "_ROW_C", "_SWEEP"))
+    tab = _tableau()
     y = np.stack([p0s, v0s])
     poly = np.repeat(acc, _STAGES, axis=1)  # the stage accelerations of the last accepted step
     h_poly = h.copy()
@@ -533,12 +522,12 @@ def geodesic_batch(
             break
         att = np.array(att)
         y0, hs, speed = y[:, att], h[att], np.sqrt(start[att])
-        k = _stage_poly(1.0 + (hs / h_poly[att])[:, None] * nodes, coef) @ poly[att]
-        base_p = y0[0, :, None] + hs[:, None, None] * row_c[:, None] * y0[1, :, None]
+        k = _stage_poly(1.0 + (hs / h_poly[att])[:, None] * tab.c, tab.coef) @ poly[att]
+        base_p = y0[0, :, None] + hs[:, None, None] * tab.row_c[:, None] * y0[1, :, None]
         sweeping = np.arange(len(att))
         for _ in range(_SWEEPS):
             ks, hc = k[sweeping], hs[sweeping, None, None]
-            mix = sweep @ ks
+            mix = tab.sweep @ ks
             rows_v = y0[1, sweeping, None] + hc * mix[:, : _STAGES + 1]
             rows_p = base_p[sweeping] + hc**2 * mix[:, _STAGES + 1 : -1]
             live, acc, g, phi = evaluate(att[sweeping], rows_p, rows_v)

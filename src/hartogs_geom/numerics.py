@@ -4,7 +4,8 @@ Determinants take stacks of plain complex matrices and of object matrices
 whose entries are :class:`~hartogs_geom.jets.Jet` values, so the one
 generic-norm route can be evaluated numerically and differentiated.
 :class:`Derivatives` carries closed-form derivative tensors of a real
-function of complex coordinates through the chain rule.
+function of complex coordinates through the chain rule and the sum rule
+over coordinate blocks.
 """
 
 from __future__ import annotations
@@ -43,18 +44,19 @@ class Derivatives:
     """Closed-form derivatives of a real function F of complex coordinates.
 
     grad[i] = dF/dz_i and levi[i, l] = d^2F/dz_i dzbar_l; antiholomorphic
-    derivatives are their conjugates because F is real.  Given a direction
-    matrix x (d x k), hess[a, b] = F_ij x[i, a] x[j, b] and
+    derivatives are their conjugates because F is real.  The direction
+    matrix x (d x k) sets how far an evaluation goes, and is given whenever
+    grad is: hess[a, b] = F_ij x[i, a] x[j, b] and
     third[a, b, l] = F_{i j lbar} x[i, a] x[j, b] for every pair of its
-    columns; without directions x, hess and third are None.  Contracting
-    against directions keeps one pair at O(d^2) work instead of
-    materializing the d^3 third-order tensor.
+    columns, so the metric alone is the evaluation along zero columns, with
+    hess and third empty.  Contracting against directions keeps one pair at
+    O(d^2) work instead of materializing the d^3 third-order tensor.
 
     A stack of B points carries a leading batch axis on every tensor: value
     (B,), grad (B, d), levi (B, d, d), hess (B, k, k) and third
     (B, k, k, d), with directions shared (d, k) or per point (B, d, k).
     `member(j)` gives point j with the unbatched shapes.  A value-only
-    evaluation leaves grad and levi None as well.
+    evaluation leaves x and every tensor None.
     """
 
     value: float | np.ndarray
@@ -77,8 +79,6 @@ class Derivatives:
         g = self.grad
         gbar = g.conj()
         levi = f1[..., None] * self.levi + (f2 * g)[..., :, None] * gbar[..., None, :]
-        if self.x is None:
-            return Derivatives(f0, f1 * g, levi)
         xt = _t(self.x)
         fx, fxl = (xt @ g[..., None])[..., 0], xt @ self.levi
         hess = f1[..., None] * self.hess + (f2 * fx)[..., :, None] * fx[..., None, :]
@@ -90,15 +90,40 @@ class Derivatives:
         third = f1[..., None, None] * self.third + curve[..., None] * gbar[..., None, None, :] + cross
         return Derivatives(f0, f1 * g, levi, self.x, hess, third)
 
+    @staticmethod
+    def block_sum(parts) -> "Derivatives":
+        """Derivatives of a sum over consecutive coordinate blocks, each part
+        a function of its own block that carries the rows of x for it.
+
+        Values and hess add, grad, x and third join block by block, and levi
+        is block diagonal.
+        """
+        value = sum(part.value for part in parts)
+        if parts[0].grad is None:
+            return Derivatives(value, None, None)
+        grad = np.concatenate([part.grad for part in parts], axis=-1)
+        x = np.concatenate([part.x for part in parts], axis=-2)
+        third = np.concatenate([part.third for part in parts], axis=-1)
+        levi = np.zeros((*grad.shape, grad.shape[-1]), dtype=np.complex128)
+        pos = 0
+        for part in parts:
+            block = slice(pos, pos + part.grad.shape[-1])
+            levi[..., block, block] = part.levi
+            pos = block.stop
+        return Derivatives(value, grad, levi, x, sum(part.hess for part in parts), third)
+
     def member(self, j: int) -> "Derivatives":
         """Point j of a stack, with the unbatched shapes."""
+        value = float(self.value[j])
+        if self.grad is None:
+            return Derivatives(value, None, None)
+        x = self.x if self.x.ndim == 2 else self.x[j]
+        return Derivatives(value, self.grad[j], self.levi[j], x, self.hess[j], self.third[j])
 
-        def pick(a):
-            return None if a is None else a[j]
 
-        x = self.x if self.x is None or self.x.ndim == 2 else self.x[j]
-        value, grad, levi = float(self.value[j]), pick(self.grad), pick(self.levi)
-        return Derivatives(value, grad, levi, x, pick(self.hess), pick(self.third))
+def _directions(x, n: int) -> np.ndarray:
+    """x, or for None the empty direction matrix (n, 0): the metric alone."""
+    return np.zeros((n, 0), dtype=np.complex128) if x is None else x
 
 
 def _value(x) -> complex:

@@ -320,6 +320,65 @@ class TestWorstIndex:
         assert [c["name"] for c in failed] == ["tg_residual_max"]
 
 
+    def _failed(self, tmp_path, argv):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        return {c["name"]: c for c in json.loads(out.read_text())["checks"] if c["status"] == "fail"}
+
+    def test_energy_drift_names_its_geodesic(self, tmp_path, monkeypatch):
+        # the worst index is the confinement member, not a seed offset
+        traces = []
+
+        def recorded(*args, **kwargs):
+            traces.extend(geodesic_batch(*args, **kwargs))
+            return traces
+
+        monkeypatch.setattr(cli, "geodesic_batch", recorded)
+        cfg = _write_config(tmp_path, dict(BASE_CONFIG, samples=4))
+        failed = self._failed(tmp_path, ["verify-tg", "--config", cfg, "--energy-drift", "1e-300"])
+        assert list(failed) == ["geodesic_energy_drift"]
+        drifts = [tr.energy_drift() for tr in traces]
+        assert len(drifts) == 5
+        assert failed["geodesic_energy_drift"]["worst_index"] == int(np.argmax(drifts))
+        assert failed["geodesic_energy_drift"]["measured"] == max(drifts)
+
+    def test_confinement_names_its_geodesic(self, tmp_path, monkeypatch):
+        # confinement reads exactly 0 on polydisk slices, so one member is
+        # spoiled: the third distance_to_span call measures member 2
+        calls = []
+        distance_to_span = cli.distance_to_span
+
+        def spoiled(p, basis):
+            calls.append(len(p))
+            return distance_to_span(p, basis) + (1.0 if len(calls) == 3 else 0.0)
+
+        monkeypatch.setattr(cli, "distance_to_span", spoiled)
+        cfg = _write_config(tmp_path, dict(BASE_CONFIG, samples=4))
+        failed = self._failed(tmp_path, ["verify-tg", "--config", cfg])
+        assert list(failed) == ["geodesic_confinement_max"]
+        assert len(calls) == 5
+        assert failed["geodesic_confinement_max"]["worst_index"] == 2
+
+    def test_linear_scan_names_its_record(self, tmp_path, monkeypatch):
+        # cell 5 (r = 2, pure-fiber, a linear verdict) reads curved
+        def spoiled(r, mu, xi, T):
+            out = line_deviation(r, mu, xi, T)
+            out[5] = 1.0
+            return out
+
+        monkeypatch.setattr(cli, "line_deviation", spoiled)
+        failed = self._failed(tmp_path, ["linear-scan", "--mu-grid", "0.5", "--r-grid", "1,2"])
+        check = failed["verdict_deviation_consistency"]
+        assert (check["measured"], check["worst_index"]) == (1.0, 5)
+        # unspoiled, the scan passes without an index
+        monkeypatch.undo()
+        out = tmp_path / "r.json"
+        assert main(["linear-scan", "--mu-grid", "0.5", "--r-grid", "1,2", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert "worst_index" not in report["checks"][0]
+        assert (report["records"][5]["r"], report["records"][5]["direction"]) == (2, "pure-fiber")
+
+
 class TestVerifyTg:
     @pytest.mark.parametrize("selector", ["polydisk", "typeI-polydisk"])
     def test_matrix_base(self, tmp_path, selector):

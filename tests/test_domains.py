@@ -382,6 +382,30 @@ class TestGenericNorm:
             )
 
 
+class TestProductLogNorm:
+    """log N of a product is the sum of its factors' on their own blocks."""
+
+    @pytest.mark.parametrize("directions", [0, 2])
+    def test_factor_tensors_placed_block_by_block(self, directions):
+        spec = DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2), DomainSpec.type_iv(5))
+        z = np.stack([spec.sample(0.8, j) for j in range(3)])
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, spec.dim, directions)) + 1j * rng.normal(size=(3, spec.dim, directions))
+        got = spec.log_norm_derivatives(z, x)
+        levi, pos, parts = np.zeros_like(got.levi), 0, []
+        for f in spec.factors:
+            rows = slice(pos, pos + f.dim)
+            parts.append(f.log_norm_derivatives(z[:, rows], x[:, rows]))
+            assert np.array_equal(got.grad[:, rows], parts[-1].grad)
+            assert np.array_equal(got.third[..., rows], parts[-1].third)
+            levi[:, rows, rows] = parts[-1].levi
+            pos += f.dim
+        assert np.array_equal(got.levi, levi)
+        assert np.array_equal(got.value, sum(part.value for part in parts))
+        assert np.array_equal(got.hess, sum(part.hess for part in parts))
+        assert np.array_equal(got.x, x)
+
+
 class TestPolydiskLogNorm:
     """The diagonal closed form of log N on polydisks."""
 

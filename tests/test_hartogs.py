@@ -801,3 +801,57 @@ class TestStackedMargins:
         with pytest.raises(DomainViolation) as info:
             jet.derivatives(np.stack([inside[0], crossing]))
         assert info.value.index == 1
+
+
+EMPTY_DIRECTION_BASES = {
+    "I(2,3)": DomainSpec.type_i(2, 3),
+    "II(5)": DomainSpec.type_ii(5),
+    "III(3)": DomainSpec.type_iii(3),
+    "IV(6)": DomainSpec.type_iv(6),
+    "I(1,2)xIII(2)": DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2)),
+    "poly3": DomainSpec.polydisk(3),
+}
+
+
+class TestEmptyDirections:
+    """Without directions an evaluation runs along an empty direction matrix:
+    value, grad and levi are those of any directions, bit for bit, and hess
+    and third are empty."""
+
+    @staticmethod
+    def _check(pot, p, rng):
+        n = pot.n_coords
+        x = rng.normal(size=(len(p), n, 2)) + 1j * rng.normal(size=(len(p), n, 2))
+        got, want = pot.derivatives(p), pot.derivatives(p, x)
+        for field in ("value", "grad", "levi"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert got.hess.shape == (len(p), 0, 0) and got.third.shape == (len(p), 0, 0, n)
+        one = pot.derivatives(p[0])
+        assert one.hess.shape == (0, 0) and one.third.shape == (0, 0, n)
+        assert np.array_equal(one.levi, got.levi[0])
+
+    @pytest.mark.parametrize("name", list(EMPTY_DIRECTION_BASES))
+    def test_hartogs_potential(self, name):
+        spec = HartogsSpec(EMPTY_DIRECTION_BASES[name], 1.3)
+        self._check(HartogsPotential(spec), h_sample(spec, 0.8, range(4)), np.random.default_rng(3))
+
+    @pytest.mark.parametrize("name", list(EMPTY_DIRECTION_BASES))
+    def test_domain_potential(self, name):
+        base = EMPTY_DIRECTION_BASES[name]
+        z = np.stack([base.sample(0.8, j) for j in range(4)])
+        self._check(DomainPotential(base), z, np.random.default_rng(4))
+
+    def test_function_potential(self):
+        spec = HartogsSpec(EMPTY_DIRECTION_BASES["poly3"], 1.3)
+        pot = FunctionPotential(HartogsPotential(spec), spec.n_coords)
+        self._check(pot, h_sample(spec, 0.8, range(2)), np.random.default_rng(5))
+
+    @pytest.mark.parametrize("name", list(EMPTY_DIRECTION_BASES))
+    def test_log_norm_and_norm_power(self, name):
+        base = EMPTY_DIRECTION_BASES[name]
+        z = np.stack([base.sample(0.8, j) for j in range(3)])
+        for out in (base.log_norm_derivatives(z), base.norm_power_derivatives(z, 1.3)):
+            assert out.hess.shape == (3, 0, 0) and out.third.shape == (3, 0, 0, base.dim)
+        value_only = base.log_norm_derivatives(z, np.ones((base.dim, 1)), value_only=True)
+        assert value_only.grad is None and value_only.x is None
+        assert np.array_equal(value_only.value, base.log_norm_derivatives(z).value)

@@ -231,6 +231,20 @@ class TestLineConstraints:
         v = line_constraints(1, 2.0, [1.0, 0.0])
         assert v.klass == GeodesicClass.IN_BASE
 
+    def test_pure_base_reads_the_active_moduli(self):
+        # the base polydisk's geodesic tanh(c |xi_j| t) xi_j / |xi_j| leaves
+        # the line unless the active moduli agree
+        unequal = np.array([1.0, 2.0, 0.0]) / np.sqrt(5)
+        v = line_constraints(2, 0.5, unequal)
+        assert v.klass == GeodesicClass.IMPOSSIBLE
+        assert v.constraints.third_spread == pytest.approx(2.0 * (4 - 1) / 5)
+        assert line_deviation(2, 0.5, unequal, 0.5) > 1e-3
+        equal = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
+        v = line_constraints(2, 0.5, equal)
+        assert v.klass == GeodesicClass.IN_BASE
+        assert v.constraints.third_derivative == pytest.approx(-1.0)
+        assert line_deviation(2, 0.5, equal, 0.5) < 1e-6
+
     def test_pure_fiber(self):
         v = line_constraints(3, 0.5, [0, 0, 0, 1.0])
         assert v.klass == GeodesicClass.IN_FIBER

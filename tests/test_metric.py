@@ -412,9 +412,8 @@ class TestGaussLegendreTableau:
 
     def test_simplifying_assumptions(self):
         # B(16): b integrates degree 15; C(8) and D(8): the stage order
-        from hartogs_geom.metric import _GL_A, _GL_B, _GL_C
-
-        a, b, c = _GL_A, _GL_B, _GL_C
+        tab = metric._tableau()
+        a, b, c = tab.a, tab.b, tab.c
         assert max(abs(b @ c ** (q - 1) - 1 / q) for q in range(1, 17)) < 1e-14
         assert max(np.max(np.abs(a @ c ** (q - 1) - c**q / q)) for q in range(1, 9)) < 1e-14
         for q in range(1, 9):
@@ -423,15 +422,15 @@ class TestGaussLegendreTableau:
     def test_sweep_rows(self):
         # the landing row has node 1 and weights b; positions read A^2; the
         # last row extrapolates the stage polynomial to node 1
-        from hartogs_geom.metric import _GL_A, _GL_B, _GL_C, _ROW_C, _SWEEP
-
-        s = len(_GL_C)
-        assert _SWEEP.shape == (2 * s + 3, s)
-        assert np.array_equal(_SWEEP[s], _GL_B) and _ROW_C[s] == 1.0
-        assert np.max(np.abs(_SWEEP[s + 1 : 2 * s + 2] @ np.ones(s) - _ROW_C**2 / 2)) < 1e-14
-        assert np.max(np.abs(_SWEEP[2 * s + 1] - _GL_B * (1 - _GL_C))) < 1e-14
-        assert abs(_SWEEP[-1] @ _GL_C**7 - 1.0) < 1e-12
-        assert abs(_SWEEP[-1].sum() - 1.0) < 1e-13
+        tab = metric._tableau()
+        b, c, row_c, sweep = tab.b, tab.c, tab.row_c, tab.sweep
+        s = len(c)
+        assert sweep.shape == (2 * s + 3, s)
+        assert np.array_equal(sweep[s], b) and row_c[s] == 1.0
+        assert np.max(np.abs(sweep[s + 1 : 2 * s + 2] @ np.ones(s) - row_c**2 / 2)) < 1e-14
+        assert np.max(np.abs(sweep[2 * s + 1] - b * (1 - c))) < 1e-14
+        assert abs(sweep[-1] @ c**7 - 1.0) < 1e-12
+        assert abs(sweep[-1].sum() - 1.0) < 1e-13
 
     def test_built_on_the_first_geodesic(self):
         # a command that integrates no geodesic never builds the tableau;
@@ -446,7 +445,7 @@ class TestGaussLegendreTableau:
             "metric.geodesic_ivp(metric.FunctionPotential(lambda z: -np.log(1 - z[0] * z[0].conjugate()), 1),"
             " [0.0], [0.3], 0.2)\n"
             "sizes.append(metric._tableau.cache_info().currsize)\n"
-            "print(sizes, metric._SWEEP is metric._tableau()['_SWEEP'])\n"
+            "print(sizes, metric._tableau() is metric._tableau())\n"
         )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
