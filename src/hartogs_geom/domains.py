@@ -10,8 +10,8 @@ the fourth type, vector) realizations:
 * type IV  -- z in C^n with sum |z_j|^2 < 1 and
   1 + |sum z_j^2|^2 - 2 sum |z_j|^2 > 0 (n >= 5).
 
-Types I-III read Z, its unit matrices E_k and the embedded polydisk from one
-coordinate layout, `_layout`.
+Types I-III read Z, the embedded polydisk and the entries of Z that hold each
+coordinate, which a trace against a unit matrix gathers, from `_layout`.
 
 Products are supported everywhere; the generic norm of a product is the
 product of the factor norms.  The generic norm from determinants takes
@@ -20,12 +20,12 @@ through the same code; it is the second route to the closed forms and the
 one jets differentiate.
 `log_norm_derivatives` gives the derivatives of log N up to order three in
 closed form, at one point or over a stack (every tensor then takes a leading
-batch axis, from stacked LAPACK and matrix products): through the Bergman
-operator A = I - Z Z* for types I-III, where Z = sum z_k E_k, and through the
-explicit polynomial for type IV.  The closed form is total: a point that
-fails its own spectral test gets log N = -inf, so `norm_power_derivatives`
-gives N^mu = 0 there and `log_norm_derivatives` raises.  It and `contains`
-reject the points off every base (`_off_every_base`) before any arithmetic.
+batch axis): through the Bergman operator A = I - Z Z* for types I-III, and
+through the explicit polynomial for type IV.  The closed form is total: a
+point that fails its own spectral test gets log N = -inf, so
+`norm_power_derivatives` gives N^mu = 0 there and `log_norm_derivatives`
+raises.  It and `contains` reject the points off every base
+(`_off_every_base`) before any arithmetic.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class DomainSpec:
     def matrix_realization(self, coords) -> np.ndarray:
         """Coordinates assembled into the defining matrix of types I-III (see `_layout`)."""
         self._check_len(coords)
-        return _realize(self, _coords_array(coords)[None])[0]
+        return _realize(self, _coords_array(coords))
 
     # -- closed-form derivatives of log N ----------------------------------------
 
@@ -347,8 +347,8 @@ class DomainSpec:
         """
         scale, radii, angles = _draw_layout(self)
         u = np.stack([rng.random(2 * self.dim) for rng in rngs])
-        r = shrink * scale * np.sqrt(u[:, radii])
-        phi = 2.0 * np.pi * u[:, angles]
+        r = shrink * scale * np.sqrt(np.take(u, radii, axis=1))
+        phi = 2.0 * np.pi * np.take(u, angles, axis=1)
         return r * np.exp(1j * phi)
 
     def _sample_stack(self, shrink: float, rngs) -> np.ndarray:
@@ -423,19 +423,22 @@ def _layout(spec: DomainSpec) -> np.ndarray:
 
 
 def _realize(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
-    """Z over a stack (B, dim) of coordinates, plain or of jets: the entries
-    of (z, -z, 0) that `_layout` names, so a structural zero stays a plain
-    zero."""
-    signed = np.concatenate([z, -z, np.zeros((len(z), 1), z.dtype)], axis=1)
-    return np.take(signed, _layout(spec), axis=1)
+    """Z over a stack (..., dim) of coordinates, plain or of jets: the entries
+    of (z, -z, 0) that `_layout` names; a structural zero stays a plain zero."""
+    signed = np.concatenate([z, -z, np.zeros((*z.shape[:-1], 1), z.dtype)], axis=-1)
+    return np.take(signed, _layout(spec), axis=-1)
 
 
 @lru_cache(maxsize=None)
-def _unit_matrices(spec: DomainSpec) -> np.ndarray:
-    """E_k = matrix_realization(e_k), stacked as (dim, m, n); Z = sum z_k E_k."""
-    e = _realize(spec, np.eye(spec.dim)).astype(np.complex128)
-    e.flags.writeable = False
-    return e
+def _entries(spec: DomainSpec):
+    """Rows, columns and signs (2, dim) of the at most two entries of Z that
+    hold +-z_k (`_layout`), so E_k = sum_j sign[j, k] e(row[j, k], col[j, k]);
+    a coordinate with one entry (type I, III's diagonal) repeats it, sign 0."""
+    table, dim = _layout(spec).ravel(), spec.dim
+    pos = np.array([np.flatnonzero((table == j) | (table == dim + j))[[0, -1]] for j in range(dim)]).T
+    sign = np.where(table[pos] < dim, 1.0, -1.0)
+    sign[1] *= pos[1] != pos[0]
+    return (*np.divmod(pos, _layout(spec).shape[1]), sign)
 
 
 def _base_rows(x, rows):
@@ -443,15 +446,12 @@ def _base_rows(x, rows):
     return None if x is None else x[..., rows, :]
 
 
-def _trace_against(k: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """tr(E_l* K) for every l, over a stack (B, ..., m, n) of K.
-
-    Each point of the stack is its own matrix product, so a point's floats
-    do not depend on the other points or on B.
-    """
-    lead = k.shape[:-2]
-    out = k.reshape(lead[0], -1, e[0].size) @ e.reshape(len(e), -1).conj().T
-    return out.reshape(*lead, len(e))
+def _trace_against(spec: DomainSpec, k: np.ndarray) -> np.ndarray:
+    """tr(E_l* K) for every l over a stack (B, ..., m, n) of K: the signed
+    entries of K that hold z_l (`_entries`), added with an explicit `+` so
+    that a point's floats do not depend on the other points or on B."""
+    row, col, sign = _entries(spec)
+    return sign[0] * k[..., row[0], col[0]] + sign[1] * k[..., row[1], col[1]]
 
 
 @lru_cache(maxsize=None)
@@ -515,40 +515,38 @@ def _at_origin(z: np.ndarray, outside: np.ndarray) -> np.ndarray:
 def _matrix_log_norm(spec: DomainSpec, z, x) -> Derivatives:
     """Types I-III: L = c log det A, A = I - Z Z*, c = `_det_power(spec)`.
 
-    With R = A^-1 and P_i = R E_i Z*, the derivatives follow from
-    dR = R (dA) R: L_i = -c tr P_i, L_ij = -c tr(P_i P_j) and
-    L_{i lbar} = -c tr(E_l* R E_i S) with S = I + Z* R Z = (I - Z* Z)^-1.
-    Every tensor carries the stack axis of z first.
+    With R = A^-1, S = I + Z* R Z = (I - Z* Z)^-1, X_a = sum_i x[i, a] E_i
+    (`_realize` of direction column a), P_a = R X_a Z* and Q_a = R X_a S,
+    dR = R (dA) R gives L_i = -c tr(R E_i Z*), L_{i lbar} = -c tr(E_l* R E_i S),
+    hess[a, b] = -c tr(P_a P_b) and third[a, b, l] = -c tr(E_l* (P_a Q_b +
+    P_b Q_a)), as P_b R Z + R X_b = Q_b.  Each trace against a unit matrix is
+    a gather of entries; every tensor carries the stack axis of z first.
     """
-    e = _unit_matrices(spec)
-    dim, m, n = e.shape
     c = _det_power(spec)
     zm, a, chol, value = _gram(spec, z)
     if x is None:
         return Derivatives(value, None, None)
-    zh = _t(zm.conj())
     try:
         r = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         # a zero LU pivot, ulps from the boundary: R = (L L*)^-1 instead
         linv = np.linalg.inv(chol)
         r = _t(linv.conj()) @ linv
-    re = r[:, None] @ e  # R E_i, (B, dim, m, n)
-    flat = re.reshape(len(z), dim, m * n)
-    # tr(R E_i Z*) = sum_ab (R E_i)_ab conj(Z_ab)
-    grad = -c * (flat @ zm.conj().reshape(len(z), m * n, 1))[..., 0]
-    s = np.eye(n) + zh @ r @ zm
-    levi = -c * _trace_against(re @ s[:, None], e)
-    cols = x.shape[-1]  # explicit sizes: zero columns leave a -1 undetermined
-    rex = (_t(x) @ flat).reshape(len(z), cols, m, n)  # R X_a, X_a = sum_i x[i, a] E_i
-    px = rex @ zh[:, None]
-    # hess[a, b] = -c tr(P_a P_b)
-    hess = -c * px.reshape(len(z), cols, m * m) @ _t(_t(px).reshape(len(z), cols, m * m))
-    # third[a, b, l] = -c tr(E_l* K) with
-    # K = (P_a P_b + P_b P_a) R Z + P_a R X_b + P_b R X_a
-    pa, pb = px[:, :, None], px[:, None]
-    k = (pa @ pb + pb @ pa) @ (r @ zm)[:, None, None] + pa @ rex[:, None] + pb @ rex[:, :, None]
-    return Derivatives(value, grad, levi, x, hess, -c * _trace_against(k, e))
+    zh = _t(zm.conj())
+    zr = zh @ r
+    s = np.eye(zm.shape[2]) + zr @ zm
+    grad = -c * _trace_against(spec, _t(zr))
+    row, col, sign = _entries(spec)
+    i, l = np.s_[:, None, :, None], np.s_[None, :, None, :]  # (entry of z_i, entry of z_l, i, l)
+    t = sign[i] * sign[l] * r[:, row[l], row[i]] * s[:, col[i], col[l]]
+    levi = -c * (t[:, 0, 0] + t[:, 0, 1] + t[:, 1, 0] + t[:, 1, 1])  # .sum's order varies with B
+    rx = r[:, None] @ _realize(spec, _t(x))  # R X_a, (B, k, m, n)
+    px = rx @ zh[:, None]
+    b, cols, m, _ = px.shape  # explicit sizes: zero columns leave a -1 undetermined
+    hess = -c * px.reshape(b, cols, m * m) @ _t(_t(px).reshape(b, cols, m * m))
+    pq = px[:, :, None] @ (rx @ s[:, None])[:, None]  # P_a Q_b, (B, k, k, m, n)
+    third = -c * _trace_against(spec, pq + pq.swapaxes(1, 2))
+    return Derivatives(value, grad, levi, x, hess, third)
 
 
 def _disk_gap(z):

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the jet engine: finite differences with
 Richardson extrapolation for derivatives, cofactor expansion for
-determinants, term-by-term loops for the linear-support residual series, and
-an explicit Dormand-Prince 8(5,3) integrator for geodesics.  These provide
-the second route of every dual-route check.
+determinants, term-by-term loops for the linear-support residual series, an
+explicit Dormand-Prince 8(5,3) integrator for geodesics, and the dense
+R-chain over a stack of unit matrices for the types I-III log-norm tensors.
+These provide the second route of every dual-route check.
 """
 
 from __future__ import annotations
@@ -294,3 +295,41 @@ def dop853_geodesic(pot, p0, v0, T: float, tol: float = 1e-10):
         h *= min(max(0.9 * max(err, 1e-16) ** -0.125, 0.2), 5.0)
     path = np.array(ys)
     return np.array(times), path[:, 0], path[:, 1]
+
+
+def matrix_log_norm_dense(spec, z, x):
+    """Types I-III: the tensors of log N over a stack (B, dim) along the
+    directions x, by the dense R-chain.
+
+    The second route for `domains._matrix_log_norm`: the unit matrices E_k
+    are built as a (dim, m, n) stack, R is multiplied by every E_k, a trace
+    against E_l is a product with the flattened stack, and the third tensor
+    comes from K = (P_a P_b + P_b P_a) R Z + P_a R X_b + P_b R X_a with
+    P_a = R X_a Z*.
+    """
+    from hartogs_geom.domains import _det_power, _gram, _realize
+    from hartogs_geom.numerics import Derivatives
+
+    e = _realize(spec, np.eye(spec.dim)).astype(np.complex128)
+    dim, m, n = e.shape
+    c = _det_power(spec)
+    zm, a, _, value = _gram(spec, z)
+    b, cols = len(z), x.shape[-1]
+    zh = zm.conj().swapaxes(-1, -2)
+    r = np.linalg.inv(a)
+
+    def trace_against(k):
+        lead = k.shape[:-2]
+        return (k.reshape(b, -1, m * n) @ e.reshape(dim, m * n).conj().T).reshape(*lead, dim)
+
+    re = r[:, None] @ e  # R E_i, (B, dim, m, n)
+    flat = re.reshape(b, dim, m * n)
+    grad = -c * (flat @ zm.conj().reshape(b, m * n, 1))[..., 0]
+    s = np.eye(n) + zh @ r @ zm
+    levi = -c * trace_against(re @ s[:, None])
+    rex = (x.swapaxes(-1, -2) @ flat).reshape(b, cols, m, n)
+    px = rex @ zh[:, None]
+    hess = -c * np.einsum("bxij,byji->bxy", px, px)
+    pa, pb = px[:, :, None], px[:, None]
+    k = (pa @ pb + pb @ pa) @ (r @ zm)[:, None, None] + pa @ rex[:, None] + pb @ rex[:, :, None]
+    return Derivatives(value, grad, levi, x, hess, -c * trace_against(k))

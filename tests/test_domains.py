@@ -10,14 +10,16 @@ from hartogs_geom.domains import (
     _bergman,
     _matrix_log_norm,
     _polydisk_log_norm,
-    _unit_matrices,
+    _trace_against,
     polydisk_embedding,
     product_embedding,
     subtriple_closure,
     triple_product,
 )
 from hartogs_geom.jets import Jet, jet_space, jet_variable
-from hartogs_geom.numerics import DomainViolation, is_positive_definite
+from hartogs_geom.numerics import Derivatives, DomainViolation, is_positive_definite
+
+from _oracles import matrix_log_norm_dense
 
 ALL_IRREDUCIBLE = [
     DomainSpec.type_i(1, 1),
@@ -450,6 +452,56 @@ class TestPolydiskLogNorm:
             assert inside == disk.contains([z])
 
 
+DENSE_ROUTE_SPECS = [
+    DomainSpec.type_i(2, 3),
+    DomainSpec.type_i(3, 4),
+    DomainSpec.type_ii(4),
+    DomainSpec.type_ii(5),
+    DomainSpec.type_ii(6),
+    DomainSpec.type_iii(3),
+    DomainSpec.type_i(1, 1),
+    DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2)),
+]
+
+
+class TestDenseRChain:
+    """The gathered types I-III tensors against the dense R-chain, which
+    multiplies R by the stack of unit matrices E_k and forms the third
+    tensor from five matrix products (`_oracles.matrix_log_norm_dense`)."""
+
+    @staticmethod
+    def _factor_by_factor(route, spec, z, x):
+        parts, pos = [], 0
+        for f in spec.irreducible_factors:
+            rows = slice(pos, pos + f.dim)
+            parts.append(route(f, z[:, rows], x[..., rows, :]))
+            pos += f.dim
+        return Derivatives.block_sum(parts)
+
+    @pytest.mark.parametrize("shape", ["per-point k=1", "shared k=4", "k=0"])
+    @pytest.mark.parametrize("spec", DENSE_ROUTE_SPECS, ids=str)
+    def test_matches_dense_route(self, spec, shape):
+        rng = np.random.default_rng(spec.dim)
+        z = np.stack([spec.sample(0.9, j) for j in range(5)])
+        size = {
+            "per-point k=1": (5, spec.dim, 1), "shared k=4": (spec.dim, 4), "k=0": (spec.dim, 0)
+        }[shape]
+        x = rng.normal(size=size) + 1j * rng.normal(size=size)
+        got = self._factor_by_factor(_matrix_log_norm, spec, z, x)
+        want = self._factor_by_factor(matrix_log_norm_dense, spec, z, x)
+        for field in ("value", "grad", "levi", "hess", "third"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert g.shape == w.shape, field
+            if w.size:
+                assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), field
+        # a point alone gets the floats it gets inside the stack
+        for j in range(len(z)):
+            xj = x[j : j + 1] if x.ndim == 3 else x
+            one = self._factor_by_factor(_matrix_log_norm, spec, z[j : j + 1], xj)
+            for field in ("grad", "levi", "hess", "third"):
+                assert np.array_equal(getattr(one, field)[0], getattr(got, field)[j]), field
+
+
 def _loop_realization(spec, coords):
     """The realization written entry by entry: type I row by row, types II
     and III the upper triangle row by row (strict on II), mirrored with the
@@ -478,8 +530,11 @@ class TestMatrixRealization:
         rng = np.random.default_rng(7)
         z = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
         assert np.array_equal(spec.matrix_realization(z), _loop_realization(spec, z))
-        want = np.stack([_loop_realization(spec, u) for u in np.eye(spec.dim)])
-        assert np.array_equal(_unit_matrices(spec), want)
+        # tr(E_l* K) with the unit matrices E_l of the loops, over a stack of K
+        e = np.stack([_loop_realization(spec, u) for u in np.eye(spec.dim)])
+        k = rng.normal(size=(2, 3, *e.shape[1:])) + 1j * rng.normal(size=(2, 3, *e.shape[1:]))
+        want = np.sum(e.conj() * k[:, :, None], axis=(-2, -1))
+        assert np.array_equal(_trace_against(spec, k), want)
 
     def test_type_ii_jet_zeros_stay_plain(self):
         # the structural zeros of Z (the diagonal on type II) are no jets,

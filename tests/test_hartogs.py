@@ -6,6 +6,7 @@ import pytest
 from hartogs_geom.domains import (
     DomainSpec,
     LinearEmbedding,
+    _draw_layout,
     polydisk_embedding,
 )
 from hartogs_geom.hartogs import (
@@ -361,6 +362,34 @@ class TestSeeding:
         for s in (0, 2**32 + 5):
             expected = spec._sample_stack(0.5, [np.random.default_rng(s)])[0]
             assert np.array_equal(spec.sample(0.5, s), expected)
+
+
+class TestRowMajorStacks:
+    """Sampled stacks come back C-ordered, with the floats of a draw that
+    reads each generator's uniforms one point at a time."""
+
+    @staticmethod
+    def _draw_one_point(spec, shrink, seed):
+        rng, (scale, radii, angles) = np.random.default_rng(seed), _draw_layout(spec)
+        while True:
+            u = rng.random(2 * spec.dim)
+            z = shrink * scale * np.sqrt(u[radii]) * np.exp(1j * (2.0 * np.pi * u[angles]))
+            if spec.contains(z, 1.0 - shrink * shrink):
+                return z
+
+    @pytest.mark.parametrize(
+        "base", [DomainSpec.type_iv(7), DomainSpec.type_ii(5), DomainSpec.polydisk(3)], ids=str
+    )
+    def test_samplers_return_c_ordered_stacks(self, base):
+        spec, seeds = HartogsSpec(base, 1.3), range(16)
+        z = base._sample_stack(0.8, _seed_generators(list(seeds)))
+        q = h_sample(spec, 0.8, seeds)
+        chart = slice_chart(spec, polydisk_embedding(base)).sample(0.8, seeds)
+        for stack in (z, q, chart):
+            assert stack.flags.c_contiguous
+        want = np.stack([self._draw_one_point(base, 0.8, s) for s in seeds])
+        assert np.array_equal(z, want)
+        assert np.array_equal(q[:, :-1], want)
 
 
 class TestLifts:
