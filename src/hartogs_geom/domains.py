@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .jets import Jet
-from .numerics import Derivatives, DomainViolation, _directions, _t, det, is_positive_definite
+from .numerics import Derivatives, DomainViolation, _directions, _stack, _t, det, is_positive_definite
 
 __all__ = [
     "DomainSpec",
@@ -53,12 +53,6 @@ _SAMPLE_BUDGET = 100_000
 
 def _is_jet_coords(coords) -> bool:
     return any(isinstance(c, Jet) for c in coords)
-
-
-def _coords_array(coords) -> np.ndarray:
-    """Coordinates as an array: complex128 when plain, object when they hold jets."""
-    z = np.asarray(coords)
-    return z if z.dtype == object else z.astype(np.complex128, copy=False)
 
 
 def _realify(x, tol: float = 1e-12):
@@ -193,16 +187,13 @@ class DomainSpec:
         """True for the disk I(1,1) and for products of disks."""
         return all(f.kind == "I" and f.params == (1, 1) for f in self.irreducible_factors)
 
-    def _check_len(self, coords) -> None:
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
-
     # -- matrix realization ---------------------------------------------------
 
     def matrix_realization(self, coords) -> np.ndarray:
-        """Coordinates assembled into the defining matrix of types I-III (see `_layout`)."""
-        self._check_len(coords)
-        return _realize(self, _coords_array(coords))
+        """Coordinates assembled into the defining matrix of types I-III (see
+        `_layout`): Z at a point (dim,), or a stack of Z over a stack (B, dim)."""
+        z, single = _stack(coords, self.dim, None)
+        return _realize(self, z[0] if single else z)
 
     # -- closed-form derivatives of log N ----------------------------------------
 
@@ -221,15 +212,12 @@ class DomainSpec:
         DomainViolation, naming the first offending index, when a point lies
         outside: where `_log_norm` gives -inf.
         """
-        z = np.asarray(coords, dtype=np.complex128)
-        if z.ndim == 1:
-            return self.log_norm_derivatives(z[None], x, value_only).member(0)
-        self._check_stack(z)
+        z, single = _stack(coords, self.dim)
         out = self._log_norm(z, None if value_only else _directions(x, self.dim))
         outside = np.isneginf(out.value)
         if outside.any():
             raise DomainViolation("point lies outside the domain", int(np.argmax(outside)))
-        return out
+        return out.member(0) if single else out
 
     def norm_power_derivatives(self, coords, mu: float, x=None, value_only=False) -> Derivatives:
         """Derivatives of N^mu = exp(mu log N), from those of log N.
@@ -239,13 +227,11 @@ class DomainSpec:
         tensors are 0.  Its value is the N^mu that decides fiber membership
         in `hartogs`, the same float with or without `value_only`.
         """
-        z = np.asarray(coords, dtype=np.complex128)
-        if z.ndim == 1:
-            return self.norm_power_derivatives(z[None], mu, x, value_only).member(0)
-        self._check_stack(z)
+        z, single = _stack(coords, self.dim)
         log_n = self._log_norm(z, None if value_only else _directions(x, self.dim))
         a = np.exp(mu * log_n.value)
-        return log_n.compose(a, mu * a, mu**2 * a, mu**3 * a)
+        out = log_n.compose(a, mu * a, mu**2 * a, mu**3 * a)
+        return out.member(0) if single else out
 
     def _log_norm(self, z, x) -> Derivatives:
         """The closed form of log N over a stack (B, dim), total: a row that
@@ -272,10 +258,6 @@ class DomainSpec:
             pos += f.dim
         return Derivatives.block_sum(parts)
 
-    def _check_stack(self, z: np.ndarray) -> None:
-        if z.ndim != 2 or z.shape[1] != self.dim:
-            raise ValueError(f"expected a stack of {self.dim} coordinates, got shape {z.shape}")
-
     # -- membership and generic norm ------------------------------------------
 
     def contains(self, coords, margin: float = 0.0):
@@ -287,16 +269,14 @@ class DomainSpec:
         test log N > -inf, after `_off_every_base`.  A margin >= 1 admits no
         row.  A point gives a bool, a stack (B, dim) a boolean array (B,).
         """
-        z = np.asarray(coords, dtype=np.complex128)
-        if z.ndim == 1:
-            self._check_len(z)
-            return bool(self.contains(z[None], margin)[0])
-        self._check_stack(z)
+        z, single = _stack(coords, self.dim)
         if not margin < 1.0:
-            return np.zeros(len(z), dtype=bool)
-        far = _off_every_base(z)
-        scaled = _at_origin(z, far) / np.sqrt(1.0 - margin)
-        return ~far & (self._log_norm(scaled, None).value > -np.inf)
+            inside = np.zeros(len(z), dtype=bool)
+        else:
+            far = _off_every_base(z)
+            scaled = _at_origin(z, far) / np.sqrt(1.0 - margin)
+            inside = ~far & (self._log_norm(scaled, None).value > -np.inf)
+        return bool(inside[0]) if single else inside
 
     def _norm(self, coords):
         """Generic norm, without membership validation.
@@ -307,28 +287,28 @@ class DomainSpec:
         I-III, `_type_iv_norm` on type IV.  It checks the closed forms,
         which take log N from a Cholesky factor instead.
         """
-        z = _coords_array(coords)
-        if z.ndim == 1:
-            return self._norm(z[None]).item()
+        z, single = _stack(coords, self.dim, None)
         if self.kind in ("I", "II", "III"):
             d = _realify(det(_bergman(self, z)[1]))
             c = _det_power(self)
-            return d if c == 1.0 else d**c
-        if self.kind == "IV":
-            return _realify(_type_iv_norm(z)[2])
-        out = 1.0
-        pos = 0
-        for f in self.factors:
-            out = out * f._norm(z[:, pos : pos + f.dim])
-            pos += f.dim
-        return out
+            out = d if c == 1.0 else d**c
+        elif self.kind == "IV":
+            out = _realify(_type_iv_norm(z)[2])
+        else:
+            out, pos = 1.0, 0
+            for f in self.factors:
+                out = out * f._norm(z[:, pos : pos + f.dim])
+                pos += f.dim
+        return out.item() if single else out
 
     def generic_norm(self, coords) -> float:
-        """The generic norm N(z, z); requires z inside the domain."""
-        self._check_len(coords)
-        if not self.contains(coords, 0.0):
+        """The generic norm N(z, z) at one point (dim,); requires z inside the domain."""
+        z, single = _stack(coords, self.dim)
+        if not single:
+            raise ValueError(f"expected {self.dim} coordinates, got shape {z.shape}")
+        if not self.contains(z[0]):
             raise DomainViolation("point lies outside the domain")
-        return float(self._norm(coords))
+        return float(self._norm(z[0]))
 
     # -- sampling ---------------------------------------------------------------
 
@@ -352,9 +332,9 @@ class DomainSpec:
         return r * np.exp(1j * phi)
 
     def _sample_stack(self, shrink: float, rngs) -> np.ndarray:
-        """One interior point per generator, stacked (B, dim), with spectral
-        margin 1 - shrink^2: every spectral value below shrink, so that
-        z / shrink passes the closed form's test (see `contains`).
+        """One interior point per generator, stacked (B, dim), with every
+        spectral value below shrink: z is kept when `contains(z / shrink)`,
+        not by the margin 1 - shrink^2, which rounds to 1 below shrink ~ 1e-8.
 
         The rejection loop of every sampler: the stack is tested at once and
         only rejected members draw again, each from its own stream, so a
@@ -362,20 +342,20 @@ class DomainSpec:
         """
         if not 0.0 < shrink <= 1.0:
             raise ValueError("shrink must lie in (0, 1]")
-        margin = 1.0 - shrink * shrink
         out = self._draw(shrink, rngs)
-        todo = np.flatnonzero(~self.contains(out, margin))
+        todo = np.flatnonzero(~self.contains(out / shrink))
         for _ in range(_SAMPLE_BUDGET):
             if not todo.size:
                 return out
             out[todo] = self._draw(shrink, [rngs[j] for j in todo])
-            todo = todo[~self.contains(out[todo], margin)]
+            todo = todo[~self.contains(out[todo] / shrink)]
         raise RuntimeError("sample rejection budget exhausted")
 
     def sample(self, shrink: float = 0.9, seed: int = 0) -> np.ndarray:
-        """Deterministic interior point with spectral margin 1 - shrink^2 (see
-        `_sample_stack`), drawn from the generator that the samplers' one
-        stacked hash gives `seed`, the stream of `np.random.default_rng(seed)`."""
+        """Deterministic interior point z with every spectral value below
+        shrink, `contains(z / shrink)` (see `_sample_stack`), drawn from the
+        generator that the samplers' one stacked hash gives `seed`, the
+        stream of `np.random.default_rng(seed)`."""
         from .hartogs import _seed_generators  # hartogs imports this module
 
         return self._sample_stack(shrink, _seed_generators([seed]))[0]
@@ -640,8 +620,9 @@ class LinearEmbedding:
     matrix: np.ndarray
 
     def __call__(self, coords):
-        z = _coords_array(coords)
-        return z @ self.matrix.T if z.ndim == 2 else self.matrix @ z
+        z, single = _stack(coords, self.source.dim, None)
+        out = z @ self.matrix.T
+        return out[0] if single else out
 
 
 def polydisk_embedding(spec: DomainSpec) -> LinearEmbedding:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .domains import DomainSpec, LinearEmbedding, _base_rows, _is_jet_coords
 from .jets import Jet
-from .numerics import Derivatives, DomainViolation, _directions, _value
+from .numerics import Derivatives, DomainViolation, _directions, _stack, _value
 
 __all__ = [
     "HartogsSpec",
@@ -166,22 +166,15 @@ class HartogsPotential:
         """D of `_argument`: a float at a point, (B,) over a stack, each row the
         float it gets alone; positive exactly on the domain.  A row outside the
         base gives -|w|^2 (|w| capped at 2), even where N > 0."""
-        p = np.asarray(p, dtype=np.complex128)
-        d = self._argument(self._rows(p)).value
-        return float(d[0]) if p.ndim == 1 else d
-
-    def _rows(self, p: np.ndarray) -> np.ndarray:
-        """A point (n,) as the stack of one; a stack (B, n) as it is."""
-        ps = p[None] if p.ndim == 1 else p
-        if ps.ndim != 2 or ps.shape[1] != self.n_coords:
-            raise ValueError(f"expected {self.n_coords} coordinates, got shape {p.shape}")
-        return ps
+        ps, single = _stack(p, self.n_coords)
+        d = self._argument(ps).value
+        return float(d[0]) if single else d
 
     def _stacked(self, p, x=None) -> Derivatives:
         """Phi = -log D at a point (n,) or over a stack (B, n), after the one
         membership test D > 0; x None gives the value alone."""
-        p = np.asarray(p, dtype=np.complex128)
-        arg = self._argument(self._rows(p), x)
+        ps, single = _stack(p, self.n_coords)
+        arg = self._argument(ps, x)
         d = arg.value
         # D <= 0 off the base and off the fiber; ~(d > 0) rejects NaN too
         outside = ~(d > 0.0)
@@ -191,7 +184,7 @@ class HartogsPotential:
             out = Derivatives(-np.log(d), None, None)
         else:
             out = arg.compose(-np.log(d), -1.0 / d, 1.0 / d**2, -2.0 / d**3)
-        return out.member(0) if p.ndim == 1 else out
+        return out.member(0) if single else out
 
 
 class DomainPotential(HartogsPotential):
@@ -444,11 +437,10 @@ class PolydiskMobiusLift:
 
     def __call__(self, p) -> np.ndarray:
         """The lifted map at a point (n + 1,) or a stack (B, n + 1)."""
-        p = np.asarray(p, dtype=np.complex128)
-        ps = p[None] if p.ndim == 1 else p
+        ps, single = _stack(p, self.n + 1)
         z, w = ps[:, :-1], ps[:, -1:]
         out = np.concatenate([self.base_map(z), self.fiber_factor(z)[:, None] * w], axis=1)
-        return out[0] if p.ndim == 1 else out
+        return out[0] if single else out
 
     def jacobian(self, p) -> np.ndarray:
         """Holomorphic Jacobian of the lifted map at p (fiber index last).
@@ -456,8 +448,7 @@ class PolydiskMobiusLift:
         p is a point (n + 1,), giving (n + 1, n + 1), or a stack (B, n + 1),
         giving (B, n + 1, n + 1).
         """
-        p = np.asarray(p, dtype=np.complex128)
-        ps = p[None] if p.ndim == 1 else p
+        ps, single = _stack(p, self.n + 1)
         z, w = ps[:, :-1], ps[:, -1]
         n = self.n
         a = np.asarray(self.centers)
@@ -469,7 +460,7 @@ class PolydiskMobiusLift:
         c = self.fiber_factor(z)
         jac[:, n, :n] = (w * c)[:, None] * self.mu * np.conj(a) / denom
         jac[:, n, n] = c
-        return jac[0] if p.ndim == 1 else jac
+        return jac[0] if single else jac
 
     def inverse(self) -> "PolydiskMobiusLift":
         th = np.asarray(self.phases)

@@ -33,7 +33,7 @@ from .domains import DomainSpec
 from .hartogs import HartogsPotential, HartogsSpec, h_contains, potential
 from .metric import distance_to_span, geodesic_batch
 from .metric import geodesic_ivp  # noqa: F401 - stays importable as l2embed.geodesic_ivp
-from .numerics import gen_binomial
+from .numerics import _stack, gen_binomial
 
 __all__ = [
     "Truncation",
@@ -398,8 +398,7 @@ def line_deviation(r: int, mu: float, xi, T: float, tol: float = 1e-10):
     its geodesic stays there with its padded coordinates exactly 0, and the
     stack may mix ranks (`linear-scan` stacks all of one mu).
     """
-    xi = np.asarray(xi, dtype=np.complex128)
-    dirs = xi[None] if xi.ndim == 1 else xi
+    dirs, single = _stack(xi, r + 1)
     nrm = np.array([np.linalg.norm(d) for d in dirs])
     if np.any(nrm == 0.0):
         raise ValueError("direction must be nonzero")
@@ -410,4 +409,4 @@ def line_deviation(r: int, mu: float, xi, T: float, tol: float = 1e-10):
     dev = np.array(
         [np.max(distance_to_span(tr.positions, d[:, None])) for tr, d in zip(traces, dirs)]
     )
-    return float(dev[0]) if xi.ndim == 1 else dev
+    return float(dev[0]) if single else dev

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .jets import jet_space, jet_variable, wirtinger
-from .numerics import Derivatives, DomainViolation, _directions, _t
+from .numerics import Derivatives, DomainViolation, _directions, _stack, _t
 
 __all__ = [
     "MetricData",
@@ -93,18 +93,17 @@ class FunctionPotential:
         hess and third are empty (k = 0).  Raises DomainViolation, naming the
         first offending index, when the callable rejects a point.
         """
-        p = np.asarray(p, dtype=np.complex128)
-        if p.ndim == 1:
-            return self.derivatives(p[None], x).member(0)
+        ps, single = _stack(p, self.n_coords)
         x = _directions(x, self.n_coords)
         parts = []
-        for j, pj in enumerate(p):
+        for j, pj in enumerate(ps):
             try:
                 parts.append(self._point(pj, x if x.ndim == 2 else x[j]))
             except DomainViolation as exc:
                 raise DomainViolation(str(exc), j) from exc
         names = ("value", "grad", "levi", "hess", "third")
-        return Derivatives(x=x, **{a: np.stack([getattr(d, a) for d in parts]) for a in names})
+        out = Derivatives(x=x, **{a: np.stack([getattr(d, a) for d in parts]) for a in names})
+        return out.member(0) if single else out
 
     def _point(self, p, x) -> Derivatives:
         """Derivatives at one point p, with the unbatched shapes.
@@ -394,8 +393,9 @@ def geodesic_batch(
 ) -> list[GeodesicTrace]:
     """Adaptive 8-stage Gauss-Legendre collocation of independent geodesics.
 
-    p0s and v0s are stacks (B, n); each member of the result takes exactly
-    the steps, with the same floats, that it takes alone.  Every attempted
+    p0s and v0s are stacks (B, n) of the same B, a point being the stack of
+    one; each member of the result takes exactly the steps, with the same
+    floats, that it takes alone, and B = 0 gives [].  Every attempted
     step makes 7 fixed-point sweeps on the stage accelerations, from the last
     step's polynomial, extrapolated (the start acceleration for a first step
     of 0.125, at most T); each sweep is one stacked `_acceleration` over the
@@ -414,23 +414,29 @@ def geodesic_batch(
     energy and margin e^{-Phi}; status "boundary_reached" stops a member
     whose step would land within `boundary_margin`.
 
-    Raises ValueError for T <= 0, StartError (a ValueError), naming the
-    first such member in its text and in `member`, for a zero initial
-    velocity, a start point outside the domain or within the margin, or a
-    start energy or acceleration that overflows (all read from the start
-    evaluation), and IntegrationError, naming the member likewise, when its
-    step size underflows, its step budget runs out, a sweep meets a singular
-    metric, or a sweep's acceleration is not finite.  Overflow, division by
-    zero and invalid values raise no RuntimeWarning anywhere in the
-    integration: these checks are the finding.
+    Raises ValueError unless T and tol are finite and positive, StartError
+    (a ValueError), naming the first such member in its text and in
+    `member`, for a zero initial velocity, a start point outside the domain
+    or within the margin, or a start energy or acceleration that overflows
+    (all read from the start evaluation), and IntegrationError, naming the
+    member likewise, when its step size underflows, its step budget runs
+    out, a sweep meets a singular metric, or a sweep's acceleration is not
+    finite.  Overflow, division by zero and invalid values raise no
+    RuntimeWarning anywhere in the integration: these checks are the finding.
     """
-    p0s = np.atleast_2d(np.asarray(p0s, dtype=np.complex128))
-    v0s = np.atleast_2d(np.asarray(v0s, dtype=np.complex128))
+    p0s, _ = _stack(p0s, pot.n_coords)
+    v0s, _ = _stack(v0s, pot.n_coords)
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"geodesic needs a finite positive end time T, got {T!r}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"geodesic needs a finite positive tolerance, got {tol!r}")
+    if len(p0s) != len(v0s):
+        raise ValueError(f"p0s holds {len(p0s)} members but v0s holds {len(v0s)}")
+    if not len(p0s):
+        return []
     zero = np.flatnonzero(np.all(v0s == 0, axis=1))
     if zero.size:
         raise StartError(f"initial velocity v0 of member {zero[0]} is zero", zero[0])
-    if not T > 0:
-        raise ValueError("geodesic needs a positive end time T")
 
     count, n = p0s.shape
     members = np.arange(count)
@@ -606,8 +612,7 @@ def tg_residual(pot, chart, q):
     alone.  A degenerate tangent basis raises ValueError naming the first
     such sample of the stack.
     """
-    q = np.asarray(q)
-    qs = q[None] if q.ndim == 1 else q
+    qs, single = _stack(q, chart.n_params)
     p = chart.embed(qs)
     t_basis = np.asarray(chart.tangent_basis(qs), dtype=np.complex128)
     kdim = t_basis.shape[-1]
@@ -625,7 +630,7 @@ def tg_residual(pot, chart, q):
     resid = v - t_basis @ coef
     norm2 = np.real(np.sum(resid * (g @ np.conj(resid)), axis=-2))
     out = np.sqrt(np.maximum(np.max(norm2, axis=-1), 0.0))
-    return float(out[0]) if q.ndim == 1 else out
+    return float(out[0]) if single else out
 
 
 def sectional_curvature(pot, p, x) -> float:
@@ -650,8 +655,8 @@ def distance_to_span(p, basis: np.ndarray):
     p is one point (n,), giving a float, or a stack (m, n), giving one
     distance per row from a single least-squares solve.
     """
-    p = np.asarray(p)
-    cols = (p[None] if p.ndim == 1 else p).T
+    rows, single = _stack(p, len(basis))
+    cols = rows.T
     coef, *_ = np.linalg.lstsq(basis, cols, rcond=None)
     dist = np.linalg.norm(cols - basis @ coef, axis=0)
-    return float(dist[0]) if p.ndim == 1 else dist
+    return float(dist[0]) if single else dist

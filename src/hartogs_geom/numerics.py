@@ -121,6 +121,23 @@ class Derivatives:
         return Derivatives(value, self.grad[j], self.levi[j], x, self.hess[j], self.third[j])
 
 
+def _stack(p, n: int, dtype=np.complex128):
+    """A point (n,) as the stack of one, or a stack (B, n) as it is, with
+    whether it was a point: (rows (B, n), single).
+
+    Every coordinate entry point reads its input here and unwraps row 0 of
+    its result for a point.  Any other shape raises ValueError.  dtype None
+    keeps an object (jet) array and casts plain input to complex128.
+    """
+    rows = np.asarray(p, dtype=dtype)
+    if rows.dtype != object:
+        rows = rows.astype(np.complex128, copy=False)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != n:
+        raise ValueError(f"expected {n} coordinates, got shape {rows.shape}")
+    single = rows.ndim == 1
+    return (rows[None] if single else rows), single
+
+
 def _directions(x, n: int) -> np.ndarray:
     """x, or for None the empty direction matrix (n, 0): the metric alone."""
     return np.zeros((n, 0), dtype=np.complex128) if x is None else x

@@ -536,6 +536,17 @@ class TestMatrixRealization:
         want = np.sum(e.conj() * k[:, :, None], axis=(-2, -1))
         assert np.array_equal(_trace_against(spec, k), want)
 
+    @pytest.mark.parametrize(
+        "spec", [DomainSpec.type_i(2, 3), DomainSpec.type_ii(5), DomainSpec.type_iii(3)], ids=str
+    )
+    def test_stack_gives_each_point_its_matrix(self, spec):
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(4, spec.dim)) + 1j * rng.normal(size=(4, spec.dim))
+        stacked = spec.matrix_realization(z)
+        assert len(stacked) == 4
+        for j in range(4):
+            assert np.array_equal(stacked[j], spec.matrix_realization(z[j]))
+
     def test_type_ii_jet_zeros_stay_plain(self):
         # the structural zeros of Z (the diagonal on type II) are no jets,
         # so Z Z* does not multiply them through the jet table

@@ -582,6 +582,35 @@ class TestStackedCharts:
             assert factors[j] == lift.fiber_factor(pj[:-1])
 
 
+TINY_SHRINK_BASES = [
+    DomainSpec.type_i(2, 2),
+    DomainSpec.type_iv(6),
+    DomainSpec.product(DomainSpec.type_i(1, 2), DomainSpec.type_iii(2)),
+]
+
+
+@pytest.mark.parametrize("shrink", [1e-9, 1e-300])
+@pytest.mark.parametrize("base", TINY_SHRINK_BASES, ids=str)
+class TestTinyShrink:
+    """Every sampler keeps z when z / shrink lies inside the base, also where
+    the spectral margin 1 - shrink^2 rounds to 1 and would admit no point."""
+
+    def test_h_sample(self, base, shrink):
+        spec = HartogsSpec(base, 1.3)
+        p = h_sample(spec, shrink, range(4))
+        assert base.contains(p[:, :-1] / shrink).all()
+        assert all(h_contains(spec, q) for q in p)
+
+    def test_chart_sample(self, base, shrink):
+        chart = slice_chart(HartogsSpec(base, 1.3), polydisk_embedding(base))
+        q = chart.sample(shrink, range(4))
+        assert chart.source.contains(q[:, :-1] / shrink).all()
+
+    def test_domain_sample(self, base, shrink):
+        z = np.stack([base.sample(shrink, s) for s in range(4)])
+        assert base.contains(z / shrink).all()
+
+
 class TestEmptyFiberMessage:
     """A sampler that meets an empty fiber names the row's seed and the cause."""
 

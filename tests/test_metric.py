@@ -302,6 +302,40 @@ class TestGeodesics:
         with pytest.raises(ValueError):
             geodesic_ivp(pot, np.zeros(2), np.array([0.3, 0.4]), T)
 
+    @pytest.mark.parametrize("T", [np.inf, np.nan])
+    def test_non_finite_end_time_rejected(self, T):
+        pot = _hartogs(DomainSpec.polydisk(1), 1.0)
+        with pytest.raises(ValueError, match="finite positive end time"):
+            geodesic_batch(pot, np.zeros((1, 2)), [[0.3, 0.4]], T)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # NaN and inf would turn off error control, -1 and 0 fail deep in a step
+        pot = _hartogs(DomainSpec.polydisk(1), 1.0)
+        with pytest.raises(ValueError, match="finite positive tolerance"):
+            geodesic_batch(pot, np.zeros((1, 2)), [[0.3, 0.4]], 0.1, tol=tol)
+
+    def test_no_members_give_no_traces(self):
+        pot = _hartogs(DomainSpec.polydisk(1), 1.0)
+        assert geodesic_batch(pot, np.zeros((0, 2)), np.zeros((0, 2)), 1.0) == []
+
+    @pytest.mark.parametrize(
+        "p0s,v0s,match",
+        [
+            (np.zeros((2, 2)), np.full((3, 2), 0.1), "p0s holds 2 members but v0s holds 3"),
+            (np.zeros((1, 3)), np.full((1, 3), 0.1), r"expected 2 coordinates, got shape \(1, 3\)"),
+        ],
+        ids=["member-counts", "width"],
+    )
+    def test_stacks_refused_before_any_evaluation(self, p0s, v0s, match):
+        class Unevaluated(HartogsPotential):
+            def derivatives(self, p, x=None):
+                raise AssertionError("evaluated before the stacks were checked")
+
+        pot = Unevaluated(HartogsSpec(DomainSpec.polydisk(1), 1.0))
+        with pytest.raises(ValueError, match=match):
+            geodesic_batch(pot, p0s, v0s, 1.0)
+
     def test_nine_rows_per_sweep(self):
         # every sweep evaluates the 8 stage rows and the landing row, also a
         # sweep that leaves the domain; only the start point is one row.  An

@@ -1,12 +1,24 @@
-"""Tests for determinants, positive definiteness and generalized binomials."""
+"""Tests for determinants, positive definiteness, generalized binomials and
+the one reading of a point or a stack (`_stack`) at every entry point."""
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs_geom.jets import jet_space, jet_variable
-from hartogs_geom.numerics import det, gen_binomial, is_positive_definite
+from hartogs_geom.domains import DomainSpec, polydisk_embedding
+from hartogs_geom.hartogs import (
+    HartogsPotential,
+    HartogsSpec,
+    lift_automorphism_polydisk,
+    slice_chart,
+)
+from hartogs_geom.jets import Jet, jet_space, jet_variable
+from hartogs_geom.l2embed import line_deviation
+from hartogs_geom.metric import FunctionPotential, distance_to_span, tg_residual
+from hartogs_geom.numerics import Derivatives, _stack, det, gen_binomial, is_positive_definite
 
 from _oracles import cofactor_det
 
@@ -123,3 +135,77 @@ class TestGenBinomial:
         lhs = gen_binomial(x, k)
         rhs = gen_binomial(x, k - 1) * (x + k - 1) / k
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+def _entry_points() -> dict:
+    """Every coordinate entry point that reads its input through `_stack`:
+    name -> (coordinates per point, the call)."""
+    base = DomainSpec.type_i(2, 2)
+    spec = HartogsSpec(base, 1.5)
+    pot = HartogsPotential(spec)
+    lift = lift_automorphism_polydisk([0.1, 0.2j], [0.3, 0.4], 1.5)
+    chart = slice_chart(spec, polydisk_embedding(base))
+    return {
+        "log_norm_derivatives": (4, base.log_norm_derivatives),
+        "norm_power_derivatives": (4, lambda p: base.norm_power_derivatives(p, 1.5)),
+        "contains": (4, base.contains),
+        "_norm": (4, base._norm),
+        "matrix_realization": (4, base.matrix_realization),
+        "generic_norm": (4, base.generic_norm),
+        "LinearEmbedding": (2, polydisk_embedding(base)),
+        "HartogsPotential.value": (5, pot.value),
+        "HartogsPotential.derivatives": (5, pot.derivatives),
+        "interior_margin": (5, pot.interior_margin),
+        "PolydiskMobiusLift": (3, lift),
+        "PolydiskMobiusLift.jacobian": (3, lift.jacobian),
+        "FunctionPotential.derivatives": (5, FunctionPotential(pot, 5).derivatives),
+        "tg_residual": (3, lambda q: tg_residual(pot, chart, q)),
+        "distance_to_span": (4, lambda p: distance_to_span(p, np.eye(4)[:, :2])),
+        "line_deviation": (3, lambda xi: line_deviation(2, 1.0, xi, 0.1)),
+    }
+
+
+ENTRY_POINTS = _entry_points()
+# point-only, or stacking one part per point
+NO_EMPTY_STACK = ("generic_norm", "FunctionPotential.derivatives")
+
+
+class TestStack:
+    """A point is the stack of one, and every other shape gets one ValueError."""
+
+    def test_point_and_stack(self):
+        rows, single = _stack([0.1, 0.2], 2)
+        assert single and rows.shape == (1, 2) and rows.dtype == np.complex128
+        stack = np.zeros((3, 2), dtype=np.complex128)
+        rows, single = _stack(stack, 2)
+        assert not single and rows is stack
+
+    def test_plain_dtype_none_is_complex_and_jets_stay_objects(self):
+        rows, _ = _stack([1, 2], 2, None)
+        assert rows.dtype == np.complex128
+        space = jet_space((2,), (2,), 1)
+        jets = [jet_variable(space, 0.1, {0: 1.0}), jet_variable(space, 0.2, {1: 1.0})]
+        rows, single = _stack(jets, 2, None)
+        assert single and rows.dtype == object and isinstance(rows[0, 1], Jet)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 1), (2, 2, 2)])
+    def test_other_shapes_raise(self, shape):
+        match = f"expected 2 coordinates, got shape {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=match):
+            _stack(np.zeros(shape), 2)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("shape", ["point", "stack", "3-D"])
+    def test_wrong_shape_at_every_entry_point(self, name, shape):
+        n, call = ENTRY_POINTS[name]
+        arg = {"point": (n + 2,), "stack": (2, n + 1), "3-D": (2, 2, n)}[shape]
+        with pytest.raises(ValueError, match=f"expected {n} coordinates, got shape"):
+            call(np.full(arg, 0.01))
+
+    @pytest.mark.parametrize("name", [k for k in ENTRY_POINTS if k not in NO_EMPTY_STACK])
+    def test_empty_stack_gives_empty_result(self, name):
+        n, call = ENTRY_POINTS[name]
+        out = call(np.zeros((0, n), dtype=np.complex128))
+        if isinstance(out, Derivatives):
+            out = out.value
+        assert len(out) == 0
