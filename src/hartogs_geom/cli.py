@@ -7,6 +7,9 @@ geodesic traces with energy bookkeeping (`geodesic`), the linear-support
 direction scan (`linear-scan`), and the sequence-space norm residual
 (`embed-residual`).
 
+Each subcommand takes flags only for the run settings it reads
+(`COMMAND_SETTINGS`); a config file is shared, may give any of `SETTINGS` and
+no unknown key.  A flag wins over the file, and every value passes one check.
 Reports echo their full configuration (seed included) and are byte-identical
 across runs with the same config: wall time is shown on stderr only.  Exit
 codes: 0 all checks pass, 1 a check failed, 2 configuration error.
@@ -21,7 +24,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +58,7 @@ from .metric import (
 )
 from .numerics import DomainViolation
 
+DEFAULT_SPEC = {"base": {"kind": "I", "params": [2, 2]}, "mu": 1.0}
 DEFAULT_TOLERANCES = {
     "pullback": 1e-12,
     "tg_residual": 1e-9,
@@ -79,6 +84,31 @@ IMMERSION_CHUNK = 64
 
 class ConfigError(Exception):
     pass
+
+
+Setting = namedtuple("Setting", "section kind rule valid")
+# Every run setting: the config object that holds it, its type (int, or float,
+# which takes an int too) and its valid range.  RunConfig holds the defaults.
+SETTINGS = {
+    "seed": Setting("config", int, "be >= 0", lambda v: v >= 0),
+    "samples": Setting("config", int, "be >= 1", lambda v: v >= 1),
+    "shrink": Setting("config", float, "lie in (0, 1]", lambda v: 0 < v <= 1),
+    **{
+        name: Setting("tolerances", float, "be finite and positive", lambda v: 0 < v < np.inf)
+        for name in DEFAULT_TOLERANCES
+    },
+    "k_max": Setting("truncation", int, "be >= 0", lambda v: v >= 0),
+    "a_max": Setting("truncation", int, "be >= 1", lambda v: v >= 1),
+}
+_SECTIONS = ("spec", "tolerances", "truncation")
+# The settings each command reads, and so takes a flag for.
+COMMAND_SETTINGS = {
+    "verify-immersion": ("seed", "samples", "shrink", "pullback"),
+    "verify-tg": ("seed", "samples", "shrink", "tg_residual", "confinement", "energy_drift"),
+    "geodesic": ("energy_drift",),
+    "linear-scan": (),
+    "embed-residual": ("embed",),
+}
 
 
 @dataclass
@@ -166,6 +196,7 @@ def _pool():
 
 
 def _load_config(args) -> RunConfig:
+    """The run settings of the config file and the flags (a flag wins)."""
     obj = {}
     if args.config:
         try:
@@ -175,67 +206,42 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    for name in ("spec", "tolerances", "truncation"):
+    for name in _SECTIONS:
         if not isinstance(obj.get(name, {}), dict):
             raise ConfigError(f"config section {name!r} must be a JSON object")
+    values = {}  # section -> {setting: value}
+    for section in ("config", "tolerances", "truncation"):
+        given = obj if section == "config" else obj.get(section, {})
+        names = {name for name, s in SETTINGS.items() if s.section == section}
+        known = names.union(_SECTIONS if section == "config" else ())
+        unknown = sorted(set(given) - known)
+        if unknown:
+            raise ConfigError(f"unknown keys {unknown} in {section}; known: {sorted(known)}")
+        values[section] = {name: _checked(name, v) for name, v in given.items() if name in names}
+    for name, setting in SETTINGS.items():
+        if getattr(args, name, None) is not None:
+            values[setting.section][name] = _checked(name, getattr(args, name))
     try:
-        spec = (
-            HartogsSpec.from_json(obj["spec"])
-            if "spec" in obj
-            else HartogsSpec(DomainSpec.type_i(2, 2), 1.0)
-        )
-        tolerances = dict(DEFAULT_TOLERANCES)
-        tolerances.update(obj.get("tolerances", {}))
-        trunc = obj.get("truncation", {})
-        cfg = RunConfig(
-            spec=spec,
-            seed=_config_int(obj, "seed", 0),
-            samples=_config_int(obj, "samples", 200),
-            shrink=_config_float(obj, "shrink", 0.6),
-            tolerances=tolerances,
-            truncation=Truncation(
-                _config_int(trunc, "k_max", 40), _config_int(trunc, "a_max", 40)
-            ),
-        )
+        spec = HartogsSpec.from_json(obj.get("spec", DEFAULT_SPEC))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    for name in ("seed", "samples", "shrink"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    for name in DEFAULT_TOLERANCES:
-        val = getattr(args, name.replace("-", "_"), None)
-        if val is not None:
-            cfg.tolerances[name] = val
-    if cfg.samples < 1:
-        raise ConfigError("samples must be >= 1")
-    if not 0 < cfg.shrink <= 1:
-        raise ConfigError("shrink must lie in (0, 1]")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    unknown = sorted(set(cfg.tolerances) - set(DEFAULT_TOLERANCES))
-    if unknown:
-        raise ConfigError(f"unknown tolerances {unknown}; known: {sorted(DEFAULT_TOLERANCES)}")
-    for name, t in cfg.tolerances.items():
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            raise ConfigError(f"tolerance {name!r} must be a number, got {t!r}")
-        if not (np.isfinite(t) and t > 0):
-            raise ConfigError(f"tolerance {name!r} must be finite and positive, got {t!r}")
+    cfg = RunConfig(spec, **values["config"])
+    cfg.shrink = float(cfg.shrink)  # an integer from the file echoes as a float
+    cfg.tolerances.update(values["tolerances"])
+    cfg.truncation = replace(cfg.truncation, **values["truncation"])
     return cfg
 
 
-def _config_float(section: dict, name: str, default: float) -> float:
-    val = section.get(name, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {val!r}")
-    return float(val)
-
-
-def _config_int(section: dict, name: str, default: int) -> int:
-    val = section.get(name, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{name} must be an integer, got {val!r}")
-    return val
+def _checked(name: str, value):
+    """value, refused unless it has the type and lies in the range of setting `name`."""
+    setting = SETTINGS[name]
+    label = name if setting.section == "config" else f"{setting.section}.{name}"
+    kind = "an integer" if setting.kind is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, (setting.kind, int)):
+        raise ConfigError(f"{label} must be {kind}, got {value!r}")
+    if not setting.valid(value):
+        raise ConfigError(f"{label} must {setting.rule}, got {value!r}")
+    return value
 
 
 def _check_writable(path: str) -> None:
@@ -538,17 +544,6 @@ def _emit(report: Report, args, wall: float) -> int:
     return 0 if report.passed else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config path")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--shrink", type=float, default=None)
-    p.add_argument("--out", help="report destination (stdout when omitted)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    for name in DEFAULT_TOLERANCES:
-        p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; every `main` call
@@ -559,11 +554,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-immersion", help="potential pullback and norm identities")
-    _add_common(p)
+    def command(cmd: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(cmd, help=help)
+        p.add_argument("--config", help="JSON config path")
+        for name in COMMAND_SETTINGS[cmd]:
+            p.add_argument("--" + name.replace("_", "-"), type=SETTINGS[name].kind, dest=name)
+        p.add_argument("--out", help="report destination (stdout when omitted)")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        return p
 
-    p = sub.add_parser("verify-tg", help="totally geodesic slice verification")
-    _add_common(p)
+    command("verify-immersion", "potential pullback and norm identities")
+
+    p = command("verify-tg", "totally geodesic slice verification")
     p.add_argument(
         "--slice",
         dest="selector",
@@ -572,21 +574,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sub-rank", type=int, default=None, help="factor-slice only (default 1)")
 
-    p = sub.add_parser("geodesic", help="integrate one geodesic and dump its trace")
-    _add_common(p)
+    p = command("geodesic", "integrate one geodesic and dump its trace")
     p.add_argument("--p0", required=True, help="comma-separated complex initial point")
     p.add_argument("--v0", required=True, help="comma-separated complex initial velocity")
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--trace-out", default="trace.csv", help="CSV trace destination")
 
-    p = sub.add_parser("linear-scan", help="linear-support direction classification scan")
-    _add_common(p)
+    p = command("linear-scan", "linear-support direction classification scan")
     p.add_argument("--mu-grid", default="0.5,1,2")
     p.add_argument("--r-grid", default="1,2")
     p.add_argument("--T", type=float, default=0.5)
 
-    p = sub.add_parser("embed-residual", help="sequence-space embedding residual")
-    _add_common(p)
+    p = command("embed-residual", "sequence-space embedding residual")
     p.add_argument("--point", required=True, help="comma-separated complex point (z..., w)")
     return ap
 

@@ -52,6 +52,14 @@ _SAMPLE_BUDGET = 100_000
 
 
 def _is_jet_coords(coords) -> bool:
+    """True iff coords, a point given as a sequence, holds a jet.  An array
+    is read by its dtype and shape, without a walk over its rows: a plain
+    array, a stack (B, n) and a scalar hold none."""
+    if isinstance(coords, np.ndarray):
+        if coords.dtype != object or coords.ndim != 1:
+            return False
+    elif not isinstance(coords, (list, tuple)):
+        return False
     return any(isinstance(c, Jet) for c in coords)
 
 

@@ -101,6 +101,11 @@ class FunctionPotential:
                 parts.append(self._point(pj, x if x.ndim == 2 else x[j]))
             except DomainViolation as exc:
                 raise DomainViolation(str(exc), j) from exc
+        if not parts:  # an empty stack: empty tensors of the stacked shapes
+            n, k = self.n_coords, x.shape[-1]
+            shapes = ((n,), (n, n), (k, k), (k, k, n))
+            grad, levi, hess, third = (np.zeros((0, *s), dtype=np.complex128) for s in shapes)
+            return Derivatives(np.zeros(0), grad, levi, x, hess, third)
         names = ("value", "grad", "levi", "hess", "third")
         out = Derivatives(x=x, **{a: np.stack([getattr(d, a) for d in parts]) for a in names})
         return out.member(0) if single else out

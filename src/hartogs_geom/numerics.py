@@ -203,14 +203,22 @@ def is_positive_definite(m: np.ndarray, margin: float = 0.0):
     (lambda_min(m) > margin up to rounding; the closed form's test of log N).
 
     A stack (B, n, n) gives (B,): one stacked factorisation, then one per
-    matrix only when some has none.  A matrix holding NaN has none.  Raises
-    ValueError when a matrix is not Hermitian within 1e-12 (relative to its
-    largest entry).
+    matrix only when some has none.  A matrix holding NaN or an infinite
+    entry, anywhere, reads False.  Raises ValueError when a finite matrix is
+    not Hermitian within 1e-12 (relative to its largest entry).
     """
     h = np.asarray(m, dtype=np.complex128)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"positive-definiteness requires a square matrix, got {h.shape}")
-    scale = np.maximum(1.0, np.max(np.abs(h), axis=(-2, -1)))
+    # the largest entry is NaN or infinite exactly when some entry is.  The
+    # factorisation reads one triangle only: a non-finite matrix is checked
+    # and factored as the identity, then reads False
+    peak = np.max(np.abs(h), axis=(-2, -1))
+    finite = np.isfinite(peak)
+    if not finite.all():
+        h = np.where(finite[..., None, None], h, np.eye(h.shape[-1]))
+        peak = np.where(finite, peak, 1.0)
+    scale = np.maximum(1.0, peak)
     asym = np.max(np.abs(h - _t(h.conj())), axis=(-2, -1))
     if np.any(asym > 1e-12 * scale):
         raise ValueError(f"matrix is not Hermitian (asymmetry {np.max(asym):.3e})")
@@ -223,7 +231,7 @@ def is_positive_definite(m: np.ndarray, margin: float = 0.0):
         for j, a in enumerate(shifted):
             with contextlib.suppress(np.linalg.LinAlgError):
                 diag[j] = np.diagonal(np.linalg.cholesky(a))
-    inside = np.all(diag.real > 0.0, axis=-1).reshape(h.shape[:-2])
+    inside = np.all(diag.real > 0.0, axis=-1).reshape(h.shape[:-2]) & finite
     return bool(inside) if h.ndim == 2 else inside
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line verification harness."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -894,3 +895,176 @@ class TestOutputFormats:
         report = json.loads(out.read_text())
         assert report["config"]["seed"] == 99
         assert report["config"]["samples"] == 5
+
+
+# The settings flags each subcommand takes: exactly those of the settings its
+# command reads.  Every subcommand also takes --config, --out and --format.
+SETTING_FLAGS = {
+    "verify-immersion": ("--seed", "--samples", "--shrink", "--pullback"),
+    "verify-tg": ("--seed", "--samples", "--shrink", "--tg-residual", "--confinement", "--energy-drift"),
+    "geodesic": ("--energy-drift",),
+    "linear-scan": (),
+    "embed-residual": ("--embed",),
+}
+OWN_FLAGS = {
+    "verify-immersion": (),
+    "verify-tg": ("--slice", "--sub-rank"),
+    "geodesic": ("--p0", "--v0", "--T", "--trace-out"),
+    "linear-scan": ("--mu-grid", "--r-grid", "--T"),
+    "embed-residual": ("--point",),
+}
+ALL_SETTING_FLAGS = (
+    "--seed", "--samples", "--shrink",
+    "--pullback", "--tg-residual", "--energy-drift", "--embed", "--confinement",
+)
+DROPPED_FLAGS = [
+    (command, flag)
+    for command, kept in SETTING_FLAGS.items()
+    for flag in ALL_SETTING_FLAGS
+    if flag not in kept
+]
+# the arguments each subcommand requires, and a config it runs on quickly;
+# verify-immersion and verify-tg on a base that is no polydisk, where the
+# identities read rounding noise that moves with the samples, not 0
+I23_CONFIG = {"spec": {"base": {"kind": "I", "params": [2, 3]}, "mu": 1.5}, "seed": 3, "samples": 1}
+RUNS = {
+    "verify-immersion": (I23_CONFIG, ()),
+    "verify-tg": (I23_CONFIG, ()),
+    "geodesic": (POLY3_CONFIG, ("--p0", "0,0,0,0", "--v0", "0,0,0,0.1", "--T", "0.2")),
+    "linear-scan": ({}, ("--mu-grid", "1", "--r-grid", "1", "--T", "0.1")),
+    "embed-residual": (POLY3_CONFIG, ("--point", "0.1,0.2j,0,0.05")),
+}
+# one value for every kept flag, picked once so that each moves the report
+FLAG_VALUES = {
+    "--seed": "11",
+    "--samples": "6",
+    "--shrink": "0.9",
+    "--pullback": "1e-3",
+    "--tg-residual": "1e-3",
+    "--confinement": "1e-3",
+    "--energy-drift": "1e-3",
+    "--embed": "1e-3",
+}
+
+
+def _parser_flags() -> dict:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def _argv(tmp_path, command, obj=None, name="cfg.json") -> list:
+    """A run of `command` on its config of RUNS (or obj), writing under tmp_path."""
+    default, args = RUNS[command]
+    cfg = _write_config(tmp_path, default if obj is None else obj, name)
+    argv = [command, "--config", cfg, *args, "--out", str(tmp_path / "r.json")]
+    if command == "geodesic":
+        argv += ["--trace-out", str(tmp_path / "t.csv")]
+    return argv
+
+
+class TestSettings:
+    """One table of run settings: each subcommand takes the flags it reads,
+    a config file is shared, and file and flag values pass one check."""
+
+    def test_flags_per_subcommand(self):
+        want = {
+            name: {"--config", "--out", "--format", *SETTING_FLAGS[name], *OWN_FLAGS[name]}
+            for name in SETTING_FLAGS
+        }
+        assert _parser_flags() == want
+        assert sum(map(len, want.values())) == 37
+        assert len(DROPPED_FLAGS) == 28
+
+    def _report(self, tmp_path, command, *extra):
+        assert main([*_argv(tmp_path, command), *extra]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        del report["config"]
+        return report
+
+    @pytest.mark.parametrize(
+        "command,flag", [(c, f) for c, flags in SETTING_FLAGS.items() for f in flags]
+    )
+    def test_every_flag_moves_the_report(self, tmp_path, command, flag):
+        # a flag that only moved the echoed config would read nothing
+        moved = self._report(tmp_path, command, flag, FLAG_VALUES[flag])
+        assert moved != self._report(tmp_path, command)
+
+    @pytest.mark.parametrize("command,flag", DROPPED_FLAGS)
+    def test_dropped_flag_exit_2(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*_argv(tmp_path, command), flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "command,obj,key",
+        [
+            ("verify-immersion", {"sampels": 3}, "sampels"),
+            ("verify-immersion", {"tolerance": {"pullback": 1e-300}}, "tolerance"),
+            ("linear-scan", {"pullback": 1e-300}, "pullback"),
+            ("embed-residual", {"truncation": {"kmax": 8}}, "kmax"),
+            ("embed-residual", {"truncation": {"k_max": 8, "seed": 1}}, "seed"),
+            ("verify-tg", {"tolerances": {"samples": 3}}, "samples"),
+        ],
+    )
+    def test_unknown_key_exit_2(self, tmp_path, capsys, command, obj, key):
+        assert main(_argv(tmp_path, command, dict(RUNS[command][0], **obj))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown keys") and repr(key) in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_every_known_key_reaches_every_subcommand(self, tmp_path):
+        # a config file is shared: each setting is accepted and echoed by all
+        tolerances = dict.fromkeys(cli.DEFAULT_TOLERANCES, 0.5)
+        obj = dict(
+            POLY3_CONFIG,
+            seed=2,
+            samples=3,
+            shrink=1,
+            tolerances=dict(tolerances, pullback=1),
+            truncation={"k_max": 30, "a_max": 20},
+        )
+        for command in RUNS:
+            assert main(_argv(tmp_path, command, obj)) == 0
+            echo = json.loads((tmp_path / "r.json").read_text())["config"]
+            # an integer tolerance echoes as an integer, an integer shrink as a float
+            assert echo["tolerances"] == dict(tolerances, pullback=1)
+            assert isinstance(echo["tolerances"]["pullback"], int)
+            assert echo["shrink"] == 1.0 and isinstance(echo["shrink"], float)
+            assert (echo["seed"], echo["samples"], echo["truncation"]) == (
+                2, 3, {"k_max": 30, "a_max": 20}
+            )
+
+    @pytest.mark.parametrize(
+        "command,setting,value",
+        [
+            ("verify-immersion", "seed", -3),
+            ("verify-tg", "samples", 0),
+            ("verify-immersion", "shrink", 1.5),
+            ("verify-tg", "shrink", 0.0),
+            ("verify-immersion", "shrink", float("nan")),
+            ("verify-immersion", "pullback", float("nan")),
+            ("verify-tg", "confinement", -1.0),
+            ("verify-tg", "tg_residual", 0.0),
+            ("geodesic", "energy_drift", float("inf")),
+            ("embed-residual", "embed", 0.0),
+        ],
+    )
+    def test_file_and_flag_give_one_message(self, tmp_path, capsys, command, setting, value):
+        obj = RUNS[command][0]
+        if setting in cli.DEFAULT_TOLERANCES:
+            bad = dict(obj, tolerances={setting: value})
+        else:
+            bad = dict(obj, **{setting: value})
+        flag = ("--" + setting.replace("_", "-"), repr(value))
+        errs = []
+        for argv in (_argv(tmp_path, command, bad, "bad.json"), [*_argv(tmp_path, command), *flag]):
+            assert main(argv) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("config error:") and setting in errs[0]
+        assert not (tmp_path / "r.json").exists()

@@ -7,6 +7,7 @@ from hartogs_geom.domains import (
     DomainSpec,
     LinearEmbedding,
     _draw_layout,
+    _is_jet_coords,
     polydisk_embedding,
 )
 from hartogs_geom.hartogs import (
@@ -23,6 +24,7 @@ from hartogs_geom.hartogs import (
     _draw_fiber,
     _seed_generators,
 )
+from hartogs_geom.jets import jet_space, jet_variable
 from hartogs_geom.metric import FunctionPotential, _metric_matrix, tg_residual
 from hartogs_geom.numerics import DomainViolation
 
@@ -236,6 +238,32 @@ def _polydisk_point(spec, radius):
     """The embedded polydisk point with every coordinate `radius`."""
     emb = polydisk_embedding(spec)
     return emb(np.full(spec.rank, radius))
+
+
+class TestScalarInput:
+    """A scalar is no point: every evaluation gives the `_stack` ValueError."""
+
+    DISK = HartogsSpec(DomainSpec.type_i(1, 1), 1.0)
+
+    @pytest.mark.parametrize("call", ["value", "potential", "__call__", "derivatives"])
+    def test_scalar_gets_the_shape_error(self, call):
+        pot = HartogsPotential(self.DISK)
+        fn = {
+            "value": pot.value,
+            "potential": lambda p: potential(self.DISK, p),
+            "__call__": pot,
+            "derivatives": pot.derivatives,
+        }[call]
+        with pytest.raises(ValueError, match=r"expected 2 coordinates, got shape \(\)"):
+            fn(0.5)
+
+    def test_jet_coordinates_are_told_from_plain_arrays(self):
+        space = jet_space((2,), (2,), 1)
+        jets = [jet_variable(space, 0.1, {0: 1.0}), jet_variable(space, 0.2, {1: 1.0})]
+        assert _is_jet_coords(jets) and _is_jet_coords([jets[0], 0.3])
+        assert _is_jet_coords(np.array(jets, dtype=object))
+        for plain in ([0.1, 0.2], np.zeros(2), np.zeros((3, 2)), 0.5, np.float64(0.5)):
+            assert not _is_jet_coords(plain)
 
 
 class TestStackedValue:

@@ -98,9 +98,23 @@ class TestPositiveDefinite:
         assert is_positive_definite(a[:2]).tolist() == [True, False]
         assert not is_positive_definite(a[1])
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", [(0, 2), (2, 0), (1, 1)])
+    def test_non_finite_entry_reads_false(self, entry, where):
+        # the factorisation reads the lower triangle alone, and the Hermitian
+        # test passes NaN and an infinite scale: neither may decide the verdict
+        a = np.eye(3, dtype=np.complex128)
+        a[where] = entry
+        assert is_positive_definite(a) is False
+        stack = np.stack([np.eye(3), a, 2.0 * np.eye(3)])
+        assert is_positive_definite(stack).tolist() == [True, False, True]
+        assert is_positive_definite(stack, 0.5).tolist() == [True, False, True]
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             is_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            is_positive_definite(np.stack([np.diag([1.0, np.nan]), [[1.0, 1.0], [0.0, 1.0]]]))
 
     def test_stack(self):
         a = np.stack([np.eye(2), np.diag([0.5, -0.1]), np.diag([0.9, 0.85])])
@@ -166,8 +180,8 @@ def _entry_points() -> dict:
 
 
 ENTRY_POINTS = _entry_points()
-# point-only, or stacking one part per point
-NO_EMPTY_STACK = ("generic_norm", "FunctionPotential.derivatives")
+# point-only
+NO_EMPTY_STACK = ("generic_norm",)
 
 
 class TestStack:
@@ -209,3 +223,16 @@ class TestStack:
         if isinstance(out, Derivatives):
             out = out.value
         assert len(out) == 0
+
+    @pytest.mark.parametrize("x", ["none", "shared", "per point"])
+    def test_empty_derivatives_keep_the_stacked_shapes(self, x):
+        # the jet route stacks one part per point; with no point it gives the
+        # shapes of the closed form
+        pot = HartogsPotential(HartogsSpec(DomainSpec.type_i(2, 2), 1.5))
+        dirs = {"none": None, "shared": np.eye(5)[:, :2], "per point": np.zeros((0, 5, 2))}[x]
+        empty = np.zeros((0, 5), dtype=np.complex128)
+        got = FunctionPotential(pot, 5).derivatives(empty, dirs)
+        want = pot.derivatives(empty, dirs)
+        for name in ("value", "grad", "levi", "hess", "third"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.dtype == b.dtype, name
