@@ -232,8 +232,9 @@ class DomainSpec:
 
         Takes the arguments of `log_norm_derivatives`, and never raises on a
         point outside the base: there log N = -inf, so N^mu and all its
-        tensors are 0.  Its value is the N^mu that decides fiber membership
-        in `hartogs`, the same float with or without `value_only`.
+        tensors are 0.  Its value, the same float with or without
+        `value_only`, is the N^mu that decides fiber membership in `hartogs`
+        (`hartogs._norm_power` forms it from the same log N).
         """
         z, single = _stack(coords, self.dim)
         log_n = self._log_norm(z, None if value_only else _directions(x, self.dim))
@@ -377,10 +378,25 @@ class DomainSpec:
 
     @classmethod
     def from_json(cls, obj) -> "DomainSpec":
-        kind = obj["kind"]
+        """The spec of `to_json`; ValueError for an unknown or missing key."""
+        kind, params = _json_fields(obj, ("kind", "params"), "a domain spec")
         if kind == "product":
-            return cls.product(*(cls.from_json(p) for p in obj["params"]))
-        return cls(kind, tuple(obj["params"]))
+            return cls.product(*(cls.from_json(p) for p in params))
+        return cls(kind, tuple(params))
+
+
+def _json_fields(obj, names, what: str) -> list:
+    """The values of the keys `names` of a JSON object, in order: ValueError
+    naming `what` when obj holds another key or lacks one of them."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {what}; known: {sorted(names)}")
+    missing = [name for name in names if name not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks the key {missing[0]!r}")
+    return [obj[name] for name in names]
 
 
 # -- closed-form log-norm tensors ------------------------------------------------

@@ -9,14 +9,15 @@ carrying the Kaehler potential Phi(z, w) = -log(N^mu - |w|^2).  Points are
 stored as single complex vectors with the fiber coordinate last, matching
 the trace/CSV layout used throughout the package.
 
-The potentials differentiate in closed form (`derivatives`): the chain rule
-runs from the base's tensors of N^mu = exp(mu log N) through
-D = N^mu - |w|^2 to Phi = -log D, at one point or over a stack of points.
-Plain evaluation (`value`, `potential`) takes the same D from the base's
-value-only route, also over a stack.  With N^mu = 0 off the base, the one
+The potentials differentiate in closed form (`derivatives`): Phi's tensors
+are assembled in one step from the base's tensors of L = log N, with the
+fiber entering as the scalars |w|^2 and wbar (`HartogsPotential._tensors`),
+at one point or over a stack of points.  Plain evaluation (`value`,
+`potential`) takes the same D = exp(mu L) - |w|^2 from the base's value-only
+route, also over a stack.  With exp(mu L) = 0 off the base, the one
 inequality D > 0 decides membership (`HartogsPotential._argument`), on jet
 coordinates (the generic route, and the tests' second route) too.
-`DomainPotential` is the same potential without the fiber.
+`DomainPotential` is -L, the potential without the fiber.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import DomainSpec, LinearEmbedding, _base_rows, _is_jet_coords
+from .domains import DomainSpec, LinearEmbedding, _base_rows, _is_jet_coords, _json_fields
 from .jets import Jet
-from .numerics import Derivatives, DomainViolation, _directions, _stack, _value
+from .numerics import Derivatives, DomainViolation, _directions, _stack, _t, _value
 
 __all__ = [
     "HartogsSpec",
@@ -50,7 +51,8 @@ __all__ = [
 ]
 
 
-# `norm_power_derivatives` forms mu**3, which overflows a float above ~5.6e102
+# the third tensor of `HartogsPotential._tensors` forms q mu^2 >= mu^3 (q = mu N^mu / D),
+# and `norm_power_derivatives` mu**3; both overflow a float above ~5.6e102
 _MU_MAX = 1e102
 
 
@@ -81,7 +83,20 @@ class HartogsSpec:
 
     @classmethod
     def from_json(cls, obj) -> "HartogsSpec":
-        return cls(DomainSpec.from_json(obj["base"]), obj["mu"])
+        """The spec of `to_json`; ValueError for an unknown or missing key."""
+        base, mu = _json_fields(obj, ("base", "mu"), "a Hartogs spec")
+        return cls(DomainSpec.from_json(base), mu)
+
+
+def _norm_power(spec: HartogsSpec, z, x=None):
+    """N^mu = exp(mu L) over a stack (B, dim) of base points, with the
+    Derivatives of L = log N it is formed from (the value alone for x None).
+    The one N^mu of this module: it decides fiber membership (`_argument`)
+    and bounds the fiber that the samplers draw (`_draw_fiber`).  L's value
+    is the same float with or without directions, and N^mu is 0 off the
+    base (L = -inf)."""
+    log_n = spec.base._log_norm(z, x)
+    return np.exp(spec.mu * log_n.value), log_n
 
 
 def _abs_sq(w):
@@ -116,26 +131,52 @@ class HartogsPotential:
         self.spec = spec
         self.n_coords = spec.n_coords
 
-    def _argument(self, p, x=None) -> Derivatives:
-        """D = N^mu - |w|^2 over a stack (B, n), the sum of a base block and a
-        fiber block: the value alone for x None, else every tensor.
-        N^mu = exp(mu log N) is the value of `norm_power_derivatives` (the
-        same float with or without directions), 0 off the base, so D > 0
-        exactly on the domain as the closed form sees it, on every route.
+    def _argument(self, p, x=None):
+        """D = N^mu - |w|^2 over a stack (B, n), with the N^mu and the
+        Derivatives of L = log N it is formed from (`_norm_power`): L's value
+        alone for x None, else every tensor along the base rows of x.
+        N^mu is 0 off the base, so D > 0 exactly on the domain as the closed
+        form sees it, on every route.
         The domain has |w| < 1 (N <= 1), so |w| is capped at 2 before it is
         squared: a huge or infinite w gives D < 0 without an overflow.
         """
-        z, w = p[:, :-1], p[:, -1]
-        xz = _base_rows(x, slice(None, -1))
-        nmu = self.spec.base.norm_power_derivatives(z, self.spec.mu, xz, value_only=x is None)
-        fiber = Derivatives(-np.minimum(np.abs(w), 2.0) ** 2, None, None)
-        if x is not None:
-            # D_w = -wbar, D_{w wbar} = -1, no other fiber terms
-            b, k = len(p), x.shape[-1]
-            zero = np.zeros((b, k, k), dtype=np.complex128)
-            grad, levi = -w.conj()[:, None], np.full((b, 1, 1), -1.0 + 0j)
-            fiber = Derivatives(fiber.value, grad, levi, x[..., -1:, :], zero, zero[..., None])
-        return Derivatives.block_sum([nmu, fiber])
+        a, log_n = _norm_power(self.spec, p[:, :-1], _base_rows(x, slice(None, -1)))
+        return a - np.minimum(np.abs(p[:, -1]), 2.0) ** 2, a, log_n
+
+    def _tensors(self, p, x, d, a, log_n) -> Derivatives:
+        """Phi = -log D with every tensor along x over a stack (B, n) inside
+        the domain, in one assembly from D, N^mu = a and the tensors of L
+        (`_argument`).
+
+        With q = mu a / D, the gradient G = (-q L_i, wbar / D),
+        Phi_a = G x_a, L_a = L_i x^i_a, Phi_{a lbar} = (x^T levi)_{al} and
+        E_ab = q (L_ab + mu L_a L_b) = D_ab / D:
+        levi = G Gbar^T - q (L_{i lbar} + mu L_i Lbar_l) on the base block,
+        plus 1/D at (w, wbar); hess = Phi_a Phi_b - E_ab; and
+        third = Phi_{a lbar} Phi_b + Phi_{b lbar} Phi_a - E_ab Gbar_l, less
+        q L_{ab lbar} + q mu (L_{a lbar} L_b + L_{b lbar} L_a) + mu E_ab Lbar_l
+        on the base columns l.  Only D divides, and every tensor is C-ordered.
+        """
+        mu, nb = self.spec.mu, p.shape[1] - 1
+        q = mu * a / d
+        lg, lgbar = log_n.grad, log_n.grad.conj()
+        grad = np.empty(p.shape, dtype=np.complex128)
+        grad[:, :nb] = -q[:, None] * lg
+        grad[:, nb] = p[:, nb].conj() / d
+        gbar = grad.conj()
+        levi = np.multiply(grad[:, :, None], gbar[:, None, :], order="C")
+        levi[:, :nb, :nb] -= q[:, None, None] * (log_n.levi + mu * lg[:, :, None] * lgbar[:, None, :])
+        levi[:, nb, nb] += 1.0 / d
+        xt, xzt = _t(x), _t(log_n.x)
+        phi_a, l_a = (xt @ grad[..., None])[..., 0], (xzt @ lg[..., None])[..., 0]
+        e = q[:, None, None] * (log_n.hess + mu * l_a[:, :, None] * l_a[:, None, :])
+        hess = phi_a[:, :, None] * phi_a[:, None, :] - e
+        cross = (xt @ levi)[:, :, None, :] * phi_a[:, None, :, None]  # Phi_{a lbar} Phi_b
+        third = cross + cross.swapaxes(1, 2) - e[..., None] * gbar[:, None, None, :]
+        cross = (xzt @ log_n.levi)[:, :, None, :] * l_a[:, None, :, None]  # L_{a lbar} L_b
+        cross = log_n.third + mu * (cross + cross.swapaxes(1, 2))
+        third[..., :nb] -= q[:, None, None, None] * cross + mu * e[..., None] * lgbar[:, None, None, :]
+        return Derivatives(-np.log(d), grad, levi, x, hess, third)
 
     def _jet_argument(self, coords):
         """The jet of D = N^mu - |w|^2, N from the determinant route."""
@@ -167,40 +208,42 @@ class HartogsPotential:
         float it gets alone; positive exactly on the domain.  A row outside the
         base gives -|w|^2 (|w| capped at 2), even where N > 0."""
         ps, single = _stack(p, self.n_coords)
-        d = self._argument(ps).value
+        d = self._argument(ps)[0]
         return float(d[0]) if single else d
 
     def _stacked(self, p, x=None) -> Derivatives:
-        """Phi = -log D at a point (n,) or over a stack (B, n), after the one
-        membership test D > 0; x None gives the value alone."""
+        """Phi at a point (n,) or over a stack (B, n), after the one
+        membership test D > 0; x None gives the value -log D alone."""
         ps, single = _stack(p, self.n_coords)
-        arg = self._argument(ps, x)
-        d = arg.value
+        d, a, log_n = self._argument(ps, x)
         # D <= 0 off the base and off the fiber; ~(d > 0) rejects NaN too
         outside = ~(d > 0.0)
         if outside.any():
             raise DomainViolation("point lies outside the domain", int(np.argmax(outside)))
-        if x is None:  # the value alone: no chain-rule factors to form
-            out = Derivatives(-np.log(d), None, None)
-        else:
-            out = arg.compose(-np.log(d), -1.0 / d, 1.0 / d**2, -2.0 / d**3)
+        out = Derivatives(-np.log(d), None, None) if x is None else self._tensors(ps, x, d, a, log_n)
         return out.member(0) if single else out
 
 
 class DomainPotential(HartogsPotential):
     """Hyperbolic potential -log N of a bare bounded symmetric domain.
 
-    `HartogsPotential` without the fiber: D = N from `norm_power_derivatives`
-    at mu = 1 (0 off the base), so every route, membership and the margin N
-    are the Hartogs potential's.  For metric computations on the base alone.
+    `HartogsPotential` without the fiber: its tensors are those of L = log N
+    negated, and D = N = exp(L) (0 off the base) decides membership, gives
+    the margin N and the value -log N, as on the Hartogs potential.  For
+    metric computations on the base alone.
     """
 
     def __init__(self, spec: DomainSpec):
         self.spec = spec
         self.n_coords = spec.dim
 
-    def _argument(self, z, x=None) -> Derivatives:
-        return self.spec.norm_power_derivatives(z, 1.0, x, value_only=x is None)
+    def _argument(self, z, x=None):
+        log_n = self.spec._log_norm(z, x)
+        n = np.exp(log_n.value)
+        return n, n, log_n
+
+    def _tensors(self, z, x, d, a, log_n) -> Derivatives:
+        return Derivatives(-np.log(d), -log_n.grad, -log_n.levi, x, -log_n.hess, -log_n.third)
 
     def _jet_argument(self, coords):
         return self.spec._norm(coords)
@@ -249,19 +292,19 @@ def _sample_slice(spec: HartogsSpec, source: DomainSpec, embed, shrink: float, s
 def _draw_fiber(spec: HartogsSpec, z, scale, shrink: float, rngs, seeds) -> np.ndarray:
     """Fiber coordinates (B,) uniform in the disk |scale w| <= shrink N(z)^(mu/2).
 
-    Each member takes two uniforms from its own generator.  N^mu is the
-    value of `norm_power_derivatives`, the one that decides fiber membership
-    (see `HartogsPotential._argument`); `scale` is per member (B,).
+    Each member takes two uniforms from its own generator.  N^mu is that of
+    `_norm_power`, the one that decides fiber membership (see
+    `HartogsPotential._argument`); `scale` is per member (B,).
     Raises ValueError naming the seed of the first row with N^mu = 0, an
     empty fiber: its base point lies outside the base (log N = -inf), or mu
     is too large.  `--seed <that seed> --samples 1` draws the point again.
     """
     u = np.stack([rng.random(2) for rng in rngs])
-    nmu = spec.base.norm_power_derivatives(z, spec.mu, value_only=True).value
+    nmu, log_n = _norm_power(spec, z)
     if not nmu.all():
         j = int(np.argmin(nmu))
         at = f"sampled base point of seed {seeds[j]}"
-        if np.isneginf(spec.base._log_norm(z[j : j + 1], None).value[0]):
+        if np.isneginf(log_n.value[j]):
             raise ValueError(f"{at} lies outside the base")
         raise ValueError(f"mu = {spec.mu:g} is too large: N^mu is 0 at the {at}")
     return np.sqrt(nmu) / scale * shrink * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])

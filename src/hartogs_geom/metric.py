@@ -61,8 +61,9 @@ class _MemberError(Exception):
 
 
 class IntegrationError(_MemberError, RuntimeError):
-    """A geodesic whose step size underflowed, whose step budget ran out, or
-    whose sweep met a singular metric or an acceleration that is not finite."""
+    """A geodesic whose step size underflowed, whose step budget ran out,
+    whose sweep met a singular metric or an acceleration that is not finite,
+    or whose first step overflowed the boundary margin."""
 
 
 class StartError(_MemberError, ValueError):
@@ -417,7 +418,8 @@ def geodesic_batch(
     rounding in the evaluations than a count of sweeps that ends on a
     threshold would.  The landing row gives an accepted step its point,
     energy and margin e^{-Phi}; status "boundary_reached" stops a member
-    whose step would land within `boundary_margin`.
+    whose step would land within `boundary_margin`, after its first step:
+    a member whose first step would land there raises (below).
 
     Raises ValueError unless T and tol are finite and positive, StartError
     (a ValueError), naming the first such member in its text and in
@@ -425,9 +427,11 @@ def geodesic_batch(
     or within the margin, or a start energy or acceleration that overflows
     (all read from the start evaluation), and IntegrationError, naming the
     member likewise, when its step size underflows, its step budget runs
-    out, a sweep meets a singular metric, or a sweep's acceleration is not
-    finite.  Overflow, division by zero and invalid values raise no
-    RuntimeWarning anywhere in the integration: these checks are the finding.
+    out, a sweep meets a singular metric, a sweep's acceleration is not
+    finite, or its first step overflows the boundary margin (at a huge mu,
+    N^mu underflows a short way from the start).  Overflow, division by zero
+    and invalid values raise no RuntimeWarning anywhere in the integration:
+    these checks are the finding.
     """
     p0s, _ = _stack(p0s, pot.n_coords)
     v0s, _ = _stack(v0s, pot.n_coords)
@@ -570,6 +574,14 @@ def geodesic_batch(
             if err > 1.0:
                 rejected[j] += 1
             elif not np.exp(-phi[i, _STAGES]) >= boundary_margin:
+                if len(times[j]) == 1:
+                    # its trace would hold the start alone, and a drift,
+                    # confinement or deviation read from it a vacuous 0
+                    raise IntegrationError(
+                        f"geodesic of member {j} overflowed: it stopped within the boundary margin"
+                        " before its first step",
+                        j,
+                    )
                 status[j], done[j] = "boundary_reached", True
                 continue
             else:

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the jet engine: finite differences with
 Richardson extrapolation for derivatives, cofactor expansion for
 determinants, term-by-term loops for the linear-support residual series, an
-explicit Dormand-Prince 8(5,3) integrator for geodesics, and the dense
-R-chain over a stack of unit matrices for the types I-III log-norm tensors.
-These provide the second route of every dual-route check.
+explicit Dormand-Prince 8(5,3) integrator for geodesics, the dense R-chain
+over a stack of unit matrices for the types I-III log-norm tensors, and the
+two-step chain rule through D = N^mu - |w|^2 for the Hartogs potential's
+tensors.  These provide the second route of every dual-route check.
 """
 
 from __future__ import annotations
@@ -333,3 +334,25 @@ def matrix_log_norm_dense(spec, z, x):
     pa, pb = px[:, :, None], px[:, None]
     k = (pa @ pb + pb @ pa) @ (r @ zm)[:, None, None] + pa @ rex[:, None] + pb @ rex[:, :, None]
     return Derivatives(value, grad, levi, x, hess, -c * trace_against(k))
+
+
+def two_step_potential(spec, p, x):
+    """The tensors of Phi = -log(N^mu - |w|^2) over a stack (B, n) along the
+    directions x, shared (n, k) or per point (B, n, k), by two compositions.
+
+    The second route for `HartogsPotential.derivatives`: N^mu = exp(mu log N)
+    composed by `norm_power_derivatives`, the fiber term -|w|^2 as a block of
+    its own (D_w = -wbar, D_{w wbar} = -1), the two joined by `block_sum`,
+    and Phi = -log D composed with the factors -1/D, 1/D^2 and -2/D^3.
+    """
+    from hartogs_geom.numerics import Derivatives
+
+    z, w = p[:, :-1], p[:, -1]
+    nmu = spec.base.norm_power_derivatives(z, spec.mu, x[..., :-1, :])
+    b, k = len(p), x.shape[-1]
+    zero = np.zeros((b, k, k), dtype=np.complex128)
+    levi = np.full((b, 1, 1), -1.0 + 0j)
+    fiber = Derivatives(-np.abs(w) ** 2, -w.conj()[:, None], levi, x[..., -1:, :], zero, zero[..., None])
+    arg = Derivatives.block_sum([nmu, fiber])
+    d = arg.value
+    return arg.compose(-np.log(d), -1.0 / d, 1.0 / d**2, -2.0 / d**3)

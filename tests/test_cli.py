@@ -101,6 +101,18 @@ BAD_INPUTS = {
         dict(BASE_CONFIG, spec=dict(BASE_CONFIG["spec"], mu=1e103)),  # mu**3 overflows
         (),
     ),
+    # the spec and its base refuse keys they do not read, and name a missing one
+    "spec-unknown-key": ("verify-immersion", dict(BASE_CONFIG, spec=dict(BASE_CONFIG["spec"], muu=9)), ()),
+    "base-unknown-key": (
+        "verify-immersion",
+        dict(BASE_CONFIG, spec={"base": {"kind": "I", "params": [2, 2], "parms": [3, 3]}, "mu": 1.5}),
+        (),
+    ),
+    "spec-missing-mu": (
+        "verify-immersion",
+        dict(BASE_CONFIG, spec={"base": {"kind": "I", "params": [2, 2]}}),
+        (),
+    ),
     "mu-grid-huge": ("linear-scan", POLY3_CONFIG, ("--mu-grid", "1e300", "--r-grid", "2", "--T", "0.1")),
     # the energy of v0 overflows before any step
     "geodesic-v0-huge": ("geodesic", {}, ("--p0", "0,0,0,0,0", "--v0", "1e200,0,0,0,0", "--T", "1")),
@@ -129,17 +141,57 @@ def test_bad_input_exit_2(tmp_path, capsys, case):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (
+            {"base": {"kind": "I", "params": [2, 2]}, "mu": 1.5, "muu": 9},
+            "unknown keys ['muu'] in a Hartogs spec",
+        ),
+        ({"base": {"kind": "I", "params": [2, 2], "parms": [3, 3]}, "mu": 1.5}, "unknown keys ['parms']"),
+        (
+            {"base": {"kind": "product", "params": [{"kind": "I", "params": [1, 1], "rank": 1}]}, "mu": 1.5},
+            "unknown keys ['rank'] in a domain spec",
+        ),
+        ({"base": {"kind": "I", "params": [2, 2]}}, "lacks the key 'mu'"),
+    ],
+    ids=["spec", "base", "factor", "missing-mu"],
+)
+def test_spec_keys_are_checked(tmp_path, capsys, spec, message):
+    cfg = _write_config(tmp_path, {"spec": spec})
+    assert main(["verify-immersion", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("mu", ["1e10", "1e102"])
 def test_overflowing_scan_exit_2_at_once(tmp_path, capsys, mu):
-    # the pure-base geodesic overflows its stages (a non-finite sweep at
-    # 1e10, a singular stage metric at 1e102): exit 2 within a few steps,
-    # with no traceback and no RuntimeWarning (an error under the test filter)
+    # the pure-base geodesic cannot leave the origin (N^mu underflows at
+    # every stage at 1e10, so it stops within the boundary margin before its
+    # first step; a singular stage metric at 1e102): exit 2 within a few
+    # steps, with no traceback and no RuntimeWarning (an error under the test
+    # filter)
     t0 = time.perf_counter()
     argv = ["linear-scan", "--mu-grid", mu, "--r-grid", "1", "--out", str(tmp_path / "r.json")]
     assert main(argv) == 2
     assert time.perf_counter() - t0 < 5.0
     err = capsys.readouterr().err
     assert "config error:" in err and "member 0" in err and "Traceback" not in err
+
+
+def test_zero_step_geodesic_exit_2(tmp_path, capsys):
+    # at mu = 1e10 N^mu underflows a short way from the origin: the geodesic
+    # stops within the boundary margin before its first step, and its energy
+    # drift would read a vacuous 0 over the start alone
+    cfg = _write_config(tmp_path, {"spec": {"base": {"kind": "I", "params": [1, 1]}, "mu": 1e10}})
+    out = tmp_path / "r.json"
+    argv = ["geodesic", "--config", cfg, "--p0", "0,0", "--v0", "1,0", "--T", "0.5",
+            "--trace-out", str(tmp_path / "t.csv"), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "member 0 overflowed" in err
+    assert "before its first step" in err and not out.exists()
 
 
 @pytest.mark.parametrize(

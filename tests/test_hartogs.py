@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _oracles import two_step_potential
 
 from hartogs_geom.domains import (
     DomainSpec,
@@ -941,3 +942,103 @@ class TestEmptyDirections:
         value_only = base.log_norm_derivatives(z, np.ones((base.dim, 1)), value_only=True)
         assert value_only.grad is None and value_only.x is None
         assert np.array_equal(value_only.value, base.log_norm_derivatives(z).value)
+
+
+FUSED_BASES = {**EMPTY_DIRECTION_BASES, "disk": DomainSpec.polydisk(1)}
+TENSORS = ("value", "grad", "levi", "hess", "third")
+
+
+def _fused_directions(n: int, b: int, rng) -> dict:
+    """Shared (n, k), per-point (B, n, k) and empty (n, 0) direction matrices."""
+    return {
+        "shared": rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)),
+        "per-point": rng.normal(size=(b, n, 2)) + 1j * rng.normal(size=(b, n, 2)),
+        "empty": np.zeros((n, 0), dtype=np.complex128),
+    }
+
+
+class TestFusedPotential:
+    """`HartogsPotential.derivatives` assembles Phi's tensors in one step from
+    those of log N; the two-step chain of `two_step_potential` is its second
+    route."""
+
+    @staticmethod
+    def _points(name):
+        spec = HartogsSpec(FUSED_BASES[name], 1.3)
+        return HartogsPotential(spec), h_sample(spec, 0.9, range(5))
+
+    @pytest.mark.parametrize("name", list(FUSED_BASES))
+    def test_agrees_with_the_two_step_chain(self, name):
+        pot, p = self._points(name)
+        for kind, x in _fused_directions(pot.n_coords, len(p), np.random.default_rng(6)).items():
+            want = two_step_potential(pot.spec, p, x)
+            one = pot.derivatives(p[1], x[1] if x.ndim == 3 else x)
+            for got, ref in ((pot.derivatives(p, x), want), (one, want.member(1))):
+                for field in TENSORS:
+                    a, b = np.asarray(getattr(got, field)), np.asarray(getattr(ref, field))
+                    assert a.shape == b.shape, (kind, field)
+                    err = np.max(np.abs(a - b), initial=0.0)
+                    assert err <= 1e-13 * np.max(np.abs(b), initial=1.0), (kind, field, err)
+
+    @pytest.mark.parametrize("name", list(FUSED_BASES))
+    def test_a_row_alone_is_its_row_in_the_stack(self, name):
+        # and every tensor is C-ordered: the metric's rounding depends on the
+        # layout of levi
+        pot, p = self._points(name)
+        for kind, x in _fused_directions(pot.n_coords, len(p), np.random.default_rng(7)).items():
+            stack = pot.derivatives(p, x)
+            for j in range(len(p)):
+                alone, row = pot.derivatives(p[j], x[j] if x.ndim == 3 else x), stack.member(j)
+                for field in TENSORS:
+                    assert np.array_equal(getattr(alone, field), getattr(row, field)), (kind, j, field)
+            for field in TENSORS[1:]:
+                assert getattr(stack, field).flags["C_CONTIGUOUS"], (kind, field)
+                assert getattr(alone, field).flags["C_CONTIGUOUS"], (kind, field)
+
+    @pytest.mark.parametrize("mu", [1.3, 1e6])
+    @pytest.mark.parametrize("name", list(FUSED_BASES))
+    def test_base_block_at_zero_fiber_is_mu_times_that_of_minus_log_n(self, name, mu):
+        # at w = 0, Phi = -mu log N.  At mu = 1e6 the points are scaled to
+        # mu log N = -300, where N^mu ~ 1e-130 and the two-step chain's 1/D^3
+        # overflows; the fused tensors stay finite.  Their terms of order
+        # mu^2 and mu^3 cancel there, so each tensor is held to a bound
+        # relative to the largest term it cancels
+        base = FUSED_BASES[name]
+        z = np.stack([base.sample(0.9, j) for j in range(4)])
+        if mu > 1e3:
+            z *= np.sqrt(300.0 / (mu * -base.log_norm_derivatives(z).value))[:, None]
+        p = np.concatenate([z, np.zeros((len(z), 1))], axis=1)
+        x = np.random.default_rng(9).normal(size=(base.dim + 1, 2)) + 0j
+        x[-1] = 0.0
+        got = HartogsPotential(HartogsSpec(base, mu)).derivatives(p, x)
+        log_n = base.log_norm_derivatives(z, x[:-1])
+        nb = base.dim
+        s = mu * max(np.abs(log_n.grad).max(), np.abs(log_n.grad @ x[:-1]).max())
+        pairs = [
+            (got.grad[:, :nb], log_n.grad, s),
+            (got.levi[:, :nb, :nb], log_n.levi, s**2),
+            (got.hess, log_n.hess, s**2),
+            (got.third[..., :nb], log_n.third, s**3),
+        ]
+        for have, tensor, cancelled in pairs:
+            want = -mu * tensor
+            assert np.all(np.isfinite(have))
+            assert np.max(np.abs(have - want)) <= 1e-14 * (np.abs(want).max() + cancelled)
+        if mu > 1e3:
+            with np.errstate(all="ignore"):
+                two = two_step_potential(HartogsSpec(base, mu), p, x)
+            assert not np.all(np.isfinite(two.third))
+
+
+@pytest.mark.parametrize("name", list(FUSED_BASES))
+def test_domain_potential_is_minus_log_norm(name):
+    # the tensors are those of log N negated, and the value is the value
+    # route's -log N on every route
+    base = FUSED_BASES[name]
+    z = np.stack([base.sample(0.9, j) for j in range(3)])
+    x = np.random.default_rng(10).normal(size=(3, base.dim, 2)) + 0j
+    pot = DomainPotential(base)
+    got, log_n = pot.derivatives(z, x), base.log_norm_derivatives(z, x)
+    for field in TENSORS[1:]:
+        assert np.array_equal(getattr(got, field), -getattr(log_n, field)), field
+    assert np.array_equal(pot.value(z), got.value)

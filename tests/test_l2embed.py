@@ -325,6 +325,19 @@ class TestLineDeviation:
     def test_fiber_direction_linear(self):
         assert line_deviation(2, 1.5, [0, 0, 1.0], 1.0) < 1e-9
 
+    def test_zero_step_cell_raises(self):
+        # at mu = 1e6 the pure-base geodesic from the origin stops within the
+        # boundary margin before its first step; its deviation would read a
+        # vacuous 0, so the member that never moved is named instead
+        from hartogs_geom.metric import IntegrationError
+
+        dirs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        msg = "member 1 overflowed: it stopped within the boundary margin before its first step"
+        with pytest.raises(IntegrationError, match=msg) as info:
+            line_deviation(2, 1e6, dirs, 0.5)
+        assert info.value.member == 1
+        assert line_deviation(2, 1e6, dirs[0], 0.5) < 1e-9  # the fiber member alone moves
+
     def test_ball_mixed_direction_linear(self):
         assert line_deviation(1, 1.0, np.array([0.6, 0.8]), 1.0) < 1e-7
 
